@@ -83,6 +83,32 @@ class PrimeField:
         return pow(c, self.p - 2, self.p)
 
 
+# -- linear algebra over F_p -------------------------------------------------
+
+
+def dense_rank(vectors: list[list[int]], p: int) -> int:
+    """Row-reduce over F_p; the vectors are consumed as rows."""
+    rows = [list(v) for v in vectors if any(v)]
+    rank = 0
+    col = 0
+    width = len(rows[0]) if rows else 0
+    while rank < len(rows) and col < width:
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [(c * inv) % p for c in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
 # -- monomials ----------------------------------------------------------------
 # A monomial is a bare exponent tuple; the ring supplies names and ordering.
 

@@ -18,6 +18,7 @@ from .core import (
     NEG_INF,
     Polynomial,
     ZeroModule,
+    dense_rank,
     free_presentation,
     validate_presentation,
 )
@@ -122,7 +123,11 @@ def minimal_resolution(pres: GradedPresentation) -> FreeResolution:
     return minimalize_resolution(schreyer_resolution(s_avatar(pres)))
 
 
+# -- Betti tables and regularity ---------------------------------------------------
+
+
 def betti_from_resolution(res: FreeResolution) -> dict[tuple[int, int], int]:
+    """Twist counts of each level; the Betti table only when res is minimal."""
     table: dict[tuple[int, int], int] = {}
     for i, level in enumerate(res.twists):
         for j in level:
@@ -130,8 +135,56 @@ def betti_from_resolution(res: FreeResolution) -> dict[tuple[int, int], int]:
     return table
 
 
+def _indices_by_degree(twists) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for idx, j in enumerate(twists):
+        out.setdefault(j, []).append(idx)
+    return out
+
+
+def betti_of_resolution(res: FreeResolution) -> dict[tuple[int, int], int]:
+    """Graded Betti table of the resolved module from any graded free
+    resolution, minimal or not: b_{i,j} = dim Tor_i(M, k)_j = H_i(F (x) k)_j.
+
+    Only the scalar entries of d_k survive in F (x) k, and they sit between
+    generators of equal degree.  With C_{k,j} the block of constant terms of
+    d_k on the degree-j rows and columns,
+
+        b_{i,j} = #{twists of F_i equal to j} - rank C_{i,j} - rank C_{i+1,j}.
+    """
+    p = res.ring.field.p
+    one = (0,) * res.ring.nvars
+    ranks: dict[tuple[int, int], int] = {}
+    for k, mat in enumerate(res.differentials, start=1):
+        rows = _indices_by_degree(res.twists[k - 1])
+        for j, cols in _indices_by_degree(res.twists[k]).items():
+            if j in rows:
+                block = [[mat[r][c].terms.get(one, 0) for c in cols] for r in rows[j]]
+                ranks[(k, j)] = dense_rank(block, p)
+    table: dict[tuple[int, int], int] = {}
+    for (i, j), count in betti_from_resolution(res).items():
+        b = count - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
+        if b < 0:
+            raise AlgebraError(f"negative Betti number at ({i}, {j})")
+        if b:
+            table[(i, j)] = b
+    levels = {i for (i, _) in table}
+    if levels != set(range(len(levels))):
+        raise AlgebraError("Betti table has an internal zero level")
+    if len(levels) > res.ring.nvars + 1:
+        raise AlgebraError("projective dimension exceeds the variable count")
+    return table
+
+
+def _resolve(pres: GradedPresentation) -> tuple[FreeResolution, dict[tuple[int, int], int]]:
+    """A (not necessarily minimal) resolution of the S-side avatar, and the
+    Betti table read off it."""
+    res = schreyer_resolution(s_avatar(pres))
+    return res, betti_of_resolution(res)
+
+
 def betti_numbers(pres: GradedPresentation) -> dict[tuple[int, int], int]:
-    return betti_from_resolution(minimal_resolution(pres))
+    return _resolve(pres)[1]
 
 
 def regularity_from_betti(table: dict[tuple[int, int], int]) -> int:
@@ -326,7 +379,8 @@ def hilbert_data(pres: GradedPresentation) -> HilbertData:
 
 
 def b0_degrees(res: FreeResolution) -> list[int]:
-    """Degrees of a minimal generating set (same over S and over R = S/J)."""
+    """Degrees of a minimal generating set (same over S and over R = S/J), when
+    res is a minimal resolution."""
     return sorted(res.twists[0]) if res.twists else []
 
 
@@ -336,13 +390,7 @@ def b1_degrees(pres: GradedPresentation) -> dict[int, int]:
     (im phi + JG) / (m*(im phi) + JG), whose series is a polynomial."""
     ring = pres.ring
     if not ring.is_quotient:
-        res = minimal_resolution(pres)
-        if len(res.twists) < 2:
-            return {}
-        out: dict[int, int] = {}
-        for j in res.twists[1]:
-            out[j] = out.get(j, 0) + 1
-        return out
+        return {j: b for (i, j), b in betti_numbers(pres).items() if i == 1}
 
     base = ring.base
     avatar = s_avatar(pres)  # columns of phi, then JG columns
@@ -375,25 +423,29 @@ def b1_degrees(pres: GradedPresentation) -> dict[int, int]:
 @lru_cache(maxsize=None)
 def ring_invariants(ring: GradedRing) -> tuple[int, int, int, bool]:
     """(dim R, deg R, reg R, is_cohen_macaulay), treating R = S/J as S-module."""
-    pres = free_presentation(ring, (0,))
-    res = minimal_resolution(pres)
-    hd = hilbert_from_numerator(numerator_from_resolution(res), ring.nvars)
-    reg = regularity_from_betti(betti_from_resolution(res))
-    is_cm = res.length == hd.codimension
-    return int(hd.dimension), hd.multiplicity, reg, is_cm
+    mi = module_invariants(free_presentation(ring, (0,)))
+    return int(mi.hilbert.dimension), mi.hilbert.multiplicity, mi.regularity, mi.is_cm
 
 
 @lru_cache(maxsize=None)
+def _quotient_ideal_gen_degrees(ring: GradedRing) -> tuple[int, ...]:
+    if not ring.is_quotient:
+        return ()
+    table = betti_numbers(free_presentation(ring, (0,)))
+    return tuple(sorted(j for (i, j), b in table.items() if i == 1 for _ in range(b)))
+
+
 def quotient_ideal_gen_degrees(ring: GradedRing) -> list[int]:
     """Degrees of minimal generators of the defining ideal J (empty for J = 0)."""
-    if not ring.is_quotient:
-        return []
-    res = minimal_resolution(free_presentation(ring, (0,)))
-    return sorted(res.twists[1]) if len(res.twists) > 1 else []
+    return list(_quotient_ideal_gen_degrees(ring))
 
 
 @dataclass
 class ModuleInvariants:
+    """Invariants of a nonzero module.  `resolution` is a graded free
+    resolution of the S-side avatar, not necessarily minimal: read Betti
+    numbers from `betti`, not from its twists."""
+
     presentation: GradedPresentation
     resolution: FreeResolution
     betti: dict[tuple[int, int], int]
@@ -403,16 +455,16 @@ class ModuleInvariants:
 
 
 def module_invariants(pres: GradedPresentation) -> ModuleInvariants:
-    res = minimal_resolution(pres)
-    betti = betti_from_resolution(res)
+    res, betti = _resolve(pres)
     if not betti:
         raise ZeroModule("module is zero")
     hd = hilbert_from_numerator(numerator_from_resolution(res), pres.ring.nvars)
+    projective_dimension = max(i for (i, _) in betti)
     return ModuleInvariants(
         presentation=pres,
         resolution=res,
         betti=betti,
         regularity=regularity_from_betti(betti),
         hilbert=hd,
-        is_cm=res.length == hd.codimension,
+        is_cm=projective_dimension == hd.codimension,
     )

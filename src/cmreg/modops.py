@@ -16,6 +16,7 @@ from .core import (
     Mono,
     NEG_INF,
     Polynomial,
+    dense_rank,
     mono_mul,
     monomials_of_degree,
     validate_presentation,
@@ -358,29 +359,6 @@ def degree_basis(ring: GradedRing, twists, d: int) -> list[tuple[int, Mono]]:
         for m in monomials_of_degree(ring.nvars, d - a):
             out.append((i, m))
     return out
-
-
-def dense_rank(vectors: list[list[int]], p: int) -> int:
-    """Row-reduce over F_p; the vectors are consumed as rows."""
-    rows = [list(v) for v in vectors if any(v)]
-    rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < width:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(c * inv) % p for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def span_vectors(

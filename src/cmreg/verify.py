@@ -423,7 +423,7 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
                 break
 
     mi = module_invariants(pres)
-    b0 = max(mi.resolution.twists[0])
+    b0 = max(j for (i, j) in mi.betti if i == 0)
     b1 = b1_degrees(pres)
     h = max(quotient_ideal_gen_degrees(pres.ring), default=1)
     h = max(h, 1)
@@ -498,7 +498,7 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
         raise AlgebraError("tower floor assumes generators in nonnegative degrees")
 
     mi = module_invariants(pres)
-    b0 = max(mi.resolution.twists[0])
+    b0 = max(j for (i, j) in mi.betti if i == 0)
     b1 = b1_degrees(pres)
     h = max(max(quotient_ideal_gen_degrees(pres.ring), default=1), 1)
     floor = b0 + h - 2

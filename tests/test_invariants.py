@@ -13,15 +13,18 @@ from cmreg.core import (
     monomials_of_degree,
     validate_presentation,
 )
+from cmreg.groebner import FreeResolution
 from cmreg.invariants import (
     b0_degrees,
     b1_degrees,
     betti_from_resolution,
     betti_numbers,
+    betti_of_resolution,
     hilbert_data,
     hilbert_from_numerator,
     hilbert_numerator,
     minimal_resolution,
+    minimalize_resolution,
     module_invariants,
     numerator_from_resolution,
     quotient_ideal_gen_degrees,
@@ -30,6 +33,8 @@ from cmreg.invariants import (
     s_avatar,
     tp_divide_one_minus_t,
 )
+from cmreg.modops import minimal_presentation, sym_power
+from cmreg.verify import random_complete_intersection, random_module
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
@@ -218,3 +223,122 @@ def test_minimal_resolution_length_within_variable_count():
 def test_unit_quotient_generator_rejected():
     with pytest.raises(AlgebraError):
         GradedRing(F, ("x", "y"), quotient_gens=(R2.constant(5),))
+
+
+def test_quotient_ideal_gen_degrees_returns_a_fresh_list():
+    R = GradedRing(F, ("x", "y"), quotient_gens=(u * u, u * v * v))
+    degrees = quotient_ideal_gen_degrees(R)
+    assert degrees == [2, 3]
+    degrees.append(7)
+    degrees.reverse()
+    assert quotient_ideal_gen_degrees(R) == [2, 3]
+
+
+# -- Betti tables from non-minimal resolutions ----------------------------------------
+
+
+def _acceptance_box_module(trial):
+    # the draw of criterion 1 in the acceptance suite
+    shape = random.Random(9001 + trial)
+    return random_module(
+        31337 + trial,
+        p_vars=shape.randint(1, 3),
+        n=shape.randint(1, 3),
+        m=shape.randint(1, 5),
+        max_a=2,
+        max_b=4,
+        density=0.4 + 0.6 * shape.random(),
+    )
+
+
+def _module_over_complete_intersection(trial):
+    """A random module over R = S/J, J a certified complete intersection."""
+    shape = random.Random(7001 + trial)
+    nvars = shape.randint(1, 3)
+    ci, _ = random_complete_intersection(
+        424242 + trial, p_vars=nvars, max_codim=nvars, max_degree=3
+    )
+    pres = random_module(
+        555555 + trial,
+        p_vars=nvars,
+        n=shape.randint(1, 2),
+        m=shape.randint(1, 4),
+        density=0.4 + 0.6 * shape.random(),
+    )
+    base = pres.ring
+    ring = GradedRing(base.field, base.variables, base.order, ci.matrix[0])
+    return minimal_presentation(
+        validate_presentation(
+            ring, pres.row_twists, [list(r) for r in pres.matrix], pres.column_degrees
+        )
+    )
+
+
+def _oracle_modules():
+    for trial in range(40):
+        pres = _acceptance_box_module(trial)
+        yield pres
+        yield sym_power(pres, 2)
+    for trial in range(40):
+        pres = _module_over_complete_intersection(trial)
+        if not pres.is_zero_module:
+            yield pres
+
+
+def test_betti_table_matches_minimal_resolution():
+    # the alternating Betti sum cannot see a wrong block rank (it cancels between
+    # neighbouring homological degrees), so compare the tables themselves
+    checked = quotient = 0
+    for pres in _oracle_modules():
+        res = minimal_resolution(pres)
+        table = betti_from_resolution(res)
+        assert betti_numbers(pres) == table
+        mi = module_invariants(pres)
+        assert mi.betti == table
+        assert mi.is_cm == (res.length == mi.hilbert.codimension)
+        checked += 1
+        quotient += pres.ring.is_quotient
+    assert checked > 100 and quotient > 20
+
+
+def _koszul_plus_split_summand(d):
+    """The Koszul complex of (x, y, z) plus the exact summand R(-d) --1--> R(-d)
+    placed in homological degrees 1 and 2: a resolution of S/(x, y, z) that is
+    not minimal."""
+    zero, one = R3.zero(), R3.one()
+    d1 = ((x, y, z, zero),)
+    d2 = (
+        (-y, -z, zero, zero),
+        (x, zero, -z, zero),
+        (zero, x, y, zero),
+        (zero, zero, zero, one),
+    )
+    d3 = ((z,), (-y,), (x,), (zero,))
+    return FreeResolution(
+        ring=R3,
+        twists=[(0,), (1, 1, 1, d), (2, 2, 2, d), (3,)],
+        differentials=[d1, d2, d3],
+    )
+
+
+def test_betti_table_of_non_minimal_resolution():
+    koszul = {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1}
+    for d in (1, 2, 3):
+        res = _koszul_plus_split_summand(d)
+        assert betti_from_resolution(res) != koszul
+        assert betti_of_resolution(res) == koszul
+        assert betti_from_resolution(minimalize_resolution(res)) == koszul
+
+
+def test_betti_table_rejects_what_no_resolution_gives():
+    one, zero = R2.one(), R2.zero()
+    not_a_complex = FreeResolution(
+        ring=R2, twists=[(0,), (0,), (0,)], differentials=[((one,),), ((one,),)]
+    )
+    # exact at F_0 and F_1 but not at F_2: F (x) k has homology at F_2 alone
+    not_exact = FreeResolution(
+        ring=R2, twists=[(0,), (0,), (1,)], differentials=[((one,),), ((zero,),)]
+    )
+    for res in (not_a_complex, not_exact):
+        with pytest.raises(AlgebraError):
+            betti_of_resolution(res)

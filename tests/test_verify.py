@@ -4,6 +4,7 @@ import pytest
 
 from cmreg.core import AlgebraError, GradedRing, PrimeField, ZeroModule, validate_presentation
 from cmreg.invariants import hilbert_data, regularity
+from cmreg.modops import minimal_presentation
 from cmreg.verify import (
     audit,
     audit_random,
@@ -25,6 +26,16 @@ x, y, z = R3.gens()
 
 def cyclic(ring, polys):
     return validate_presentation(ring, (0,), [list(polys)])
+
+
+def with_cancelled_generator(pres, f):
+    """The same module with one more generator e, in degree deg f above the
+    first generator g, and the unit relation e + f*g = 0 that cancels it."""
+    zero = f.ring.zero()
+    rows = [list(row) + [f if i == 0 else zero] for i, row in enumerate(pres.matrix)]
+    rows.append([zero] * pres.m + [f.ring.one()])
+    twists = pres.row_twists + (pres.row_twists[0] + int(f.degree()),)
+    return validate_presentation(pres.ring, twists, rows)
 
 
 # -- random instances --------------------------------------------------------------
@@ -151,6 +162,16 @@ def test_section_check_regular_form_is_trivial():
     assert report.all_hold
 
 
+def test_section_check_on_non_minimal_presentation():
+    pres = with_cancelled_generator(cyclic(R2, [u * u, u * v]), v**4)
+    assert pres.row_twists == (0, 4)
+    reference = section_check(minimal_presentation(pres), v)
+    report = section_check(pres, v)
+    # mu* >= b0 + h - 1: a b0 read off the cancelled generator would give 4
+    assert report.mu_star == reference.mu_star == 2
+    assert report == reference
+
+
 def test_random_section_form_finds_finite_torsion():
     pres = cyclic(R2, [u * u, u * v])
     rng = random.Random(3)
@@ -169,6 +190,16 @@ def test_tower_check_two_levels():
     assert report.chain_holds == [True]
     assert report.final_bound == 4  # Q_1 ** (2 ** 1)
     assert report.final_holds and report.all_hold
+
+
+def test_tower_check_on_non_minimal_presentation():
+    pres = with_cancelled_generator(cyclic(R3, [x * x, x * y]), z**4)
+    reference = tower_check(minimal_presentation(pres), [z, y])
+    report = tower_check(pres, [z, y])
+    # Q_i = 1 + max(reg, len K, floor): a floor read off the cancelled degree-4
+    # generator would be 3 and lift both values to 4
+    assert report.q_values == reference.q_values == [2, 2]
+    assert report == reference
 
 
 def test_tower_check_random_forms():
