@@ -4,6 +4,10 @@ An element of the free module (+)_c R*e_c is a flat dict {(component, mono):
 coeff}.  Basis elements are kept monic, input is homogeneous throughout, and
 pair selection is by ascending module degree, so the engine works degree by
 degree without re-checking gradedness in hot loops.
+
+Schreyer syzygies reduce only the pairs whose predicted lead term is minimal
+(see `schreyer_syzygies`); the other pairs' syzygies would be dropped by
+autoreduce, which returns the same reduced basis either way.
 """
 
 from __future__ import annotations
@@ -11,9 +15,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Callable, Sequence
 
 from .core import (
+    CACHE_SIZE,
     AlgebraError,
     GradedPresentation,
     GradedRing,
@@ -59,9 +65,10 @@ def schreyer_key(parent_key: OrderKey, parent_lts: Sequence[Term]) -> OrderKey:
 
 def elt_add_scaled(target: Element, src: Element, mono: Mono, coeff: int, p: int) -> None:
     """target += coeff * x^mono * src, in place, coefficients mod p."""
+    get = target.get
     for (c, m), val in src.items():
-        t = (c, mono_mul(m, mono))
-        nv = (target.get(t, 0) + coeff * val) % p
+        t = (c, tuple(map(add, m, mono)))
+        nv = (get(t, 0) + coeff * val) % p
         if nv:
             target[t] = nv
         elif t in target:
@@ -318,31 +325,46 @@ def schreyer_syzygies(gb: GroebnerBasis):
 
     Returns (elements, degrees, key): elements live in the free module indexed
     by gb's elements, degrees are their module degrees there.
+
+    Only the minimal pairs are reduced.  Under the Schreyer order the syzygy of
+    the pair (i, j), i < j, has the lead term (i, s_ij) with s_ij =
+    lcm(m_i, m_j)/m_i, known before any reduction (Schreyer's theorem).  For
+    each i the pairs are taken by ascending (deg s_ij, j), and one is kept
+    unless an already kept s_ik divides its s_ij, so equal shifts keep the
+    smallest j.  These are the lead terms autoreduce would keep out of all the
+    pairs, with the same tie rule, and the reduced basis is determined by its
+    lead terms: the output is the same element for element as reducing every
+    pair (La Scala-Stillman, "Strategies for computing minimal free
+    resolutions", 1998).
     """
     p = gb.ring.field.p
     degs = gb.element_degrees()
     skey = schreyer_key(gb.key, gb.lts)
 
     syz: list[Element] = []
+    syz_lts: list[Term] = []
     by_comp: dict[int, list[int]] = {}
     for idx, (c, _) in enumerate(gb.lts):
         by_comp.setdefault(c, []).append(idx)
     for group in by_comp.values():
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                i, j = group[a], group[b]
-                mi, mj = gb.lts[i][1], gb.lts[j][1]
-                tau = mono_lcm(mi, mj)
+        for a, i in enumerate(group):
+            mi = gb.lts[i][1]
+            # (shift of e_i, j) with j ascending; the stable sort makes it (deg, j)
+            candidates = [(mono_div(mono_lcm(mi, gb.lts[j][1]), mi), j) for j in group[a + 1 :]]
+            candidates.sort(key=lambda cand: mono_deg(cand[0]))
+            kept: list[Mono] = []
+            for si, j in candidates:
+                if any(mono_divides(m, si) for m in kept):
+                    continue
+                kept.append(si)
+                sj = mono_div(mono_mul(si, mi), gb.lts[j][1])
                 s: Element = {}
-                elt_add_scaled(s, gb.elements[i], mono_div(tau, mi), 1, p)
-                elt_add_scaled(s, gb.elements[j], mono_div(tau, mj), -1, p)
+                elt_add_scaled(s, gb.elements[i], si, 1, p)
+                elt_add_scaled(s, gb.elements[j], sj, -1, p)
                 rem, quots = gb.normal_form(s, track=True)
                 if rem:
                     raise AlgebraError("S-pair of a Groebner basis failed to reduce")
-                rel: Element = {
-                    (i, mono_div(tau, mi)): 1,
-                    (j, mono_div(tau, mj)): p - 1,
-                }
+                rel: Element = {(i, si): 1, (j, sj): p - 1}
                 for k, q in quots.items():
                     for mono, c in q.items():
                         t = (k, mono)
@@ -351,11 +373,10 @@ def schreyer_syzygies(gb: GroebnerBasis):
                             rel[t] = nv
                         elif t in rel:
                             del rel[t]
-                if rel:
-                    syz.append(rel)
+                syz.append(rel)
+                syz_lts.append((i, si))
 
-    lts = [max(s, key=skey) for s in syz]
-    basis, lts, _ = autoreduce(syz, lts, [None] * len(syz), skey, p, track=False)
+    basis, lts, _ = autoreduce(syz, syz_lts, [None] * len(syz), skey, p, track=False)
     degrees = [mono_deg(m) + degs[c] for c, m in lts]
     return basis, degrees, skey
 
@@ -489,7 +510,7 @@ def element_poly(v: Element, ring: GradedRing) -> Polynomial:
     return Polynomial(ring, {m: c for (_, m), c in v.items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def quotient_groebner(ring: GradedRing) -> GroebnerBasis:
     """Groebner basis of the defining ideal of a quotient ring (empty if none)."""
     base = ring.base

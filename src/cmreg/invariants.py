@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    CACHE_SIZE,
     AlgebraError,
     GradedPresentation,
     GradedRing,
@@ -251,7 +252,7 @@ def _minimalize_monos(monos) -> frozenset:
     return frozenset(keep)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _numerator_of_lead_terms(monos: frozenset) -> tuple[tuple[int, int], ...]:
     """Numerator of Hilb(S/L) * (1-t)^v for the monomial ideal L, by splitting
     along the most frequent variable: N(L) = N(L + x) + t * N(L : x)."""
@@ -420,14 +421,14 @@ def b1_degrees(pres: GradedPresentation) -> dict[int, int]:
 # -- ring-level invariants ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def ring_invariants(ring: GradedRing) -> tuple[int, int, int, bool]:
     """(dim R, deg R, reg R, is_cohen_macaulay), treating R = S/J as S-module."""
     mi = module_invariants(free_presentation(ring, (0,)))
     return int(mi.hilbert.dimension), mi.hilbert.multiplicity, mi.regularity, mi.is_cm
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _quotient_ideal_gen_degrees(ring: GradedRing) -> tuple[int, ...]:
     if not ring.is_quotient:
         return ()

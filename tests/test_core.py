@@ -22,6 +22,7 @@ from cmreg.core import (
     render_poly,
     validate_presentation,
 )
+from cmreg.groebner import elt_add_scaled
 
 F101 = PrimeField(101)
 R = GradedRing(F101, ("x", "y", "z"))
@@ -55,6 +56,53 @@ def test_mono_helpers():
     assert not mono_divides((0, 2, 0), (1, 1, 3))
     assert mono_div((2, 1, 0), (1, 0, 0)) == (1, 1, 0)
     assert mono_lcm((2, 0, 1), (1, 3, 1)) == (2, 3, 1)
+
+
+def _monos(n, count):
+    return st.tuples(*(st.tuples(*(st.integers(0, 5) for _ in range(n))) for _ in range(count)))
+
+
+mono_pairs = st.integers(1, 4).flatmap(lambda n: _monos(n, 2))
+
+
+@given(mono_pairs)
+def test_mono_kernels_elementwise(pair):
+    a, b = pair
+    assert mono_mul(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert mono_div(mono_mul(a, b), b) == a
+    assert mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+    assert mono_divides(a, b) == all(x <= y for x, y in zip(a, b))
+    assert mono_divides(a, mono_lcm(a, b)) and mono_divides(b, mono_lcm(a, b))
+    assert mono_divides(a, mono_mul(a, b))
+
+
+def _element(n, p):
+    return st.dictionaries(
+        st.tuples(st.integers(0, 2), st.tuples(*(st.integers(0, 3) for _ in range(n)))),
+        st.integers(1, p - 1),
+        max_size=6,
+    )
+
+
+@given(st.data())
+def test_elt_add_scaled_elementwise(data):
+    p = 7
+    n = data.draw(st.integers(1, 4))
+    src = data.draw(_element(n, p))
+    target = data.draw(_element(n, p))
+    (mono,) = data.draw(_monos(n, 1))
+    coeff = data.draw(st.integers(-2 * p, 2 * p))
+    if src and data.draw(st.booleans()):
+        # make the first product cancel against what target holds there
+        (c, m), val = next(iter(src.items()))
+        target[(c, mono_mul(m, mono))] = (-coeff * val) % p or 1
+    expected = dict(target)
+    for (c, m), val in src.items():
+        t = (c, tuple(x + y for x, y in zip(m, mono)))
+        expected[t] = (expected.get(t, 0) + coeff * val) % p
+    expected = {t: v for t, v in expected.items() if v}
+    elt_add_scaled(target, src, mono, coeff, p)
+    assert target == expected
 
 
 def test_monomials_of_degree_counts():

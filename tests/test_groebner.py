@@ -1,22 +1,38 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from cmreg.core import GradedRing, Polynomial, PrimeField, validate_presentation
+from cmreg import groebner as groebner_module
+from cmreg.core import (
+    GradedRing,
+    Polynomial,
+    PrimeField,
+    mono_deg,
+    mono_div,
+    mono_lcm,
+    validate_presentation,
+)
 from cmreg.groebner import (
+    GroebnerBasis,
+    autoreduce,
     column_element,
     elements_to_matrix,
     elt_add_scaled,
     groebner,
+    normal_form,
     poly_element,
     pot_key,
     presentation_elements,
     quotient_groebner,
     reduce_poly,
+    schreyer_key,
     schreyer_resolution,
     schreyer_syzygies,
     syzygies_of,
 )
+from cmreg.modops import sym_power
+from test_invariants import _acceptance_box_module
 
 F = PrimeField(101)
 R3 = GradedRing(F, ("x", "y", "z"))
@@ -187,3 +203,114 @@ def test_elements_matrix_roundtrip():
     mat = elements_to_matrix(elts, 2, R3)
     assert mat == pres.matrix
     assert column_element(pres, 0) == elts[0]
+
+
+# -- Schreyer syzygies against the all-pairs reference ----------------------------
+
+
+def all_pairs_syzygies(gb):
+    """Reference for schreyer_syzygies: reduce every pair in a component, then
+    autoreduce."""
+    p = gb.ring.field.p
+    skey = schreyer_key(gb.key, gb.lts)
+    syz = []
+    for i, j in combinations(range(len(gb.lts)), 2):
+        (ci, mi), (cj, mj) = gb.lts[i], gb.lts[j]
+        if ci != cj:
+            continue
+        tau = mono_lcm(mi, mj)
+        s = {}
+        elt_add_scaled(s, gb.elements[i], mono_div(tau, mi), 1, p)
+        elt_add_scaled(s, gb.elements[j], mono_div(tau, mj), -1, p)
+        rem, quots = gb.normal_form(s, track=True)
+        assert not rem
+        rel = {(i, mono_div(tau, mi)): 1, (j, mono_div(tau, mj)): p - 1}
+        for k, q in quots.items():
+            for mono, c in q.items():
+                elt_add_scaled(rel, {(k, mono): 1}, (0,) * len(mono), -c, p)
+        syz.append(rel)
+    lts = [max(s, key=skey) for s in syz]
+    basis, lts, _ = autoreduce(syz, lts, [None] * len(syz), skey, p)
+    degs = gb.element_degrees()
+    return basis, [mono_deg(m) + degs[c] for c, m in lts], len(syz)
+
+
+def assert_matches_all_pairs(gb):
+    basis, degrees, _ = schreyer_syzygies(gb)
+    ref_basis, ref_degrees, pairs = all_pairs_syzygies(gb)
+    assert basis == ref_basis
+    assert degrees == ref_degrees
+    return len(basis), pairs
+
+
+def resolution_levels(pres):
+    """The Groebner bases schreyer_resolution takes syzygies of, level by level."""
+    current = groebner(presentation_elements(pres), pres.ring, pres.row_twists)
+    while current.elements:
+        yield current
+        syz, _, skey = schreyer_syzygies(current)
+        current = GroebnerBasis(
+            ring=pres.ring,
+            row_twists=tuple(current.element_degrees()),
+            key=skey,
+            elements=syz,
+            lts=[max(s, key=skey) for s in syz],
+        )
+
+
+def test_schreyer_syzygies_match_all_pairs():
+    levels = kept = pairs = 0
+    for trial in range(40):
+        pres = _acceptance_box_module(trial)
+        for module in (pres, sym_power(pres, 2)):
+            for gb in resolution_levels(module):
+                k, n = assert_matches_all_pairs(gb)
+                levels += 1
+                kept += k
+                pairs += n
+    # the pruning has something to prune
+    assert levels > 100 and kept < pairs
+
+
+def test_schreyer_syzygies_of_a_tracked_basis():
+    # the basis syzygies_of builds: tracked, over random generators
+    for seed in range(6):
+        rng = random.Random(seed)
+        twists = (0, 1)
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            d = rng.randint(1, 2)
+            g = {}
+            for i, t in enumerate(twists):
+                for m, c in random_homogeneous(R3, d + t, rng).terms.items():
+                    g[(i, m)] = c
+            gens.append(g)
+        gb = groebner(gens, R3, twists, track=True)
+        assert gb.reps is not None
+        assert_matches_all_pairs(gb)
+
+
+def test_schreyer_syzygies_equal_shifts(monkeypatch):
+    # for i = xy both later pairs (xz and yz) predict the lead term (i, z)
+    gb = ideal_gb(R3, [x * y, x * z, y * z])
+    assert [m for _, m in gb.lts] == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    kept, pairs = assert_matches_all_pairs(gb)
+    assert (kept, pairs) == (2, 3)
+
+    pair_reductions = 0
+
+    def counting_normal_form(v, basis, *args, **kwargs):
+        nonlocal pair_reductions
+        # S-pairs reduce against gb itself, autoreduce against the syzygies
+        pair_reductions += basis is gb.elements
+        return normal_form(v, basis, *args, **kwargs)
+
+    monkeypatch.setattr(groebner_module, "normal_form", counting_normal_form)
+    basis, degrees, _ = schreyer_syzygies(gb)
+    assert pair_reductions == 2  # the (xy, yz) pair is never reduced
+    p = F.p
+    assert basis == [
+        {(0, (0, 0, 1)): 1, (2, (1, 0, 0)): p - 1},
+        {(1, (0, 1, 0)): 1, (2, (1, 0, 0)): p - 1},
+    ]
+    assert degrees == [3, 3]

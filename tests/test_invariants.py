@@ -13,6 +13,7 @@ from cmreg.core import (
     monomials_of_degree,
     validate_presentation,
 )
+from cmreg import groebner, invariants
 from cmreg.groebner import FreeResolution
 from cmreg.invariants import (
     b0_degrees,
@@ -232,6 +233,21 @@ def test_quotient_ideal_gen_degrees_returns_a_fresh_list():
     degrees.append(7)
     degrees.reverse()
     assert quotient_ideal_gen_degrees(R) == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        invariants._numerator_of_lead_terms,
+        invariants.ring_invariants,
+        invariants._quotient_ideal_gen_degrees,
+        groebner.quotient_groebner,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_process_wide_caches_are_bounded(cached):
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 256
 
 
 # -- Betti tables from non-minimal resolutions ----------------------------------------
