@@ -46,6 +46,11 @@ class ZeroModule(AlgebraError):
     pass
 
 
+class DegreeOverflow(AlgebraError):
+    """A degree too large for the Groebner engine's packed terms
+    (`groebner.MAX_DEGREE`)."""
+
+
 class ParseError(AlgebraError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")

@@ -1,9 +1,28 @@
 """Buchberger engine over free modules, Schreyer syzygies, free resolutions.
 
-An element of the free module (+)_c R*e_c is a flat dict {(component, mono):
-coeff}.  Basis elements are kept monic, input is homogeneous throughout, and
-pair selection is by ascending module degree, so the engine works degree by
-degree without re-checking gradedness in hot loops.
+At the boundary an element of the free module (+)_c R*e_c is an `Element`, a
+flat dict {(component, mono): coeff}.  Inside the engine every term is one
+Python int whose natural `<` is the module order (`Codec` holds the layout and
+converts), and an element is a dict {term: coeff}.  So the lead term is
+`max(element)`, multiplying a term by x^s adds a constant, and divisibility
+within a component is one mask test (Monagan-Pearce, "Sparse polynomial
+division using a heap", 2011).
+
+Level 0, position over term.  From the most significant end the fields are
+n-1-c, the total degree, then one field of FIELD bits per variable whose top
+bit is a guard bit, always clear.  For grevlex the variable fields hold
+MAX_DEGREE - e_j with x_v most significant; for lex (degree-lex) they hold e_j
+with x_1 most significant.  A Schreyer level over the packed lead terms
+lt_0..lt_{N-1} of the level below stores (i, m) as
+((lt_i + shift(m)) << IB) | (N-1-i), IB = N.bit_length(): images compare
+first and the lower index wins ties, which is the induced order.  No field may
+wrap, so an element whose module degree is more than MAX_DEGREE above the
+smallest level-0 twist raises `DegreeOverflow`; that is checked on input and
+for every S-pair.
+
+Basis elements are kept monic, input is homogeneous throughout, and pair
+selection is by ascending module degree, so the engine works degree by degree
+without re-checking gradedness in hot loops.
 
 Schreyer syzygies reduce only the pairs whose predicted lead term is minimal
 (see `schreyer_syzygies`); the other pairs' syzygies would be dropped by
@@ -13,54 +32,165 @@ autoreduce, which returns the same reduced basis either way.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
-from typing import Callable, Sequence
+from operator import add, mul
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     CACHE_SIZE,
     AlgebraError,
+    DegreeOverflow,
     GradedPresentation,
     GradedRing,
     Mono,
     Polynomial,
     mono_deg,
     mono_div,
-    mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 Term = tuple[int, Mono]
 Element = dict[Term, int]
-OrderKey = Callable[[Term], tuple]
+Packed = dict[int, int]
+
+MAX_DEGREE = (1 << 15) - 1  # largest exponent or degree a packed field holds
+FIELD = 16  # bits per variable field, guard bit on top: one struct "H" each
 
 
-def pot_key(ring: GradedRing) -> OrderKey:
-    """Position-over-term: lower component index wins, ring order breaks ties."""
-    rk = ring.key
+@lru_cache(maxsize=CACHE_SIZE)
+def _reader(nvars: int, lex: bool, off: int) -> Callable[[int], Mono]:
+    """Exponent tuple from the variable fields starting at bit `off`."""
+    unpack = struct.Struct((">" if lex else "<") + "H" * nvars).unpack
+    mask = (1 << (FIELD * nvars)) - 1
+    nbytes = FIELD // 8 * nvars
+    order = "big" if lex else "little"
 
-    @lru_cache(maxsize=None)
-    def key(term: Term):
-        c, m = term
-        return (-c, rk(m))
+    def read(s: int) -> Mono:
+        return unpack(((s >> off) & mask).to_bytes(nbytes, order))
 
-    return key
+    return read
 
 
-def schreyer_key(parent_key: OrderKey, parent_lts: Sequence[Term]) -> OrderKey:
-    """Order induced by a list of lead terms: compare images under e_i -> lt_i,
-    lower index wins ties."""
-    parent_lts = tuple(parent_lts)
+@lru_cache(maxsize=CACHE_SIZE)
+def _pot_layout(nvars: int, lex: bool):
+    """(weights, guard, fill, component shift, reader) of position over term."""
+    positions = [FIELD * (nvars - 1 - j if lex else j) for j in range(nvars)]
+    deg_at = FIELD * nvars
+    sign = 1 if lex else -1
+    return (
+        tuple((1 << deg_at) + sign * (1 << q) for q in positions),
+        sum(1 << (q + FIELD - 1) for q in positions),
+        0 if lex else sum(MAX_DEGREE << q for q in positions),
+        deg_at + FIELD,
+        _reader(nvars, lex, 0),
+    )
 
-    @lru_cache(maxsize=None)
-    def key(term: Term):
-        i, m = term
-        c, lm = parent_lts[i]
-        return (parent_key((c, mono_mul(m, lm))), -i)
 
-    return key
+class Codec(NamedTuple):
+    """Layout of the packed terms of one free module (see the module docstring).
+
+    x^s moves a term by `shift(s)` = sum_j s_j * weights[j].  sign is +1 when
+    the variable fields count exponents up (lex) and -1 when they count down
+    (grevlex); off is the bit offset of the lowest variable field, guard the
+    mask of their guard bits, and read turns sign * shift into the exponent
+    tuple.  bases[c] is the term e_c.  The component field is
+    (t >> cshift) & cmask and holds len(bases)-1-c; ib is the width of a
+    Schreyer index field (0 at level 0).  top is the largest module degree an
+    element may have.
+    """
+
+    weights: tuple[int, ...]
+    sign: int
+    guard: int
+    bases: tuple[int, ...]
+    cshift: int
+    cmask: int
+    ib: int
+    off: int
+    top: int
+    read: Callable[[int], Mono]
+
+    @classmethod
+    def pot(cls, ring: GradedRing, row_twists: Sequence[int]) -> "Codec":
+        """Position over term on a free module with the given twists."""
+        lex = ring.order == "lex"
+        weights, guard, fill, comp_at, read = _pot_layout(ring.nvars, lex)
+        n = len(row_twists)
+        return cls(
+            weights=weights,
+            sign=1 if lex else -1,
+            guard=guard,
+            bases=tuple(((n - 1 - c) << comp_at) + fill for c in range(n)),
+            cshift=comp_at,
+            cmask=-1,
+            ib=0,
+            off=0,
+            top=MAX_DEGREE + min(row_twists, default=0),
+            read=read,
+        )
+
+    def schreyer(self, leads: Sequence[int]) -> "Codec":
+        """The Schreyer level whose e_i maps to the term leads[i] of this one."""
+        n = len(leads)
+        ib = n.bit_length()
+        return Codec(
+            weights=tuple(w << ib for w in self.weights),
+            sign=self.sign,
+            guard=self.guard << ib,
+            bases=tuple((lt << ib) | (n - 1 - i) for i, lt in enumerate(leads)),
+            cshift=0,
+            cmask=(1 << ib) - 1,
+            ib=ib,
+            off=self.off + ib,
+            top=self.top,
+            read=_reader(len(self.weights), self.sign > 0, self.off + ib),
+        )
+
+    def shift(self, mono: Mono) -> int:
+        return sum(map(mul, mono, self.weights))
+
+    def component(self, t: int) -> int:
+        return len(self.bases) - 1 - ((t >> self.cshift) & self.cmask)
+
+    def mono(self, shift: int) -> Mono:
+        """The monomial whose shift is `shift`."""
+        return self.read(self.sign * shift)
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether term a divides term b, both in one component."""
+        return not (self.sign * (b - a)) & self.guard
+
+    def decode(self, t: int) -> Term:
+        c = len(self.bases) - 1 - ((t >> self.cshift) & self.cmask)
+        return c, self.read(self.sign * (t - self.bases[c]))
+
+    def check(self, deg: int) -> None:
+        """Refuse an element of module degree deg whose terms might not fit."""
+        if deg > self.top:
+            raise DegreeOverflow(
+                f"module degree {deg} exceeds {self.top}, the packed terms' "
+                f"limit of {MAX_DEGREE} above the smallest twist"
+            )
+
+    def encode(self, v: Element, twists: Sequence[int]) -> Packed:
+        """Pack an element of the free module with these twists."""
+        bases, weights = self.bases, self.weights
+        out: Packed = {}
+        for (c, m), val in v.items():
+            self.check(mono_deg(m) + twists[c])
+            out[bases[c] + sum(map(mul, m, weights))] = val
+        return out
+
+    def decode_element(self, v: Packed) -> Element:
+        bases, cs, cm, sign, read = self.bases, self.cshift, self.cmask, self.sign, self.read
+        last = len(bases) - 1
+        out: Element = {}
+        for t, val in v.items():
+            c = last - ((t >> cs) & cm)
+            out[c, read(sign * (t - bases[c]))] = val
+        return out
 
 
 def elt_add_scaled(target: Element, src: Element, mono: Mono, coeff: int, p: int) -> None:
@@ -75,6 +205,21 @@ def elt_add_scaled(target: Element, src: Element, mono: Mono, coeff: int, p: int
             del target[t]
 
 
+def _add_scaled(target: Packed, src: Packed, shift: int, coeff: int, p: int) -> None:
+    """target += coeff * x^s * src for packed elements, shift = the shift of
+    x^s; coeff must be nonzero mod p, so a new term is never zero."""
+    for t, val in src.items():
+        t += shift
+        if t in target:
+            nv = (target[t] + coeff * val) % p
+            if nv:
+                target[t] = nv
+            else:
+                del target[t]
+        else:
+            target[t] = coeff * val % p
+
+
 def elt_degree(v: Element, row_twists: Sequence[int]) -> int | float:
     """Module degree of a homogeneous element (any term will do, use the max
     for a deterministic answer on accidental junk)."""
@@ -83,39 +228,48 @@ def elt_degree(v: Element, row_twists: Sequence[int]) -> int | float:
     return max(mono_deg(m) + row_twists[c] for c, m in v)
 
 
+def _index(codec: Codec, leads: Sequence[int]) -> dict[int, list[int]]:
+    """Basis indices by the component field of their lead terms."""
+    by_comp: dict[int, list[int]] = {}
+    cs, cm = codec.cshift, codec.cmask
+    for idx, t in enumerate(leads):
+        by_comp.setdefault((t >> cs) & cm, []).append(idx)
+    return by_comp
+
+
 def normal_form(
-    v: Element,
-    basis: Sequence[Element],
-    lts: Sequence[Term],
+    v: Packed,
+    basis: Sequence[Packed],
+    lts: Sequence[int],
     by_comp: dict[int, list[int]],
-    key: OrderKey,
+    codec: Codec,
     p: int,
     track: bool = False,
-    div_cache: dict[Term, int] | None = None,
+    div_cache: dict[int, int] | None = None,
 ):
     """Full normal form of v against a monic basis.
 
-    Returns (remainder, quotients); quotients maps basis index -> {monomial:
-    coeff} with v = sum_k quot_k * basis_k + remainder when tracking is on,
-    else None.  Only indices actually used appear.  div_cache memoizes term ->
-    reducer index; the caller must flush it whenever the basis grows (a stale
-    miss would silently skip reductions).
+    Returns (remainder, quotients); quotients maps basis index -> {shift:
+    coeff} with v = sum_k sum x^shift * coeff * basis_k + remainder when
+    tracking is on, else None.  Only indices actually used appear.  div_cache
+    memoizes term -> reducer index (-1 for none); the caller must flush it
+    whenever the basis grows (a stale miss would silently skip reductions).
     """
     work = dict(v)
-    rem: Element = {}
-    quots: dict[int, dict[Mono, int]] | None = {} if track else None
+    rem: Packed = {}
+    quots: dict[int, dict[int, int]] | None = {} if track else None
     if div_cache is None:
         div_cache = {}
+    sign, guard, cs, cm = codec.sign, codec.guard, codec.cshift, codec.cmask
 
     while work:
-        t = max(work, key=key)
+        t = max(work)
         coeff = work[t]
-        comp, mono = t
         red = div_cache.get(t)
         if red is None:
             red = -1
-            for idx in by_comp.get(comp, ()):
-                if mono_divides(lts[idx][1], mono):
+            for idx in by_comp.get((t >> cs) & cm, ()):
+                if not (sign * (t - lts[idx])) & guard:  # codec.divides, inlined
                     red = idx
                     break
             div_cache[t] = red
@@ -123,40 +277,59 @@ def normal_form(
             rem[t] = coeff
             del work[t]
             continue
-        shift = mono_div(mono, lts[red][1])
-        elt_add_scaled(work, basis[red], shift, -coeff, p)
+        shift = t - lts[red]
+        _add_scaled(work, basis[red], shift, -coeff, p)
         if track:
-            q = quots.setdefault(red, {})
-            q[shift] = (q.get(shift, 0) + coeff) % p
+            # terms only decrease, so each shift is used once per index
+            quots.setdefault(red, {})[shift] = coeff
     return rem, quots
 
 
 @dataclass
 class GroebnerBasis:
+    """A Groebner basis in packed form; `elements`, `lts` and `normal_form`
+    speak `Element`s.  reps, when tracked, are the elements' expressions in the
+    input generators, packed by `Codec.pot(ring, (0,) * len(gens))`."""
+
     ring: GradedRing
     row_twists: tuple[int, ...]
-    key: OrderKey
-    elements: list[Element]
-    lts: list[Term]
-    reps: list[Element] | None = None  # expression of each element in the input gens
+    codec: Codec
+    basis: list[Packed]
+    leads: list[int]
+    reps: list[Packed] | None = None
+    lts: list[Term] = field(init=False)  # decoded lead terms
 
     def __post_init__(self) -> None:
-        self._by_comp: dict[int, list[int]] = {}
-        for idx, (c, _) in enumerate(self.lts):
-            self._by_comp.setdefault(c, []).append(idx)
-        self._div_cache: dict[Term, int] = {}  # sound: the basis never grows
+        self.lts = list(map(self.codec.decode, self.leads))
+        self._by_comp = _index(self.codec, self.leads)
+        self._div_cache: dict[int, int] = {}  # sound: the basis never grows
+        self._elements: list[Element] | None = None
 
-    def normal_form(self, v: Element, track: bool = False):
+    @property
+    def elements(self) -> list[Element]:
+        if self._elements is None:
+            self._elements = [self.codec.decode_element(v) for v in self.basis]
+        return self._elements
+
+    def _reduce(self, v: Packed, track: bool):
         return normal_form(
             v,
-            self.elements,
-            self.lts,
+            self.basis,
+            self.leads,
             self._by_comp,
-            self.key,
+            self.codec,
             self.ring.field.p,
             track,
             div_cache=self._div_cache,
         )
+
+    def normal_form(self, v: Element, track: bool = False):
+        """(remainder, quotients {index: {mono: coeff}} or None), as Elements."""
+        codec = self.codec
+        rem, quots = self._reduce(codec.encode(v, self.row_twists), track)
+        if track:
+            quots = {k: {codec.mono(s): c for s, c in q.items()} for k, q in quots.items()}
+        return codec.decode_element(rem), quots
 
     def reduces_to_zero(self, v: Element) -> bool:
         rem, _ = self.normal_form(v)
@@ -166,8 +339,8 @@ class GroebnerBasis:
         return [mono_deg(m) + self.row_twists[c] for c, m in self.lts]
 
 
-def _monic(elt: Element, rep: Element | None, key: OrderKey, p: int):
-    lt = max(elt, key=key)
+def _monic(elt: Packed, rep: Packed | None, p: int):
+    lt = max(elt)
     lc = elt[lt]
     if lc != 1:
         inv = pow(lc, p - 2, p)
@@ -178,51 +351,56 @@ def _monic(elt: Element, rep: Element | None, key: OrderKey, p: int):
 
 
 def buchberger(
-    gens: Sequence[Element],
-    ring: GradedRing,
+    gens: Sequence[Packed],
+    codec: Codec,
     row_twists: Sequence[int],
-    key: OrderKey,
-    track: bool = False,
+    p: int,
+    reps: Sequence[Packed] | None = None,
 ):
     """Raw Buchberger loop: returns (basis, lts, reps) before auto-reduction.
 
-    Pair selection is by ascending module degree.  The chain criterion prunes a
-    pair (i, j) when some other lead term in the component divides lcm(i, j)
-    and both cross pairs have already been dealt with; unlike the coprimality
-    shortcut, that one stays valid for module lead terms.
+    reps, when given, are the generators' own expressions, and each new
+    element's expression is tracked from them.  Pair selection is by ascending
+    module degree.  The chain criterion prunes a pair (i, j) when some other
+    lead term in the component divides lcm(i, j) and both cross pairs have
+    already been dealt with; unlike the coprimality shortcut, that one stays
+    valid for module lead terms.
     """
-    p = ring.field.p
-    zero = (0,) * ring.nvars
-    basis: list[Element] = []
-    lts: list[Term] = []
-    reps: list[Element] = []
+    track = reps is not None
+    cs, cm, divides = codec.cshift, codec.cmask, codec.divides
+    basis: list[Packed] = []
+    lts: list[int] = []
+    lms: list[Mono] = []  # lead monomials, for the pairs' lcms
+    out_reps: list[Packed | None] = []
     by_comp: dict[int, list[int]] = {}
     pairs: list[tuple[int, int, int]] = []
     pending: set[tuple[int, int]] = set()
-    div_cache: dict[Term, int] = {}
+    div_cache: dict[int, int] = {}
 
-    def add(elt: Element, rep: Element | None) -> None:
-        elt, lt, rep = _monic(elt, rep, key, p)
+    def add_element(elt: Packed, rep: Packed | None) -> None:
+        elt, lt, rep = _monic(elt, rep, p)
         k = len(basis)
         basis.append(elt)
         lts.append(lt)
-        reps.append(rep)
-        comp = lt[0]
-        for j in by_comp.get(comp, ()):
-            tau = mono_lcm(lts[j][1], lt[1])
-            heapq.heappush(pairs, (mono_deg(tau) + row_twists[comp], j, k))
+        out_reps.append(rep)
+        c, m = codec.decode(lt)
+        lms.append(m)
+        group = by_comp.setdefault((lt >> cs) & cm, [])
+        for j in group:
+            tau = mono_lcm(lms[j], m)
+            heapq.heappush(pairs, (mono_deg(tau) + row_twists[c], j, k))
             pending.add((j, k))
-        by_comp.setdefault(comp, []).append(k)
+        group.append(k)
         # only cached misses can go stale, but flushing hits too costs little
         div_cache.clear()
 
     for g_idx, g in enumerate(gens):
         if g:
-            add(dict(g), {(g_idx, zero): 1} if track else None)
+            add_element(g, dict(reps[g_idx]) if track else None)
 
-    def chained(i: int, j: int, tau: Mono) -> bool:
-        for k in by_comp.get(lts[i][0], ()):
-            if k == i or k == j or not mono_divides(lts[k][1], tau):
+    def chained(i: int, j: int, tau: int) -> bool:
+        for k in by_comp[(tau >> cs) & cm]:
+            if k == i or k == j or not divides(lts[k], tau):
                 continue
             ik = (i, k) if i < k else (k, i)
             jk = (j, k) if j < k else (k, j)
@@ -231,35 +409,36 @@ def buchberger(
         return False
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        deg, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
-        mi, mj = lts[i][1], lts[j][1]
-        tau = mono_lcm(mi, mj)
+        tau = lts[i] + codec.shift(mono_div(mono_lcm(lms[i], lms[j]), lms[i]))
         if chained(i, j, tau):
             continue
-        s: Element = {}
-        elt_add_scaled(s, basis[i], mono_div(tau, mi), 1, p)
-        elt_add_scaled(s, basis[j], mono_div(tau, mj), -1, p)
-        srep: Element = {}
+        codec.check(deg)
+        si, sj = tau - lts[i], tau - lts[j]
+        s: Packed = {}
+        _add_scaled(s, basis[i], si, 1, p)
+        _add_scaled(s, basis[j], sj, -1, p)
+        srep: Packed = {}
         if track:
-            elt_add_scaled(srep, reps[i], mono_div(tau, mi), 1, p)
-            elt_add_scaled(srep, reps[j], mono_div(tau, mj), -1, p)
-        rem, quots = normal_form(s, basis, lts, by_comp, key, p, track=track, div_cache=div_cache)
+            _add_scaled(srep, out_reps[i], si, 1, p)
+            _add_scaled(srep, out_reps[j], sj, -1, p)
+        rem, quots = normal_form(s, basis, lts, by_comp, codec, p, track=track, div_cache=div_cache)
         if rem:
             if track:
                 for k2, q in quots.items():
-                    for mono, c in q.items():
-                        elt_add_scaled(srep, reps[k2], mono, -c, p)
-            add(rem, srep if track else None)
+                    for shift, c in q.items():
+                        _add_scaled(srep, out_reps[k2], shift, -c, p)
+            add_element(rem, srep if track else None)
 
-    return basis, lts, reps
+    return basis, lts, out_reps
 
 
 def autoreduce(
-    basis: list[Element],
-    lts: list[Term],
-    reps: list[Element],
-    key: OrderKey,
+    basis: list[Packed],
+    lts: list[int],
+    reps: list[Packed | None],
+    codec: Codec,
     p: int,
     track: bool = False,
 ):
@@ -269,32 +448,41 @@ def autoreduce(
     The sort is what keeps Schreyer towers short: it forces each level of
     syzygies to avoid one more variable in its lead monomials.
     """
-    order_idx = sorted(range(len(basis)), key=lambda i: (key(lts[i]), i))
     keep: list[int] = []
-    for i in order_idx:
-        ci, mi = lts[i]
-        if not any(lts[j][0] == ci and mono_divides(lts[j][1], mi) for j in keep):
+    kept_by_comp: dict[int, list[int]] = {}
+    for i in sorted(range(len(basis)), key=lts.__getitem__):
+        t = lts[i]
+        group = kept_by_comp.setdefault((t >> codec.cshift) & codec.cmask, [])
+        if not any(codec.divides(lt, t) for lt in group):
+            group.append(t)
             keep.append(i)
 
-    current = {i: basis[i] for i in keep}
-    for i in keep:
-        others = [j for j in keep if j != i]
-        sub_basis = [current[j] for j in others]
-        sub_lts = [lts[j] for j in others]
-        by_comp: dict[int, list[int]] = {}
-        for pos, (c, _) in enumerate(sub_lts):
-            by_comp.setdefault(c, []).append(pos)
-        rem, quots = normal_form(current[i], sub_basis, sub_lts, by_comp, key, p, track)
-        current[i] = rem
+    # No kept lead term divides another, and a lead term divides no smaller
+    # term, so reducing each element against the whole kept set, its own lead
+    # term marked irreducible, is reducing its tail against the others.
+    current = [basis[i] for i in keep]
+    leads = [lts[i] for i in keep]
+    by_comp = _index(codec, leads)
+    div_cache = dict(zip(leads, range(len(leads))))
+    for pos, i in enumerate(keep):
+        lt = leads[pos]
+        div_cache[lt] = -1
+        rem, quots = normal_form(current[pos], current, leads, by_comp, codec, p, track, div_cache)
+        div_cache[lt] = pos
+        current[pos] = rem
         if track:
-            for pos, q in quots.items():
-                for mono, c in q.items():
-                    elt_add_scaled(reps[i], reps[others[pos]], mono, -c, p)
+            for k, q in quots.items():
+                for shift, c in q.items():
+                    _add_scaled(reps[i], reps[keep[k]], shift, -c, p)
 
-    final = sorted(keep, key=lambda i: (lts[i][0], tuple(-e for e in lts[i][1]), i))
-    out_basis = [current[i] for i in final]
-    out_lts = [lts[i] for i in final]
-    out_reps = [reps[i] for i in final] if track else None
+    decoded = [codec.decode(t) for t in leads]
+    final = sorted(
+        range(len(keep)),
+        key=lambda a: (decoded[a][0], tuple(-e for e in decoded[a][1]), keep[a]),
+    )
+    out_basis = [current[a] for a in final]
+    out_lts = [leads[a] for a in final]
+    out_reps = [reps[keep[a]] for a in final] if track else None
     return out_basis, out_lts, out_reps
 
 
@@ -302,29 +490,31 @@ def groebner(
     gens: Sequence[Element],
     ring: GradedRing,
     row_twists: Sequence[int],
-    key: OrderKey | None = None,
     track: bool = False,
 ) -> GroebnerBasis:
-    """Fully auto-reduced Groebner basis of the submodule generated by `gens`."""
-    if key is None:
-        key = pot_key(ring)
-    basis, lts, reps = buchberger(gens, ring, row_twists, key, track=track)
-    basis, lts, reps = autoreduce(basis, lts, reps, key, ring.field.p, track=track)
+    """Fully auto-reduced Groebner basis of the submodule generated by `gens`,
+    position over term."""
+    p = ring.field.p
+    codec = Codec.pot(ring, row_twists)
+    packed = [codec.encode(g, row_twists) for g in gens]
+    reps = [{t: 1} for t in Codec.pot(ring, (0,) * len(gens)).bases] if track else None
+    basis, lts, reps = buchberger(packed, codec, row_twists, p, reps)
+    basis, lts, reps = autoreduce(basis, lts, reps, codec, p, track=track)
     return GroebnerBasis(
         ring=ring,
         row_twists=tuple(row_twists),
-        key=key,
-        elements=basis,
-        lts=lts,
+        codec=codec,
+        basis=basis,
+        leads=lts,
         reps=reps,
     )
 
 
 def schreyer_syzygies(gb: GroebnerBasis):
-    """Auto-reduced Groebner basis (for the induced order) of Syz(gb.elements).
+    """Auto-reduced Groebner basis (for the induced order) of Syz(gb.basis).
 
-    Returns (elements, degrees, key): elements live in the free module indexed
-    by gb's elements, degrees are their module degrees there.
+    Returns (elements, degrees, codec): the elements are packed by codec, the
+    Schreyer level over gb's lead terms, and degrees are their module degrees.
 
     Only the minimal pairs are reduced.  Under the Schreyer order the syzygy of
     the pair (i, j), i < j, has the lead term (i, s_ij) with s_ij =
@@ -338,47 +528,45 @@ def schreyer_syzygies(gb: GroebnerBasis):
     resolutions", 1998).
     """
     p = gb.ring.field.p
+    codec, leads, lts = gb.codec, gb.leads, gb.lts
     degs = gb.element_degrees()
-    skey = schreyer_key(gb.key, gb.lts)
+    nxt = codec.schreyer(leads)
+    ib, last = nxt.ib, len(leads) - 1
 
-    syz: list[Element] = []
-    syz_lts: list[Term] = []
-    by_comp: dict[int, list[int]] = {}
-    for idx, (c, _) in enumerate(gb.lts):
-        by_comp.setdefault(c, []).append(idx)
-    for group in by_comp.values():
+    syz: list[Packed] = []
+    syz_lts: list[int] = []
+    for group in gb._by_comp.values():
         for a, i in enumerate(group):
-            mi = gb.lts[i][1]
+            mi = lts[i][1]
             # (shift of e_i, j) with j ascending; the stable sort makes it (deg, j)
-            candidates = [(mono_div(mono_lcm(mi, gb.lts[j][1]), mi), j) for j in group[a + 1 :]]
+            candidates = [(mono_div(mono_lcm(mi, lts[j][1]), mi), j) for j in group[a + 1 :]]
             candidates.sort(key=lambda cand: mono_deg(cand[0]))
-            kept: list[Mono] = []
+            kept: list[int] = []  # the pairs' packed lead terms in gb's module
             for si, j in candidates:
-                if any(mono_divides(m, si) for m in kept):
+                tau = leads[i] + codec.shift(si)
+                if any(codec.divides(k, tau) for k in kept):
                     continue
-                kept.append(si)
-                sj = mono_div(mono_mul(si, mi), gb.lts[j][1])
-                s: Element = {}
-                elt_add_scaled(s, gb.elements[i], si, 1, p)
-                elt_add_scaled(s, gb.elements[j], sj, -1, p)
-                rem, quots = gb.normal_form(s, track=True)
+                codec.check(mono_deg(si) + degs[i])
+                kept.append(tau)
+                s: Packed = {}
+                _add_scaled(s, gb.basis[i], tau - leads[i], 1, p)
+                _add_scaled(s, gb.basis[j], tau - leads[j], -1, p)
+                rem, quots = gb._reduce(s, track=True)
                 if rem:
                     raise AlgebraError("S-pair of a Groebner basis failed to reduce")
-                rel: Element = {(i, si): 1, (j, sj): p - 1}
+                # (k, shift) is the term of index k over image leads[k] + shift;
+                # every quotient term lies below tau, and each appears once
+                lead = (tau << ib) | (last - i)
+                rel: Packed = {lead: 1, (tau << ib) | (last - j): p - 1}
                 for k, q in quots.items():
-                    for mono, c in q.items():
-                        t = (k, mono)
-                        nv = (rel.get(t, 0) - c) % p
-                        if nv:
-                            rel[t] = nv
-                        elif t in rel:
-                            del rel[t]
+                    for shift, c in q.items():
+                        rel[((leads[k] + shift) << ib) | (last - k)] = p - c
                 syz.append(rel)
-                syz_lts.append((i, si))
+                syz_lts.append(lead)
 
-    basis, lts, _ = autoreduce(syz, syz_lts, [None] * len(syz), skey, p, track=False)
-    degrees = [mono_deg(m) + degs[c] for c, m in lts]
-    return basis, degrees, skey
+    basis, lts_out, _ = autoreduce(syz, syz_lts, [None] * len(syz), nxt, p, track=False)
+    degrees = [mono_deg(m) + degs[c] for c, m in map(nxt.decode, lts_out)]
+    return basis, degrees, nxt
 
 
 # -- conversions ---------------------------------------------------------------
@@ -399,15 +587,21 @@ def presentation_elements(pres: GradedPresentation) -> list[Element]:
 def elements_to_matrix(
     elements: Sequence[Element], n_rows: int, ring: GradedRing
 ) -> tuple[tuple[Polynomial, ...], ...]:
-    """Pack module elements as the columns of an n_rows x len(elements) matrix."""
-    cols = []
+    """Pack module elements as the columns of an n_rows x len(elements) matrix;
+    zero entries share one zero polynomial."""
+    cols: list[dict[int, dict[Mono, int]]] = []
     for v in elements:
-        col = [dict() for _ in range(n_rows)]
+        col: dict[int, dict[Mono, int]] = {}
         for (c, m), val in v.items():
-            col[c][m] = val
-        cols.append([Polynomial(ring, d) for d in col])
+            entry = col.get(c)
+            if entry is None:
+                col[c] = entry = {}
+            entry[m] = val
+        cols.append(col)
+    zero = ring.zero()
     return tuple(
-        tuple(cols[j][i] for j in range(len(elements))) for i in range(n_rows)
+        tuple(Polynomial(ring, col[i]) if i in col else zero for col in cols)
+        for i in range(n_rows)
     )
 
 
@@ -440,19 +634,19 @@ def schreyer_resolution(pres: GradedPresentation) -> FreeResolution:
     diffs: list[tuple[tuple[Polynomial, ...], ...]] = []
 
     current = groebner(presentation_elements(pres), ring, pres.row_twists)
-    while current.elements:
+    while current.basis:
         if len(diffs) > ring.nvars + 1:
             raise AlgebraError("resolution failed to terminate")
         diffs.append(elements_to_matrix(current.elements, len(twists[-1]), ring))
         level = tuple(current.element_degrees())
         twists.append(level)
-        syz, _, skey = schreyer_syzygies(current)
+        syz, _, codec = schreyer_syzygies(current)
         current = GroebnerBasis(
             ring=ring,
             row_twists=level,
-            key=skey,
-            elements=syz,
-            lts=[max(s, key=skey) for s in syz],
+            codec=codec,
+            basis=syz,
+            leads=[max(s) for s in syz],
         )
     return FreeResolution(ring=ring, twists=twists, differentials=diffs)
 
@@ -472,29 +666,31 @@ def syzygies_of(
     contribute their unit syzygies.
     """
     p = ring.field.p
-    zero = (0,) * ring.nvars
     gb = groebner(gens, ring, row_twists, track=True)
+    rcodec = Codec.pot(ring, (0,) * len(gens))  # the layout of gb.reps
 
     out: list[Element] = []
 
-    syz, _, _ = schreyer_syzygies(gb)
+    syz, _, scodec = schreyer_syzygies(gb)
     for s in syz:
-        lifted: Element = {}
-        for (k, m), c in s.items():
-            elt_add_scaled(lifted, gb.reps[k], m, c, p)
+        lifted: Packed = {}
+        for t, c in s.items():
+            k = scodec.component(t)
+            # the term's shift over e_k, moved down to the level of gb.reps
+            _add_scaled(lifted, gb.reps[k], (t - scodec.bases[k]) >> scodec.ib, c, p)
         if lifted:
-            out.append(lifted)
+            out.append(rcodec.decode_element(lifted))
 
     for g_idx, g in enumerate(gens):
-        rem, quots = gb.normal_form(dict(g), track=True)
+        rem, quots = gb._reduce(gb.codec.encode(g, row_twists), track=True)
         if rem:
             raise AlgebraError("generator failed to reduce against its own basis")
-        row: Element = {(g_idx, zero): 1}
+        row: Packed = {rcodec.bases[g_idx]: 1}
         for k, q in quots.items():
-            for mono, c in q.items():
-                elt_add_scaled(row, gb.reps[k], mono, -c, p)
+            for shift, c in q.items():
+                _add_scaled(row, gb.reps[k], shift, -c, p)
         if row:
-            out.append(row)
+            out.append(rcodec.decode_element(row))
 
     return out
 

@@ -259,6 +259,13 @@ def test_bad_input_exits_one(tmp_path, capsys):
     assert main(["reg", str(tmp_path / "missing.pres")]) == 1
 
 
+def test_degree_past_the_engine_limit_exits_one(tmp_path, capsys):
+    big = tmp_path / "big.pres"
+    big.write_text("char 101\nvars x y\ngens 0\nrels\nx^40000\ny\nend\n")
+    assert main(["reg", str(big)]) == 1
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_failed_verdict_exits_two(pres2, capsys, monkeypatch):
     # poison one formula so the soundness canary trips
     monkeypatch.setattr("cmreg.verify.main_bound", lambda *a, **k: -1)

@@ -1,20 +1,28 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cmreg import groebner as groebner_module
 from cmreg.core import (
+    DegreeOverflow,
     GradedRing,
     Polynomial,
     PrimeField,
     mono_deg,
     mono_div,
+    mono_divides,
     mono_lcm,
+    mono_mul,
     validate_presentation,
 )
 from cmreg.groebner import (
+    MAX_DEGREE,
+    Codec,
     GroebnerBasis,
+    _add_scaled,
     autoreduce,
     column_element,
     elements_to_matrix,
@@ -22,15 +30,14 @@ from cmreg.groebner import (
     groebner,
     normal_form,
     poly_element,
-    pot_key,
     presentation_elements,
     quotient_groebner,
     reduce_poly,
-    schreyer_key,
     schreyer_resolution,
     schreyer_syzygies,
     syzygies_of,
 )
+from cmreg.invariants import betti_numbers, regularity
 from cmreg.modops import sym_power
 from test_invariants import _acceptance_box_module
 
@@ -209,10 +216,11 @@ def test_elements_matrix_roundtrip():
 
 
 def all_pairs_syzygies(gb):
-    """Reference for schreyer_syzygies: reduce every pair in a component, then
-    autoreduce."""
+    """Reference for schreyer_syzygies: reduce every pair in a component on its
+    own, through the Element-level normal form, then autoreduce."""
     p = gb.ring.field.p
-    skey = schreyer_key(gb.key, gb.lts)
+    nxt = gb.codec.schreyer(gb.leads)
+    degs = gb.element_degrees()
     syz = []
     for i, j in combinations(range(len(gb.lts)), 2):
         (ci, mi), (cj, mj) = gb.lts[i], gb.lts[j]
@@ -228,11 +236,10 @@ def all_pairs_syzygies(gb):
         for k, q in quots.items():
             for mono, c in q.items():
                 elt_add_scaled(rel, {(k, mono): 1}, (0,) * len(mono), -c, p)
-        syz.append(rel)
-    lts = [max(s, key=skey) for s in syz]
-    basis, lts, _ = autoreduce(syz, lts, [None] * len(syz), skey, p)
-    degs = gb.element_degrees()
-    return basis, [mono_deg(m) + degs[c] for c, m in lts], len(syz)
+        syz.append(nxt.encode(rel, degs))
+    lts = [max(s) for s in syz]
+    basis, lts, _ = autoreduce(syz, lts, [None] * len(syz), nxt, p)
+    return basis, [mono_deg(m) + degs[c] for c, m in map(nxt.decode, lts)], len(syz)
 
 
 def assert_matches_all_pairs(gb):
@@ -246,15 +253,15 @@ def assert_matches_all_pairs(gb):
 def resolution_levels(pres):
     """The Groebner bases schreyer_resolution takes syzygies of, level by level."""
     current = groebner(presentation_elements(pres), pres.ring, pres.row_twists)
-    while current.elements:
+    while current.basis:
         yield current
-        syz, _, skey = schreyer_syzygies(current)
+        syz, _, codec = schreyer_syzygies(current)
         current = GroebnerBasis(
             ring=pres.ring,
             row_twists=tuple(current.element_degrees()),
-            key=skey,
-            elements=syz,
-            lts=[max(s, key=skey) for s in syz],
+            codec=codec,
+            basis=syz,
+            leads=[max(s) for s in syz],
         )
 
 
@@ -302,15 +309,147 @@ def test_schreyer_syzygies_equal_shifts(monkeypatch):
     def counting_normal_form(v, basis, *args, **kwargs):
         nonlocal pair_reductions
         # S-pairs reduce against gb itself, autoreduce against the syzygies
-        pair_reductions += basis is gb.elements
+        pair_reductions += basis is gb.basis
         return normal_form(v, basis, *args, **kwargs)
 
     monkeypatch.setattr(groebner_module, "normal_form", counting_normal_form)
-    basis, degrees, _ = schreyer_syzygies(gb)
+    basis, degrees, codec = schreyer_syzygies(gb)
     assert pair_reductions == 2  # the (xy, yz) pair is never reduced
     p = F.p
-    assert basis == [
+    assert [codec.decode_element(s) for s in basis] == [
         {(0, (0, 0, 1)): 1, (2, (1, 0, 0)): p - 1},
         {(1, (0, 1, 0)): 1, (2, (1, 0, 0)): p - 1},
     ]
     assert degrees == [3, 3]
+
+
+# -- packed terms -----------------------------------------------------------------
+
+
+def pot_order(ring):
+    """The module order the level-0 packed terms must reproduce, as a sort key."""
+    return lambda term: (-term[0], ring.key(term[1]))
+
+
+def schreyer_order(parent_key, parent_lts):
+    """The order induced by parent lead terms: images first, lower index wins."""
+
+    def key(term):
+        i, m = term
+        c, lm = parent_lts[i]
+        return (parent_key((c, mono_mul(m, lm))), -i)
+
+    return key
+
+
+def _sign(a):
+    return (a > 0) - (a < 0)
+
+
+@st.composite
+def packed_levels(draw):
+    """A ring, a level (0-2) with its codec and reference key, and the number of
+    components at that level.  Exponents are small, or scaled so that the
+    images' degrees come close to MAX_DEGREE."""
+    order = draw(st.sampled_from(["grevlex", "lex"]))
+    nvars = draw(st.integers(1, 4))
+    ring = GradedRing(F, tuple(f"x{i}" for i in range(nvars)), order)
+    scale = draw(st.sampled_from([1, MAX_DEGREE // (4 * 3 * nvars)]))
+    mono = st.tuples(*(st.integers(0, 3) for _ in range(nvars))).map(
+        lambda m: tuple(scale * e for e in m)
+    )
+    n = draw(st.integers(1, 6))
+    codec, key = Codec.pot(ring, (0,) * n), pot_order(ring)
+    for _ in range(draw(st.integers(0, 2))):
+        lts = draw(st.lists(st.tuples(st.integers(0, n - 1), mono), min_size=1, max_size=6))
+        leads = [max(codec.encode({t: 1}, (0,) * n)) for t in lts]
+        codec, key, n = codec.schreyer(leads), schreyer_order(key, lts), len(lts)
+    return codec, key, n, mono
+
+
+@given(packed_levels(), st.data())
+def test_packed_terms_match_the_module_order(level, data):
+    codec, key, n, mono = level
+    twists = (0,) * n
+    a = data.draw(st.tuples(st.integers(0, n - 1), mono))
+    b = data.draw(st.tuples(st.integers(0, n - 1), mono))
+    s = data.draw(mono)
+    (ta,) = codec.encode({a: 1}, twists)
+    (tb,) = codec.encode({b: 1}, twists)
+    # encode then decode round-trips
+    assert codec.decode(ta) == a and codec.decode(tb) == b
+    # the ints' order is the module order
+    assert _sign(ta - tb) == _sign((key(a) > key(b)) - (key(a) < key(b)))
+    # multiplying by x^s adds shift(s)
+    (tas,) = codec.encode({(a[0], mono_mul(a[1], s)): 1}, twists)
+    assert ta + codec.shift(s) == tas
+    assert codec.mono(codec.shift(s)) == s
+    # the mask test is divisibility within a component
+    (tb_in_a,) = codec.encode({(a[0], b[1]): 1}, twists)
+    assert codec.divides(ta, tb_in_a) == mono_divides(a[1], b[1])
+    assert codec.divides(ta, tas)
+
+
+@given(packed_levels(), st.data())
+def test_packed_add_scaled_matches_elements(level, data):
+    codec, _, n, mono = level
+    p = 7
+    element = st.dictionaries(st.tuples(st.integers(0, n - 1), mono), st.integers(1, p - 1), max_size=6)
+    src, target = data.draw(element), data.draw(element)
+    s = data.draw(mono)
+    coeff = data.draw(st.integers(1, p - 1))
+    if src and data.draw(st.booleans()):
+        # make the first product cancel against what target holds there
+        (c, m), val = next(iter(src.items()))
+        target[(c, mono_mul(m, s))] = (-coeff * val) % p
+    twists = (0,) * n
+    packed = codec.encode(target, twists)
+    _add_scaled(packed, codec.encode(src, twists), codec.shift(s), coeff, p)
+    elt_add_scaled(target, src, s, coeff, p)
+    assert codec.decode_element(packed) == target
+
+
+def _over_order(pres, order):
+    ring = GradedRing(pres.ring.field, pres.ring.variables, order)
+    matrix = [[Polynomial(ring, f.terms) for f in row] for row in pres.matrix]
+    return validate_presentation(ring, pres.row_twists, matrix, pres.column_degrees)
+
+
+def test_lex_resolutions_have_the_grevlex_betti_tables():
+    # Betti numbers do not depend on the monomial order; the lex layout of the
+    # packed terms is exercised by every level of these resolutions
+    differ = 0
+    for trial in range(40):
+        pres = _acceptance_box_module(trial)
+        lex = _over_order(pres, "lex")
+        assert lex.ring.order == "lex"
+        assert betti_numbers(lex) == betti_numbers(pres)
+        differ += schreyer_resolution(lex).twists != schreyer_resolution(pres).twists
+    assert differ  # the two orders do resolve differently
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_degree_overflow_is_refused(order):
+    ring = GradedRing(F, ("x", "y", "z"), order)
+    x, y, _ = ring.gens()
+    too_big = Polynomial(ring, {(MAX_DEGREE + 1, 0, 0): 1})
+    at_limit = Polynomial(ring, {(MAX_DEGREE, 0, 0): 1})
+    t0 = time.perf_counter()
+    # an entry past the limit, on input
+    with pytest.raises(DegreeOverflow):
+        regularity(validate_presentation(ring, (0,), ((too_big, y),)))
+    # entries within it whose S-pair is not, at level 0 and at the syzygies
+    with pytest.raises(DegreeOverflow):
+        groebner([poly_element(at_limit), poly_element(y * y)], ring, (0,))
+    with pytest.raises(DegreeOverflow):
+        regularity(validate_presentation(ring, (0,), ((at_limit, y * y),)))
+    with pytest.raises(DegreeOverflow):
+        syzygies_of([poly_element(at_limit), poly_element(y * y)], ring, (0,))
+    # a Koszul complex whose first syzygies fit and whose second ones do not
+    a = MAX_DEGREE * 3 // 8
+    powers = [Polynomial(ring, {e: 1}) for e in ((a, 0, 0), (0, a, 0), (0, 0, a))]
+    with pytest.raises(DegreeOverflow):
+        regularity(validate_presentation(ring, (0,), (powers,)))
+    assert time.perf_counter() - t0 < 10
+    # the limit itself is fine
+    assert regularity(validate_presentation(ring, (0,), ((at_limit,),))) == MAX_DEGREE - 1
