@@ -27,6 +27,11 @@ without re-checking gradedness in hot loops.
 Schreyer syzygies reduce only the pairs whose predicted lead term is minimal
 (see `schreyer_syzygies`); the other pairs' syzygies would be dropped by
 autoreduce, which returns the same reduced basis either way.
+
+Syzygies of arbitrary generators, and module colons {r : sum_k r_k h_k in
+<tails>}, are one Groebner basis of the graph module (see `syzygies_of`).  No
+basis records how its elements arise from the generators; only a single normal
+form can return its quotients, which Schreyer syzygies read off.
 """
 
 from __future__ import annotations
@@ -288,15 +293,13 @@ def normal_form(
 @dataclass
 class GroebnerBasis:
     """A Groebner basis in packed form; `elements`, `lts` and `normal_form`
-    speak `Element`s.  reps, when tracked, are the elements' expressions in the
-    input generators, packed by `Codec.pot(ring, (0,) * len(gens))`."""
+    speak `Element`s, and iterating yields the elements."""
 
     ring: GradedRing
     row_twists: tuple[int, ...]
     codec: Codec
     basis: list[Packed]
     leads: list[int]
-    reps: list[Packed] | None = None
     lts: list[Term] = field(init=False)  # decoded lead terms
 
     def __post_init__(self) -> None:
@@ -310,6 +313,21 @@ class GroebnerBasis:
         if self._elements is None:
             self._elements = [self.codec.decode_element(v) for v in self.basis]
         return self._elements
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def with_twists(self, row_twists: Sequence[int]) -> "GroebnerBasis":
+        """This position-over-term basis in the free module with other twists;
+        the order compares components, then monomials, so the packed terms do
+        not depend on the twists."""
+        return GroebnerBasis(
+            ring=self.ring,
+            row_twists=tuple(row_twists),
+            codec=Codec.pot(self.ring, row_twists),
+            basis=self.basis,
+            leads=self.leads,
+        )
 
     def _reduce(self, v: Packed, track: bool):
         return normal_form(
@@ -339,15 +357,13 @@ class GroebnerBasis:
         return [mono_deg(m) + self.row_twists[c] for c, m in self.lts]
 
 
-def _monic(elt: Packed, rep: Packed | None, p: int):
+def _monic(elt: Packed, p: int) -> tuple[Packed, int]:
     lt = max(elt)
     lc = elt[lt]
     if lc != 1:
         inv = pow(lc, p - 2, p)
         elt = {t: (c * inv) % p for t, c in elt.items()}
-        if rep is not None:
-            rep = {t: (c * inv) % p for t, c in rep.items()}
-    return elt, lt, rep
+    return elt, lt
 
 
 def buchberger(
@@ -355,34 +371,28 @@ def buchberger(
     codec: Codec,
     row_twists: Sequence[int],
     p: int,
-    reps: Sequence[Packed] | None = None,
-):
-    """Raw Buchberger loop: returns (basis, lts, reps) before auto-reduction.
+) -> tuple[list[Packed], list[int]]:
+    """Raw Buchberger loop: returns (basis, lts) before auto-reduction.
 
-    reps, when given, are the generators' own expressions, and each new
-    element's expression is tracked from them.  Pair selection is by ascending
-    module degree.  The chain criterion prunes a pair (i, j) when some other
-    lead term in the component divides lcm(i, j) and both cross pairs have
-    already been dealt with; unlike the coprimality shortcut, that one stays
-    valid for module lead terms.
+    Pair selection is by ascending module degree.  The chain criterion prunes a
+    pair (i, j) when some other lead term in the component divides lcm(i, j)
+    and both cross pairs have already been dealt with; unlike the coprimality
+    shortcut, that one stays valid for module lead terms.
     """
-    track = reps is not None
     cs, cm, divides = codec.cshift, codec.cmask, codec.divides
     basis: list[Packed] = []
     lts: list[int] = []
     lms: list[Mono] = []  # lead monomials, for the pairs' lcms
-    out_reps: list[Packed | None] = []
     by_comp: dict[int, list[int]] = {}
     pairs: list[tuple[int, int, int]] = []
     pending: set[tuple[int, int]] = set()
     div_cache: dict[int, int] = {}
 
-    def add_element(elt: Packed, rep: Packed | None) -> None:
-        elt, lt, rep = _monic(elt, rep, p)
+    def add_element(elt: Packed) -> None:
+        elt, lt = _monic(elt, p)
         k = len(basis)
         basis.append(elt)
         lts.append(lt)
-        out_reps.append(rep)
         c, m = codec.decode(lt)
         lms.append(m)
         group = by_comp.setdefault((lt >> cs) & cm, [])
@@ -394,9 +404,9 @@ def buchberger(
         # only cached misses can go stale, but flushing hits too costs little
         div_cache.clear()
 
-    for g_idx, g in enumerate(gens):
+    for g in gens:
         if g:
-            add_element(g, dict(reps[g_idx]) if track else None)
+            add_element(g)
 
     def chained(i: int, j: int, tau: int) -> bool:
         for k in by_comp[(tau >> cs) & cm]:
@@ -415,33 +425,19 @@ def buchberger(
         if chained(i, j, tau):
             continue
         codec.check(deg)
-        si, sj = tau - lts[i], tau - lts[j]
         s: Packed = {}
-        _add_scaled(s, basis[i], si, 1, p)
-        _add_scaled(s, basis[j], sj, -1, p)
-        srep: Packed = {}
-        if track:
-            _add_scaled(srep, out_reps[i], si, 1, p)
-            _add_scaled(srep, out_reps[j], sj, -1, p)
-        rem, quots = normal_form(s, basis, lts, by_comp, codec, p, track=track, div_cache=div_cache)
+        _add_scaled(s, basis[i], tau - lts[i], 1, p)
+        _add_scaled(s, basis[j], tau - lts[j], -1, p)
+        rem, _ = normal_form(s, basis, lts, by_comp, codec, p, div_cache=div_cache)
         if rem:
-            if track:
-                for k2, q in quots.items():
-                    for shift, c in q.items():
-                        _add_scaled(srep, out_reps[k2], shift, -c, p)
-            add_element(rem, srep if track else None)
+            add_element(rem)
 
-    return basis, lts, out_reps
+    return basis, lts
 
 
 def autoreduce(
-    basis: list[Packed],
-    lts: list[int],
-    reps: list[Packed | None],
-    codec: Codec,
-    p: int,
-    track: bool = False,
-):
+    basis: list[Packed], lts: list[int], codec: Codec, p: int
+) -> tuple[list[Packed], list[int]]:
     """Drop lead-redundant elements, tail-reduce the rest, then sort by
     (lead component, descending lex on the lead monomial).
 
@@ -464,49 +460,36 @@ def autoreduce(
     leads = [lts[i] for i in keep]
     by_comp = _index(codec, leads)
     div_cache = dict(zip(leads, range(len(leads))))
-    for pos, i in enumerate(keep):
-        lt = leads[pos]
+    for pos, lt in enumerate(leads):
         div_cache[lt] = -1
-        rem, quots = normal_form(current[pos], current, leads, by_comp, codec, p, track, div_cache)
+        current[pos], _ = normal_form(current[pos], current, leads, by_comp, codec, p, div_cache=div_cache)
         div_cache[lt] = pos
-        current[pos] = rem
-        if track:
-            for k, q in quots.items():
-                for shift, c in q.items():
-                    _add_scaled(reps[i], reps[keep[k]], shift, -c, p)
 
     decoded = [codec.decode(t) for t in leads]
     final = sorted(
         range(len(keep)),
         key=lambda a: (decoded[a][0], tuple(-e for e in decoded[a][1]), keep[a]),
     )
-    out_basis = [current[a] for a in final]
-    out_lts = [leads[a] for a in final]
-    out_reps = [reps[keep[a]] for a in final] if track else None
-    return out_basis, out_lts, out_reps
+    return [current[a] for a in final], [leads[a] for a in final]
 
 
 def groebner(
     gens: Sequence[Element],
     ring: GradedRing,
     row_twists: Sequence[int],
-    track: bool = False,
 ) -> GroebnerBasis:
     """Fully auto-reduced Groebner basis of the submodule generated by `gens`,
     position over term."""
     p = ring.field.p
     codec = Codec.pot(ring, row_twists)
     packed = [codec.encode(g, row_twists) for g in gens]
-    reps = [{t: 1} for t in Codec.pot(ring, (0,) * len(gens)).bases] if track else None
-    basis, lts, reps = buchberger(packed, codec, row_twists, p, reps)
-    basis, lts, reps = autoreduce(basis, lts, reps, codec, p, track=track)
+    basis, lts = autoreduce(*buchberger(packed, codec, row_twists, p), codec, p)
     return GroebnerBasis(
         ring=ring,
         row_twists=tuple(row_twists),
         codec=codec,
         basis=basis,
         leads=lts,
-        reps=reps,
     )
 
 
@@ -564,7 +547,7 @@ def schreyer_syzygies(gb: GroebnerBasis):
                 syz.append(rel)
                 syz_lts.append(lead)
 
-    basis, lts_out, _ = autoreduce(syz, syz_lts, [None] * len(syz), nxt, p, track=False)
+    basis, lts_out = autoreduce(syz, syz_lts, nxt, p)
     degrees = [mono_deg(m) + degs[c] for c, m in map(nxt.decode, lts_out)]
     return basis, degrees, nxt
 
@@ -651,48 +634,50 @@ def schreyer_resolution(pres: GradedPresentation) -> FreeResolution:
     return FreeResolution(ring=ring, twists=twists, differentials=diffs)
 
 
-# -- syzygies of arbitrary generators -------------------------------------------
+# -- syzygies and colons ---------------------------------------------------------
 
 
 def syzygies_of(
-    gens: Sequence[Element],
+    heads: Sequence[Element],
     ring: GradedRing,
     row_twists: Sequence[int],
-) -> list[Element]:
-    """Generators of Syz(gens) = {(h_1..h_k) : sum h_i gens_i = 0}.
+    tails: Sequence[Element] = (),
+) -> GroebnerBasis:
+    """Reduced Groebner basis of {r : sum_k r_k heads_k in <tails>}, a submodule
+    of the free module whose e_k has the degree of heads_k (0 for a zero head);
+    with no tails that is Syz(heads).
 
-    Standard lift: Schreyer syzygies of a tracked Groebner basis pushed through
-    the change-of-basis matrices, plus the rows of I - B*A.  Zero input columns
-    contribute their unit syzygies.
+    One Groebner basis of the graph module generated by (heads_k | e_k) and
+    (tails_j | 0) in (+)_c R(-row_twists_c) (+) (+)_k R e_k, position over term
+    with the row components first.  An element whose lead term lies in the
+    e-block has no row part, and those elements, auto-reduced, are the reduced
+    Groebner basis of the answer (Kreuzer-Robbiano, "Computational Commutative
+    Algebra 1", Section 3.1).  Component n + k of the graph module packs its
+    terms exactly as component k of `Codec.pot(ring, twists of the e_k)` does,
+    so the e-block elements are the answer's packed elements as they stand.
     """
+    n = len(row_twists)
+    twists = tuple(int(elt_degree(h, row_twists)) if h else 0 for h in heads)
+    graph_twists = (*row_twists, *twists)
+    codec = Codec.pot(ring, graph_twists)
+    gens = []
+    for k, h in enumerate(heads):
+        g = codec.encode(h, graph_twists)
+        g[codec.bases[n + k]] = 1
+        gens.append(g)
+    gens.extend(codec.encode(u, graph_twists) for u in tails)
     p = ring.field.p
-    gb = groebner(gens, ring, row_twists, track=True)
-    rcodec = Codec.pot(ring, (0,) * len(gens))  # the layout of gb.reps
-
-    out: list[Element] = []
-
-    syz, _, scodec = schreyer_syzygies(gb)
-    for s in syz:
-        lifted: Packed = {}
-        for t, c in s.items():
-            k = scodec.component(t)
-            # the term's shift over e_k, moved down to the level of gb.reps
-            _add_scaled(lifted, gb.reps[k], (t - scodec.bases[k]) >> scodec.ib, c, p)
-        if lifted:
-            out.append(rcodec.decode_element(lifted))
-
-    for g_idx, g in enumerate(gens):
-        rem, quots = gb._reduce(gb.codec.encode(g, row_twists), track=True)
-        if rem:
-            raise AlgebraError("generator failed to reduce against its own basis")
-        row: Packed = {rcodec.bases[g_idx]: 1}
-        for k, q in quots.items():
-            for shift, c in q.items():
-                _add_scaled(row, gb.reps[k], shift, -c, p)
-        if row:
-            out.append(rcodec.decode_element(row))
-
-    return out
+    basis, lts = buchberger(gens, codec, graph_twists, p)
+    # a row-block lead term divides no e-block term: reduce the e-block alone
+    e_block = [i for i, t in enumerate(lts) if codec.component(t) >= n]
+    basis, lts = autoreduce([basis[i] for i in e_block], [lts[i] for i in e_block], codec, p)
+    return GroebnerBasis(
+        ring=ring,
+        row_twists=twists,
+        codec=Codec.pot(ring, twists),
+        basis=basis,
+        leads=lts,
+    )
 
 
 # -- polynomial-level helpers ---------------------------------------------------

@@ -23,9 +23,9 @@ from .core import (
 )
 from .groebner import (
     Element,
+    GroebnerBasis,
     elements_to_matrix,
     elt_degree,
-    groebner,
     presentation_elements,
     quotient_groebner,
     reduce_poly,
@@ -63,30 +63,12 @@ def quotient_by_linear(pres: GradedPresentation, l: Polynomial) -> GradedPresent
     return validate_presentation(pres.ring, pres.row_twists, matrix, degrees)
 
 
-def _project(elt: Element, n: int) -> Element:
-    return {(c, m): v for (c, m), v in elt.items() if c < n}
-
-
-def _shift(elt: Element, offset: int) -> Element:
-    return {(c + offset, m): v for (c, m), v in elt.items()}
-
-
 def submodule_members(
     ring: GradedRing, row_twists, columns: list[Element], scale: Polynomial
-) -> list[Element]:
-    """Generators of {v : scale * v in <columns>}, by projecting syzygies of
-    [scale*Id | columns]."""
-    n = len(row_twists)
-    gens: list[Element] = []
-    for i in range(n):
-        gens.append({(i, m): c for m, c in scale.terms.items()})
-    gens.extend(columns)
-    out = []
-    for s in syzygies_of(gens, ring, row_twists):
-        w = _project(s, n)
-        if w:
-            out.append(w)
-    return out
+) -> GroebnerBasis:
+    """Reduced Groebner basis of {v : scale * v in <columns>}."""
+    heads = [{(i, m): c for m, c in scale.terms.items()} for i in range(len(row_twists))]
+    return syzygies_of(heads, ring, row_twists, tails=columns).with_twists(row_twists)
 
 
 def colon_kernel(
@@ -99,27 +81,22 @@ def colon_kernel(
     avatar = s_avatar(pres)
     base, a = avatar.ring, avatar.row_twists
     cols = presentation_elements(avatar)
-    w_gens = submodule_members(base, a, cols, l)
+    w = submodule_members(base, a, cols, l)
 
     n_u = numerator_of_cokernel(base, a, cols)
-    n_w = numerator_of_cokernel(base, a, w_gens)
+    n_w = numerator_of_gb(w)
     hd = hilbert_from_numerator(tp_sub(n_u, n_w), base.nvars)
     lam = hd.length
 
-    if not w_gens:
+    if not w.basis:
         kpres = GradedPresentation(pres.ring, (), (), ())
     else:
-        twists = tuple(int(elt_degree(w, a)) for w in w_gens)
-        rels = []
-        degrees = []
-        for s in syzygies_of(w_gens + cols, base, a):
-            r = _project(s, len(w_gens))
-            if r:
-                rels.append(r)
-                degrees.append(int(elt_degree(r, twists)))
-        matrix = elements_to_matrix(rels, len(w_gens), base)
+        rels = syzygies_of(w.elements, base, a, tails=cols)
+        matrix = elements_to_matrix(rels.elements, len(w.basis), base)
         kpres = minimal_presentation(
-            GradedPresentation(pres.ring, twists, matrix, tuple(degrees))
+            GradedPresentation(
+                pres.ring, rels.row_twists, matrix, tuple(rels.element_degrees())
+            )
         )
     return kpres, lam
 
@@ -132,28 +109,25 @@ def _nonneg(num: dict[int, int]) -> dict[int, int]:
 
 def colon_with_irrelevant(
     ring: GradedRing, row_twists, columns: list[Element]
-) -> list[Element]:
-    """Generators of {v : x_t * v in <columns> for every variable x_t}: stack one
-    block per variable and project the syzygies of the stacked matrix."""
+) -> GroebnerBasis:
+    """Reduced Groebner basis of {v : x_t * v in <columns> for every variable
+    x_t}: one block of rows per variable, v stacked as (x_1 v | ... | x_v v)."""
     n = len(row_twists)
     v = ring.nvars
-    stacked_twists = tuple(row_twists) * v
-    gens: list[Element] = []
+    heads: list[Element] = []
     for i in range(n):
         g: Element = {}
         for t in range(v):
             mono = tuple(1 if k == t else 0 for k in range(v))
             g[(t * n + i, mono)] = 1
-        gens.append(g)
-    for col in columns:
-        for t in range(v):
-            gens.append(_shift(col, t * n))
-    out = []
-    for s in syzygies_of(gens, ring, stacked_twists):
-        w = _project(s, n)
-        if w:
-            out.append(w)
-    return out
+        heads.append(g)
+    tails = [
+        {(c + t * n, m): val for (c, m), val in col.items()}
+        for col in columns
+        for t in range(v)
+    ]
+    stacked = syzygies_of(heads, ring, tuple(row_twists) * v, tails=tails)
+    return stacked.with_twists(row_twists)
 
 
 @dataclass
@@ -178,10 +152,7 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
     n_u = numerator_of_cokernel(base, a, cur)
     cur_n = n_u
     while True:
-        bigger = colon_with_irrelevant(base, a, cur)
-        # interreduce before the next stacking round: the projected syzygies
-        # are heavily redundant and feeding them back raw snowballs
-        gb = groebner(bigger, base, a)
+        gb = colon_with_irrelevant(base, a, cur)
         n_big = numerator_of_gb(gb)
         if n_big == cur_n:
             break
@@ -325,15 +296,26 @@ def minimal_presentation(pres: GradedPresentation) -> GradedPresentation:
             break
         i, j = hit
         uinv = field.inv(matrix[i][j].terms[zero_mono])
-        rows = [r for r in range(len(twists)) if r != i]
+        pivot = matrix[i]
         cols = [s for s in range(len(degrees)) if s != j]
-        matrix = [
-            [
-                _reduce_entry(ring, matrix[r][s] - matrix[r][j] * matrix[i][s] * uinv)
-                for s in cols
-            ]
-            for r in rows
-        ]
+        rebuilt = []
+        for r, row in enumerate(matrix):
+            if r == i:
+                continue
+            if row[j].is_zero():
+                rebuilt.append([row[s] for s in cols])
+                continue
+            scale = row[j] * uinv
+            # an entry whose pivot-row entry is zero is already reduced and stays
+            rebuilt.append(
+                [
+                    row[s]
+                    if pivot[s].is_zero()
+                    else _reduce_entry(ring, row[s] - scale * pivot[s])
+                    for s in cols
+                ]
+            )
+        matrix = rebuilt
         twists.pop(i)
         degrees.pop(j)
 

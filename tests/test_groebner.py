@@ -238,7 +238,7 @@ def all_pairs_syzygies(gb):
                 elt_add_scaled(rel, {(k, mono): 1}, (0,) * len(mono), -c, p)
         syz.append(nxt.encode(rel, degs))
     lts = [max(s) for s in syz]
-    basis, lts, _ = autoreduce(syz, lts, [None] * len(syz), nxt, p)
+    basis, lts = autoreduce(syz, lts, nxt, p)
     return basis, [mono_deg(m) + degs[c] for c, m in map(nxt.decode, lts)], len(syz)
 
 
@@ -279,8 +279,7 @@ def test_schreyer_syzygies_match_all_pairs():
     assert levels > 100 and kept < pairs
 
 
-def test_schreyer_syzygies_of_a_tracked_basis():
-    # the basis syzygies_of builds: tracked, over random generators
+def test_schreyer_syzygies_of_random_generators():
     for seed in range(6):
         rng = random.Random(seed)
         twists = (0, 1)
@@ -292,9 +291,7 @@ def test_schreyer_syzygies_of_a_tracked_basis():
                 for m, c in random_homogeneous(R3, d + t, rng).terms.items():
                     g[(i, m)] = c
             gens.append(g)
-        gb = groebner(gens, R3, twists, track=True)
-        assert gb.reps is not None
-        assert_matches_all_pairs(gb)
+        assert_matches_all_pairs(groebner(gens, R3, twists))
 
 
 def test_schreyer_syzygies_equal_shifts(monkeypatch):

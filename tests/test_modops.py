@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from cmreg import modops
 from cmreg.core import (
     AlgebraError,
     GradedRing,
@@ -8,12 +11,13 @@ from cmreg.core import (
     free_presentation,
     validate_presentation,
 )
-from cmreg.groebner import poly_element, presentation_elements, syzygies_of
+from cmreg.groebner import groebner, poly_element, presentation_elements, syzygies_of
 from cmreg.invariants import (
     betti_numbers,
     hilbert_data,
     hilbert_numerator,
     regularity,
+    s_avatar,
 )
 from cmreg.modops import (
     colon_kernel,
@@ -27,6 +31,7 @@ from cmreg.modops import (
     span_vectors,
     sym_power,
 )
+from cmreg.verify import random_module, random_polynomial, random_section_form
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
@@ -212,3 +217,106 @@ def test_syzygy_rank_equals_dense_nullity():
         source = len(degree_basis(R3, twists, d))
         image_rank = dense_rank(span_vectors(R3, (0,), gens, d), F.p)
         assert rank == source - image_rank
+
+
+# -- colons: syzygies_of with tails, and its callers ---------------------------------
+
+
+def _random_element(rng, twists, deg):
+    """A nonzero homogeneous element of degree deg >= max(twists)."""
+    while True:
+        out = {}
+        for c, t in enumerate(twists):
+            if rng.random() < 0.7:
+                for m, coeff in random_polynomial(rng, R3, deg - t).terms.items():
+                    out[(c, m)] = coeff
+        if out:
+            return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_syzygies_of_with_tails_against_dense_ranks(seed):
+    # W = {r : sum r_k h_k in <U>}; in each degree d, W_d is the kernel of
+    # (+) R(-deg h_k)_d -> F_d / U_d, whose rank is rank(H_d + U_d) - rank(U_d)
+    rng = random.Random(seed)
+    p = F.p
+    twists = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 2)))
+    head_degs = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+    heads = [_random_element(rng, twists, d) for d in head_degs]
+    tails = [_random_element(rng, twists, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    zero_at = rng.randrange(len(heads) + 1)
+    heads.insert(zero_at, {})
+    head_degs.insert(zero_at, 0)
+    tails.insert(rng.randrange(len(tails) + 1), {})
+
+    w = syzygies_of(heads, R3, twists, tails=tails)
+    assert w.row_twists == tuple(head_degs)
+    for d in range(6):
+        source = len(degree_basis(R3, head_degs, d))
+        tails_rank = dense_rank(span_vectors(R3, twists, tails, d), p)
+        both_rank = dense_rank(span_vectors(R3, twists, heads + tails, d), p)
+        w_rank = dense_rank(span_vectors(R3, head_degs, w.elements, d), p)
+        assert w_rank == source - (both_rank - tails_rank)
+    # a zero head contributes its unit vector, as it stands
+    assert {(zero_at, (0, 0, 0)): 1} in w.elements
+    # the answer is already the reduced basis (h0_profile does not re-base it)
+    assert groebner(w.elements, R3, head_degs).elements == w.elements
+
+
+def _criterion_4_modules():
+    """Criterion 4's 50 modules, 25 of dimension 1 then 25 of dimension 2,
+    drawn as its acceptance test draws them."""
+    out = []
+    for target in (1, 2):
+        rng = random.Random(5150 + target)
+        count = 0
+        while count < 25:
+            pres = random_module(
+                rng.randrange(2**32),
+                p_vars=rng.choice((2, 3)),
+                n=rng.randint(1, 2),
+                m=rng.randint(1, 4),
+                density=0.5 + 0.5 * rng.random(),
+            )
+            if int(hilbert_data(pres).dimension) == target:
+                out.append(pres)
+                count += 1
+    return out
+
+
+def test_h0_profile_needs_no_rebasing(monkeypatch):
+    modules = _criterion_4_modules()
+    got = [h0_profile(pres) for pres in modules]
+    colon = modops.colon_with_irrelevant
+
+    def rebased(ring, row_twists, columns):
+        return groebner(colon(ring, row_twists, columns).elements, ring, row_twists)
+
+    monkeypatch.setattr(modops, "colon_with_irrelevant", rebased)
+    for pres, (profile, mprime) in zip(modules, got):
+        assert h0_profile(pres) == (profile, mprime)
+
+
+def _dense_torsion_dim(pres, l, d):
+    """dim (0 :_M l)_d = dim M_d - rank(l : M_d -> M_{d+1}), by dense ranks."""
+    avatar = s_avatar(pres)
+    base, a = avatar.ring, avatar.row_twists
+    p = base.field.p
+    cols = presentation_elements(avatar)
+    l_rows = [{(i, m): c for m, c in l.terms.items()} for i in range(len(a))]
+    rank_u = dense_rank(span_vectors(base, a, cols, d), p)
+    rank_u_next = dense_rank(span_vectors(base, a, cols, d + 1), p)
+    rank_lu = dense_rank(span_vectors(base, a, l_rows + cols, d + 1), p)
+    return len(degree_basis(base, a, d)) - rank_u - (rank_lu - rank_u_next)
+
+
+def test_colon_kernel_against_dense_torsion():
+    forms = random.Random(2025)  # criterion 4's forms, in its order
+    for pres in _criterion_4_modules():
+        l = random_section_form(pres, forms)
+        kpres, lam = colon_kernel(pres, l)
+        by_degree = {} if kpres.is_zero_module else hilbert_data(kpres).q_polynomial
+        top = max([*by_degree, *pres.column_degrees]) + 2
+        dense = {d: _dense_torsion_dim(pres, l, d) for d in range(min(pres.row_twists), top + 1)}
+        assert {d: v for d, v in by_degree.items() if v} == {d: v for d, v in dense.items() if v}
+        assert lam == sum(dense.values())
