@@ -30,6 +30,8 @@ from .groebner import (
     elt_add_scaled,
     groebner,
     presentation_elements,
+    quotient_groebner,
+    reduce_poly,
     schreyer_resolution,
 )
 
@@ -54,55 +56,81 @@ def s_avatar(pres: GradedPresentation) -> GradedPresentation:
     return validate_presentation(base, pres.row_twists, matrix, degrees)
 
 
-# -- minimalization --------------------------------------------------------------
+# -- unit cancellation ---------------------------------------------------------
 
 
-def _is_unit(f: Polynomial) -> bool:
-    if len(f.terms) != 1:
-        return False
-    (m, _), = f.terms.items()
-    return not any(m)
+def _reduce_entry(ring: GradedRing, f: Polynomial) -> Polynomial:
+    if not ring.is_quotient:
+        return f
+    return reduce_poly(f, quotient_groebner(ring))
 
 
-def _find_unit(diffs) -> tuple[int, int, int] | None:
-    # smallest step, then smallest column, then smallest row
-    for k, mat in enumerate(diffs):
-        rows = len(mat)
-        cols = len(mat[0]) if rows else 0
-        for j in range(cols):
-            for i in range(rows):
-                if _is_unit(mat[i][j]):
-                    return k, i, j
-    return None
+def cancel_units(
+    ring: GradedRing, matrix
+) -> tuple[list[list[Polynomial]], list[int], list[int]]:
+    """Normal-form the entries modulo the quotient ideal, then cancel unit
+    entries (smallest column, then smallest row) until none is left.  Returns
+    the remaining matrix and the input indices of the rows and columns it
+    keeps."""
+    field = ring.field
+    one = (0,) * ring.nvars
+    matrix = [[_reduce_entry(ring, e) for e in row] for row in matrix]
+    rows = list(range(len(matrix)))
+    cols = list(range(len(matrix[0]) if matrix else 0))
+
+    def find_unit():
+        for j in range(len(cols)):
+            for i, row in enumerate(matrix):
+                terms = row[j].terms
+                if len(terms) == 1 and one in terms:
+                    return i, j
+        return None
+
+    while (hit := find_unit()) is not None:
+        i, j = hit
+        pivot = matrix[i]
+        uinv = field.inv(pivot[j].terms[one])
+        keep = [s for s in range(len(cols)) if s != j]
+        rebuilt = []
+        for r, row in enumerate(matrix):
+            if r == i:
+                continue
+            if row[j].is_zero():
+                rebuilt.append([row[s] for s in keep])
+                continue
+            scale = row[j] * uinv
+            # an entry whose pivot-row entry is zero is already reduced and stays
+            rebuilt.append(
+                [
+                    row[s]
+                    if pivot[s].is_zero()
+                    else _reduce_entry(ring, row[s] - scale * pivot[s])
+                    for s in keep
+                ]
+            )
+        matrix = rebuilt
+        rows.pop(i)
+        cols.pop(j)
+    return matrix, rows, cols
 
 
 def minimalize_resolution(res: FreeResolution) -> FreeResolution:
-    """Cancel unit entries until none remain; the result is the minimal
-    free resolution of the same cokernel."""
-    field = res.ring.field
-    twists = [list(t) for t in res.twists]
-    diffs = [[list(row) for row in mat] for mat in res.differentials]
-
-    while True:
-        found = _find_unit(diffs)
-        if found is None:
-            break
-        k, i, j = found
-        mat = diffs[k]
-        uinv = field.inv(mat[i][j].terms[(0,) * res.ring.nvars])
-        rows = [r for r in range(len(mat)) if r != i]
-        cols = [s for s in range(len(mat[0])) if s != j]
-        diffs[k] = [
-            [mat[r][s] - mat[r][j] * mat[i][s] * uinv for s in cols] for r in rows
-        ]
-        if k + 1 < len(diffs):
-            diffs[k + 1] = [row for r, row in enumerate(diffs[k + 1]) if r != j]
+    """Cancel unit entries level by level; the result is the minimal free
+    resolution of the same cokernel.  A cancellation at d_k only drops a
+    column of d_{k-1} and a row of d_{k+1}, so no earlier level regains a
+    unit."""
+    twists = list(res.twists)
+    diffs = list(res.differentials)
+    for k in range(len(diffs)):
+        if not diffs[k]:
+            continue
+        diffs[k], rows, cols = cancel_units(res.ring, diffs[k])
+        twists[k] = [twists[k][r] for r in rows]
+        twists[k + 1] = [twists[k + 1][s] for s in cols]
         if k >= 1:
-            diffs[k - 1] = [
-                [entry for s, entry in enumerate(row) if s != i] for row in diffs[k - 1]
-            ]
-        twists[k].pop(i)
-        twists[k + 1].pop(j)
+            diffs[k - 1] = [[row[r] for r in rows] for row in diffs[k - 1]]
+        if k + 1 < len(diffs):
+            diffs[k + 1] = [diffs[k + 1][s] for s in cols]
 
     while len(twists) > 1 and not twists[-1]:
         twists.pop()
@@ -377,12 +405,6 @@ def hilbert_data(pres: GradedPresentation) -> HilbertData:
 
 
 # -- generator/relation degrees over the presented ring ---------------------------
-
-
-def b0_degrees(res: FreeResolution) -> list[int]:
-    """Degrees of a minimal generating set (same over S and over R = S/J), when
-    res is a minimal resolution."""
-    return sorted(res.twists[0]) if res.twists else []
 
 
 def b1_degrees(pres: GradedPresentation) -> dict[int, int]:

@@ -1,7 +1,9 @@
 """Module operations: linear quotients, colon kernels, section functors
 (saturation / degree profiles of the finite-length part), symmetric powers,
 Fitting ideals, presentation minimalization, and dense degreewise linear
-algebra used as an independent cross-check.
+algebra used as an independent cross-check.  Minimalization cancels units
+through `invariants.cancel_units`, the routine that also minimalizes
+resolutions.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from .groebner import (
     elements_to_matrix,
     elt_degree,
     presentation_elements,
-    quotient_groebner,
-    reduce_poly,
     syzygies_of,
 )
 from .invariants import (
+    cancel_units,
     hilbert_from_numerator,
     numerator_of_cokernel,
     numerator_of_gb,
@@ -264,71 +265,16 @@ def fitting_ideal_0(pres: GradedPresentation) -> list[Polynomial]:
 # -- presentation minimalization ----------------------------------------------------
 
 
-def _reduce_entry(ring: GradedRing, f: Polynomial) -> Polynomial:
-    if not ring.is_quotient:
-        return f
-    return reduce_poly(f, quotient_groebner(ring))
-
-
 def minimal_presentation(pres: GradedPresentation) -> GradedPresentation:
     """Normal-form the entries, cancel unit entries, drop zero columns.  A module
     that cancels away entirely comes back as the flagged zero presentation."""
-    ring = pres.ring
-    field = ring.field
-    zero_mono = (0,) * ring.nvars
-    matrix = [
-        [_reduce_entry(ring, e) for e in row] for row in pres.matrix
-    ]
-    twists = list(pres.row_twists)
-    degrees = list(pres.column_degrees)
-
-    def find_unit():
-        for j in range(len(degrees)):
-            for i in range(len(twists)):
-                f = matrix[i][j]
-                if len(f.terms) == 1 and zero_mono in f.terms:
-                    return i, j
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        i, j = hit
-        uinv = field.inv(matrix[i][j].terms[zero_mono])
-        pivot = matrix[i]
-        cols = [s for s in range(len(degrees)) if s != j]
-        rebuilt = []
-        for r, row in enumerate(matrix):
-            if r == i:
-                continue
-            if row[j].is_zero():
-                rebuilt.append([row[s] for s in cols])
-                continue
-            scale = row[j] * uinv
-            # an entry whose pivot-row entry is zero is already reduced and stays
-            rebuilt.append(
-                [
-                    row[s]
-                    if pivot[s].is_zero()
-                    else _reduce_entry(ring, row[s] - scale * pivot[s])
-                    for s in cols
-                ]
-            )
-        matrix = rebuilt
-        twists.pop(i)
-        degrees.pop(j)
-
-    keep = [
-        j for j in range(len(degrees)) if any(not row[j].is_zero() for row in matrix)
-    ]
-    matrix = [[row[j] for j in keep] for row in matrix]
-    degrees = [degrees[j] for j in keep]
+    matrix, rows, cols = cancel_units(pres.ring, pres.matrix)
+    keep = [s for s in range(len(cols)) if any(not row[s].is_zero() for row in matrix)]
     return GradedPresentation(
-        ring,
-        tuple(twists),
-        tuple(tuple(row) for row in matrix),
-        tuple(degrees),
+        pres.ring,
+        tuple(pres.row_twists[r] for r in rows),
+        tuple(tuple(row[s] for s in keep) for row in matrix),
+        tuple(pres.column_degrees[cols[s]] for s in keep),
     )
 
 

@@ -358,6 +358,17 @@ class SectionReport:
         )
 
 
+def _generator_data(pres: GradedPresentation):
+    """(invariants of M, top generator degree b0, first-syzygy degrees over R,
+    h = top generator degree of J but at least 1): the degree data that the
+    section and tower estimates start from."""
+    mi = module_invariants(pres)
+    b0 = max(j for (i, j) in mi.betti if i == 0)
+    b1 = b1_degrees(pres)
+    h = max(max(quotient_ideal_gen_degrees(pres.ring), default=1), 1)
+    return mi, b0, b1, h
+
+
 def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     """Compare the torsion K = (0 :_M l) against finite-length sections.
 
@@ -422,11 +433,7 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
                 upper = False
                 break
 
-    mi = module_invariants(pres)
-    b0 = max(j for (i, j) in mi.betti if i == 0)
-    b1 = b1_degrees(pres)
-    h = max(quotient_ideal_gen_degrees(pres.ring), default=1)
-    h = max(h, 1)
+    mi, b0, b1, h = _generator_data(pres)
     candidates = [b0 + h - 1, regularity(mbar) + 1]
     if b1:
         candidates.append(max(b1) - 1)
@@ -497,10 +504,7 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
     if min(pres.row_twists) < 0:
         raise AlgebraError("tower floor assumes generators in nonnegative degrees")
 
-    mi = module_invariants(pres)
-    b0 = max(j for (i, j) in mi.betti if i == 0)
-    b1 = b1_degrees(pres)
-    h = max(max(quotient_ideal_gen_degrees(pres.ring), default=1), 1)
+    mi, b0, b1, h = _generator_data(pres)
     floor = b0 + h - 2
     if b1:
         floor = max(floor, max(b1) - 2)
@@ -541,15 +545,9 @@ def random_tower(
     forms: list[Polynomial] = []
     cur = pres
     for _ in range(levels):
-        for _try in range(attempts):
-            l = random_linear_form(rng, pres.ring)
-            _, lam = colon_kernel(cur, l)
-            if lam is not None:
-                forms.append(l)
-                cur = quotient_by_linear(cur, l)
-                break
-        else:
-            raise AlgebraError("no form with finite torsion at some tower level")
+        l = random_section_form(cur, rng, attempts)
+        forms.append(l)
+        cur = quotient_by_linear(cur, l)
     return forms
 
 
