@@ -34,6 +34,7 @@ from .core import (
     AlgebraError,
     GradedPresentation,
     GradedRing,
+    NEG_INF,
     NonHomogeneous,
     ORDER_KEYS,
     ParseError,
@@ -331,7 +332,11 @@ def _read_source(path: str) -> str:
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    sys.stdout.write(text if text.endswith("\n") or not text else text + "\n")
+
+
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "FAIL"
 
 
 def _csv_row(report) -> dict[str, object]:
@@ -359,7 +364,7 @@ def _csv_row(report) -> dict[str, object]:
     return row
 
 
-def _emit_csv(reports) -> None:
+def _csv(reports) -> str:
     fields = [
         "seed", "char", "p_vars", "n", "m",
         "regularity", "dimension", "codimension",
@@ -370,110 +375,92 @@ def _emit_csv(reports) -> None:
     writer.writeheader()
     for rep in reports:
         writer.writerow(_csv_row(rep))
-    sys.stdout.write(buf.getvalue())
+    return buf.getvalue()
 
 
-def _print_audit(report) -> None:
+def _audit_text(report) -> str:
     inst, comp = report.instance, report.computed
     ring_line = f"char {inst['char']}, vars {' '.join(inst['variables'])}, order {inst['order']}"
     if inst["quotient"]:
         ring_line += ", quotient (" + ", ".join(inst["quotient"]) + ")"
-    print("instance:", ring_line)
-    print(
+    lines = [
+        f"instance: {ring_line}",
         f"module: gens at {tuple(inst['row_twists'])}, "
-        f"relations at {tuple(inst['column_degrees'])}"
-    )
-    print(
+        f"relations at {tuple(inst['column_degrees'])}",
         f"computed: reg {comp['regularity']}, dim {comp['dimension']}, "
-        f"codim {comp['codimension']}, e {comp['multiplicity']}, cm {comp['is_cm']}"
-    )
+        f"codim {comp['codimension']}, e {comp['multiplicity']}, cm {comp['is_cm']}",
+        f"{'formula':24} {'value':>12}  verdict",
+    ]
     verdicts = {v["formula"]: v for v in report.verdicts}
-    print(f"{'formula':24} {'value':>12}  verdict")
     for e in report.bounds:
         if not e["applicable"]:
             continue
         v = verdicts.get(e["formula"])
-        tail = (
-            f"{'pass' if v['holds'] else 'FAIL'} (actual {v['actual']})"
-            if v
-            else "unchecked"
-        )
-        print(f"{e['formula']:24} {e['value']:>12}  {tail}")
-    print("all bounds hold" if report.all_hold else "BOUND FAILURE")
+        tail = f"{_verdict(v['holds'])} (actual {v['actual']})" if v else "unchecked"
+        lines.append(f"{e['formula']:24} {e['value']:>12}  {tail}")
+    lines.append("all bounds hold" if report.all_hold else "BOUND FAILURE")
+    return "\n".join(lines)
 
 
 # -- subcommand handlers ---------------------------------------------------------------
+#
+# Each handler takes the parsed file (None for commands without one) and the
+# arguments, and returns (payload, text, ok): `main` prints the payload as JSON
+# under --json and the text otherwise, and exits 2 when ok is false.
 
 
-def _cmd_reg(args) -> int:
-    pres = parse_file(_read_source(args.file))
+def _cmd_reg(pres, args):
     r = regularity(pres)
-    _emit(json.dumps({"regularity": r}) if args.json else f"reg = {r}")
-    return 0
+    return {"regularity": r}, f"reg = {r}", True
 
 
-def _cmd_betti(args) -> int:
-    pres = parse_file(_read_source(args.file))
-    mi = module_invariants(minimal_presentation(pres))
+def _cmd_betti(pres, args):
+    mi = module_invariants(pres)
     table = sorted(mi.betti.items())
-    if args.json:
-        _emit(json.dumps({
-            "betti": [[i, j, v] for (i, j), v in table],
-            "regularity": mi.regularity,
-        }))
-        return 0
-    print(f"{'i':>3} {'j':>3} {'count':>6}")
-    for (i, j), v in table:
-        print(f"{i:>3} {j:>3} {v:>6}")
-    print(f"reg = {mi.regularity}")
-    return 0
+    lines = [f"{'i':>3} {'j':>3} {'count':>6}"]
+    lines += [f"{i:>3} {j:>3} {v:>6}" for (i, j), v in table]
+    lines.append(f"reg = {mi.regularity}")
+    payload = {"betti": [[i, j, v] for (i, j), v in table], "regularity": mi.regularity}
+    return payload, "\n".join(lines), True
 
 
-def _cmd_hilbert(args) -> int:
-    pres = parse_file(_read_source(args.file))
+def _cmd_hilbert(pres, args):
     hd = hilbert_data(pres)
+    dim = None if hd.dimension == NEG_INF else int(hd.dimension)  # JSON has no -inf
     payload = {
         "numerator": {str(e): c for e, c in sorted(hd.numerator.items())},
-        "dimension": int(hd.dimension),
+        "dimension": dim,
         "codimension": hd.codimension,
         "multiplicity": hd.multiplicity,
         "length": hd.length,
     }
-    if args.json:
-        _emit(json.dumps(payload))
-        return 0
-    print("numerator:", _render_series(hd.numerator))
-    print(f"dimension = {int(hd.dimension)}")
-    print(f"codimension = {hd.codimension}")
-    print(f"multiplicity = {hd.multiplicity}")
-    print("length =", hd.length if hd.length is not None else "infinite")
+    lines = [
+        f"numerator: {_render_series(hd.numerator)}",
+        f"dimension = {hd.dimension if dim is None else dim}",
+        f"codimension = {hd.codimension}",
+        f"multiplicity = {hd.multiplicity}",
+        f"length = {hd.length if hd.length is not None else 'infinite'}",
+    ]
     if hd.length is not None and hd.q_polynomial:
         values = ", ".join(f"{e}:{v}" for e, v in sorted(hd.q_polynomial.items()))
-        print("hilbert function:", values)
-    return 0
+        lines.append(f"hilbert function: {values}")
+    return payload, "\n".join(lines), True
 
 
-def _cmd_audit(args) -> int:
-    pres = parse_file(_read_source(args.file))
+def _cmd_audit(pres, args):
     report = audit(pres)
-    if args.json:
-        _emit(json.dumps(asdict(report)))
-    elif args.csv:
-        _emit_csv([report])
-    else:
-        _print_audit(report)
-    return 0 if report.all_hold else 2
+    text = _csv([report]) if args.csv else _audit_text(report)
+    return asdict(report), text, report.all_hold
 
 
-def _cmd_bounds(args) -> int:
-    pres = parse_file(_read_source(args.file))
+def _cmd_bounds(pres, args):
     report = audit(pres, check=False)
     values: dict[str, object] = {
         e["formula"]: e["value"] for e in report.bounds if e["applicable"]
     }
-    pres_min = minimal_presentation(pres)
-    a, b = pres_min.row_twists, pres_min.column_degrees
-    n, m = pres_min.n, pres_min.m
+    # the instance records the minimal presentation's twists and degrees
+    a, b = report.instance["row_twists"], report.instance["column_degrees"]
+    n, m = len(a), len(b)
     comp = report.computed
     c, delta = comp["codimension"], comp["dimension"]
     deg_r, reg_r = comp["ring"]["degree"], comp["ring"]["regularity"]
@@ -487,25 +474,19 @@ def _cmd_bounds(args) -> int:
     if delta >= 2 and m >= c + n:
         values["refined_bracket"] = refined_bracket_bound(a, b, c, delta, reg_r, deg_r)
     payload = {"instance": report.instance, "computed": comp, "bounds": values}
+    lines = [f"computed reg = {comp['regularity']}"]
+    lines += [f"{name:24} {value}" for name, value in values.items()]
     if n == 1:
         cap = args.B if args.B is not None else degree_cap(a, b)
-        payload["ideal"] = ideal_bounds(
+        payload["ideal"] = ideal = ideal_bounds(
             pres.ring.nvars, cap, c=c, n=m, deg_r=deg_r, reg_r=reg_r
         )
-    if args.json:
-        _emit(json.dumps(payload))
-        return 0
-    print(f"computed reg = {comp['regularity']}")
-    for name, value in values.items():
-        print(f"{name:24} {value}")
-    for name, value in payload.get("ideal", {}).items():
-        print(f"ideal.{name:18} {value}")
-    return 0
+        lines += [f"ideal.{name:18} {value}" for name, value in ideal.items()]
+    return payload, "\n".join(lines), True
 
 
-def _cmd_sym(args) -> int:
-    pres = minimal_presentation(parse_file(_read_source(args.file)))
-    power = sym_power(pres, args.l)
+def _cmd_sym(pres, args):
+    power = sym_power(minimal_presentation(pres), args.l)
     r = regularity(power) if not power.is_zero_module else None
     payload = {
         "l": args.l,
@@ -514,38 +495,26 @@ def _cmd_sym(args) -> int:
         "row_twists": list(power.row_twists),
         "regularity": r,
     }
-    if args.json:
-        _emit(json.dumps(payload))
-        return 0
-    print(f"Sym^{args.l}: {power.n} generators, {power.m} relations")
-    print(f"reg = {r}")
-    return 0
+    text = f"Sym^{args.l}: {power.n} generators, {power.m} relations\nreg = {r}"
+    return payload, text, True
 
 
-def _cmd_fitt(args) -> int:
-    pres = minimal_presentation(parse_file(_read_source(args.file)))
+def _cmd_fitt(pres, args):
+    pres = minimal_presentation(pres)
     minors = fitting_ideal_0(pres)
     if minors:
         quotient = validate_presentation(pres.ring, (0,), [minors])
         r = regularity(quotient)
     else:
         r = ring_invariants(pres.ring)[2]  # zero ideal: the quotient is R itself
-    payload = {
-        "generators": [render_poly(g) for g in minors],
-        "regularity_of_quotient": r,
-    }
-    if args.json:
-        _emit(json.dumps(payload))
-        return 0
-    print(f"fitting ideal: {len(minors)} generators")
-    for g in minors:
-        print(" ", render_poly(g))
-    print(f"reg(R/Fitt) = {r}")
-    return 0
+    gens = [render_poly(g) for g in minors]
+    lines = [f"fitting ideal: {len(minors)} generators", *(f"  {g}" for g in gens)]
+    lines.append(f"reg(R/Fitt) = {r}")
+    return {"generators": gens, "regularity_of_quotient": r}, "\n".join(lines), True
 
 
-def _cmd_complex(args) -> int:
-    pres = minimal_presentation(parse_file(_read_source(args.file)))
+def _cmd_complex(pres, args):
+    pres = minimal_presentation(pres)
     terms = complex_terms(pres.row_twists, pres.column_degrees, args.l)
     dim_r, _deg_r, reg_r, _cm = ring_invariants(pres.ring)
     delta = int(hilbert_data(pres).dimension)
@@ -558,63 +527,45 @@ def _cmd_complex(args) -> int:
         ],
         "bound": bound,
     }
-    if args.json:
-        _emit(json.dumps(payload))
-        return 0
-    print(f"{'pos':>4} {'label':16} rank  twists")
-    for t in terms:
-        print(f"{t.position:>4} {t.label:16} {t.rank:>4}  {tuple(t.twists)}")
-    if bound is not None:
-        print(f"regularity bound = {bound}")
-    else:
-        print("regularity bound not applicable (module dimension > 1)")
-    return 0
+    lines = [f"{'pos':>4} {'label':16} rank  twists"]
+    lines += [f"{t.position:>4} {t.label:16} {t.rank:>4}  {tuple(t.twists)}" for t in terms]
+    lines.append(f"regularity bound = {bound}" if bound is not None
+                 else "regularity bound not applicable (module dimension > 1)")
+    return payload, "\n".join(lines), True
 
 
-def _cmd_section_check(args) -> int:
+def _cmd_section_check(pres, args):
     if len(args.linear) != 1:
-        print("error: section-check takes exactly one --linear", file=sys.stderr)
-        return 1
-    pres = parse_file(_read_source(args.file))
-    form = parse_polynomial(pres.ring.base, args.linear[0])
-    report = section_check(pres, form)
-    if args.json:
-        _emit(json.dumps(asdict(report)))
-        return 0 if report.all_hold else 2
-    print(f"form: {report.form}, torsion length {report.colon_length}")
-    print(f"{'mu':>4} {'torsion>=mu':>12} {'section count':>14}")
-    for mu, lhs, rhs in report.identity_rows:
-        print(f"{mu:>4} {lhs:>12} {rhs:>14}")
-    print(f"identity (cumulative): {'pass' if report.identity_cumulative else 'FAIL'}")
-    print(f"identity (per degree): {'pass' if report.identity_per_degree else 'FAIL'}")
-    print(f"window estimate:       {'pass' if report.upper_estimate else 'FAIL'}")
-    print(
-        f"tail bound at mu*={report.mu_star}:  "
-        f"{'pass' if report.tail_bound else 'FAIL'}"
-    )
-    return 0 if report.all_hold else 2
+        raise AlgebraError("section-check takes exactly one --linear")
+    report = section_check(pres, parse_polynomial(pres.ring.base, args.linear[0]))
+    lines = [
+        f"form: {report.form}, torsion length {report.colon_length}",
+        f"{'mu':>4} {'torsion>=mu':>12} {'section count':>14}",
+        *(f"{mu:>4} {lhs:>12} {rhs:>14}" for mu, lhs, rhs in report.identity_rows),
+        f"identity (cumulative): {_verdict(report.identity_cumulative)}",
+        f"identity (per degree): {_verdict(report.identity_per_degree)}",
+        f"window estimate:       {_verdict(report.upper_estimate)}",
+        f"tail bound at mu*={report.mu_star}:  {_verdict(report.tail_bound)}",
+    ]
+    return asdict(report), "\n".join(lines), report.all_hold
 
 
-def _cmd_tower(args) -> int:
-    pres = parse_file(_read_source(args.file))
+def _cmd_tower(pres, args):
     forms = [parse_polynomial(pres.ring.base, text) for text in args.linear]
     report = tower_check(pres, forms)
-    if args.json:
-        _emit(json.dumps(asdict(report)))
-        return 0 if report.all_hold else 2
-    print(f"{'i':>3} {'form':12} {'reg':>5} {'torsion':>8} {'Q':>5}")
-    for i, form in enumerate(report.forms):
-        print(
-            f"{i:>3} {form:12} {report.regularities[i]:>5} "
-            f"{report.colon_lengths[i]:>8} {report.q_values[i]:>5}"
-        )
-    for i, ok in enumerate(report.chain_holds):
-        print(f"Q_{i} <= Q_{i + 1}^2: {'pass' if ok else 'FAIL'}")
-    print(
-        f"reg(M) <= Q_s^(2^s) = {report.final_bound}: "
-        f"{'pass' if report.final_holds else 'FAIL'}"
+    lines = [f"{'i':>3} {'form':12} {'reg':>5} {'torsion':>8} {'Q':>5}"]
+    lines += [
+        f"{i:>3} {form:12} {report.regularities[i]:>5} "
+        f"{report.colon_lengths[i]:>8} {report.q_values[i]:>5}"
+        for i, form in enumerate(report.forms)
+    ]
+    lines += [
+        f"Q_{i} <= Q_{i + 1}^2: {_verdict(ok)}" for i, ok in enumerate(report.chain_holds)
+    ]
+    lines.append(
+        f"reg(M) <= Q_s^(2^s) = {report.final_bound}: {_verdict(report.final_holds)}"
     )
-    return 0 if report.all_hold else 2
+    return asdict(report), "\n".join(lines), report.all_hold
 
 
 def _random_trial(seed: int, trial: int, order: str):
@@ -634,37 +585,35 @@ def _random_trial(seed: int, trial: int, order: str):
     return pres, {"seed": seed, "trial": trial, **params}
 
 
-def _cmd_random(args) -> int:
+def _file_text(pres):
+    text = serialize_presentation(pres)
+    return {"presentation": text}, text, True
+
+
+def _cmd_random(_pres, args):
     if not args.audit:
         if args.trials != 1:
-            print("error: --trials above 1 requires --audit", file=sys.stderr)
-            return 1
-        pres, _info = _random_trial(args.seed, 0, args.order)
-        _emit(serialize_presentation(pres))
-        return 0
+            raise AlgebraError("--trials above 1 requires --audit")
+        return _file_text(_random_trial(args.seed, 0, args.order)[0])
     reports = []
     for trial in range(args.trials):
         pres, info = _random_trial(args.seed, trial, args.order)
         reports.append(audit(pres, instance=info))
-    if args.json:
-        _emit(json.dumps([asdict(r) for r in reports]))
-    elif args.csv:
-        _emit_csv(reports)
+    if args.csv:
+        text = _csv(reports)
     else:
-        for rep in reports:
-            inst = rep.instance
-            status = "pass" if rep.all_hold else "FAIL"
-            print(
-                f"trial {inst['trial']:>3}: vars {len(inst['variables'])}, "
-                f"gens {len(inst['row_twists'])}, rels {len(inst['column_degrees'])}, "
-                f"reg {rep.computed['regularity']} -> {status}"
-            )
-    return 0 if all(r.all_hold for r in reports) else 2
+        text = "\n".join(
+            f"trial {rep.instance['trial']:>3}: vars {len(rep.instance['variables'])}, "
+            f"gens {len(rep.instance['row_twists'])}, "
+            f"rels {len(rep.instance['column_degrees'])}, "
+            f"reg {rep.computed['regularity']} -> {_verdict(rep.all_hold)}"
+            for rep in reports
+        )
+    return [asdict(r) for r in reports], text, all(r.all_hold for r in reports)
 
 
-def _cmd_mayr_meyer(args) -> int:
-    _emit(serialize_presentation(mayr_meyer(args.l)))
-    return 0
+def _cmd_mayr_meyer(_pres, args):
+    return _file_text(mayr_meyer(args.l))
 
 
 # -- argument plumbing -----------------------------------------------------------------
@@ -733,7 +682,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        pres = parse_file(_read_source(args.file)) if "file" in args else None
+        payload, text, ok = args.handler(pres, args)
+        _emit(json.dumps(payload) if args.json else text)
+        return 0 if ok else 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     except ParseError as exc:

@@ -155,6 +155,19 @@ def test_hilbert_command(pres2, capsys):
     assert data["numerator"] == {"0": 1, "2": -2, "3": 1}
 
 
+def test_hilbert_command_on_the_zero_module(tmp_path, capsys):
+    path = tmp_path / "zero.pres"
+    path.write_text("char 101\nvars x y\ngens 0\nrels\n1\nend\n")
+    assert main(["hilbert", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["numerator: 0", "dimension = -inf"]
+    assert "length = 0" in lines
+    assert main(["hilbert", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["dimension"] is None  # JSON has no -inf
+    assert data["numerator"] == {} and data["multiplicity"] == 0 and data["length"] == 0
+
+
 def test_audit_json_schema_is_stable(pres2, capsys):
     assert main(["audit", pres2, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -217,6 +230,16 @@ def test_random_command_round_trips(capsys):
     assert not pres.is_zero_module
     assert main(["random", "--seed", "3"]) == 0
     assert capsys.readouterr().out == text  # deterministic
+
+
+def test_file_emitting_commands_wrap_the_file_under_json(capsys):
+    for argv in (["random", "--seed", "3"], ["mayr-meyer", "--l", "1"]):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert main([*argv, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data == {"presentation": text}
+        assert serialize_presentation(parse_file(data["presentation"])) == text
 
 
 def test_random_audit_csv(capsys):
