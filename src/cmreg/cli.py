@@ -318,7 +318,7 @@ def _render_series(num: dict[int, int]) -> str:
         if e == 0:
             body = str(mag)
         else:
-            body = ("t" if mag == 1 else f"{mag}*t") + (f"^{e}" if e > 1 else "")
+            body = ("t" if mag == 1 else f"{mag}*t") + (f"^{e}" if e != 1 else "")
         parts.append(("- " if num[e] < 0 else "+ ") + body)
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]

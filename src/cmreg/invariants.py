@@ -407,18 +407,17 @@ def hilbert_data(pres: GradedPresentation) -> HilbertData:
 # -- generator/relation degrees over the presented ring ---------------------------
 
 
-def b1_degrees(pres: GradedPresentation) -> dict[int, int]:
-    """Degrees (with multiplicity) of minimal first syzygies over the presented
-    ring.  Over a quotient ring, counted by the graded Nakayama quotient
-    (im phi + JG) / (m*(im phi) + JG), whose series is a polynomial."""
-    ring = pres.ring
-    if not ring.is_quotient:
-        return {j: b for (i, j), b in betti_numbers(pres).items() if i == 1}
+def b1_degrees(mi: ModuleInvariants) -> dict[int, int]:
+    """Degrees (with multiplicity) of minimal first syzygies of `mi.presentation`
+    over its ring: read off `mi.betti` over S; over S/J counted by the graded
+    Nakayama quotient (im phi + JG) / (m*(im phi) + JG), a polynomial series."""
+    pres = mi.presentation
+    if not pres.ring.is_quotient:
+        return {j: b for (i, j), b in mi.betti.items() if i == 1}
 
-    base = ring.base
-    avatar = s_avatar(pres)  # columns of phi, then JG columns
-    phi_cols = presentation_elements(pres)
-    jg_cols = presentation_elements(avatar)[pres.m :]
+    base = pres.ring.base
+    cols = presentation_elements(s_avatar(pres))  # columns of phi, then JG columns
+    phi_cols, jg_cols = cols[: pres.m], cols[pres.m :]
     p = base.field.p
     m_phi: list[Element] = []
     for col in phi_cols:

@@ -1,9 +1,9 @@
 """Module operations: linear quotients, colon kernels, section functors
 (saturation / degree profiles of the finite-length part), symmetric powers,
 Fitting ideals, presentation minimalization, and dense degreewise linear
-algebra used as an independent cross-check.  Minimalization cancels units
-through `invariants.cancel_units`, the routine that also minimalizes
-resolutions.
+algebra used as an independent cross-check.  `colon` is the one colon routine:
+the torsion of a linear form and each saturation round call it.  Units are
+cancelled by `invariants.cancel_units`, which also minimalizes resolutions.
 """
 
 from __future__ import annotations
@@ -64,12 +64,49 @@ def quotient_by_linear(pres: GradedPresentation, l: Polynomial) -> GradedPresent
     return validate_presentation(pres.ring, pres.row_twists, matrix, degrees)
 
 
-def submodule_members(
-    ring: GradedRing, row_twists, columns: list[Element], scale: Polynomial
+def colon(
+    ring: GradedRing, row_twists, columns: list[Element], forms: tuple[Polynomial, ...]
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of {v : scale * v in <columns>}."""
-    heads = [{(i, m): c for m, c in scale.terms.items()} for i in range(len(row_twists))]
-    return syzygies_of(heads, ring, row_twists, tails=columns).with_twists(row_twists)
+    """Reduced Groebner basis of {v : f * v in <columns> for every f in forms}:
+    one block of rows per form, v stacked as (f_1 v | ... | f_k v)."""
+    n, k = len(row_twists), len(forms)
+    heads = [
+        {(t * n + i, m): c for t, f in enumerate(forms) for m, c in f.terms.items()}
+        for i in range(n)
+    ]
+    tails = [
+        {(c + t * n, m): val for (c, m), val in col.items()}
+        for col in columns
+        for t in range(k)
+    ]
+    stacked = syzygies_of(heads, ring, tuple(row_twists) * k, tails=tails)
+    return stacked.with_twists(row_twists)
+
+
+def colon_with_irrelevant(
+    ring: GradedRing, row_twists, columns: list[Element]
+) -> GroebnerBasis:
+    """The colon of the columns by every variable: one saturation round."""
+    return colon(ring, row_twists, columns, ring.gens())
+
+
+def _torsion(
+    pres: GradedPresentation, l: Polynomial
+) -> tuple[list[Element], GroebnerBasis, int | None]:
+    """(columns of U, W = (U :_F l), length of K = W/U = (0 :_M l) or None when
+    infinite), with U the column module of M's S-side avatar in F."""
+    avatar = s_avatar(pres)
+    base, a = avatar.ring, avatar.row_twists
+    cols = presentation_elements(avatar)
+    w = colon(base, a, cols, (l,))
+    n_k = tp_sub(numerator_of_cokernel(base, a, cols), numerator_of_gb(w))
+    return cols, w, hilbert_from_numerator(n_k, base.nvars).length
+
+
+def torsion_length(pres: GradedPresentation, l: Polynomial) -> int | None:
+    """Length of K = (0 :_M l), None when infinite; K itself is not presented."""
+    _check_linear(pres, l)
+    return 0 if pres.is_zero_module else _torsion(pres, l)[2]
 
 
 def colon_kernel(
@@ -79,56 +116,18 @@ def colon_kernel(
     _check_linear(pres, l)
     if pres.is_zero_module:
         return pres, 0
-    avatar = s_avatar(pres)
-    base, a = avatar.ring, avatar.row_twists
-    cols = presentation_elements(avatar)
-    w = submodule_members(base, a, cols, l)
-
-    n_u = numerator_of_cokernel(base, a, cols)
-    n_w = numerator_of_gb(w)
-    hd = hilbert_from_numerator(tp_sub(n_u, n_w), base.nvars)
-    lam = hd.length
-
-    if not w.basis:
-        kpres = GradedPresentation(pres.ring, (), (), ())
-    else:
-        rels = syzygies_of(w.elements, base, a, tails=cols)
-        matrix = elements_to_matrix(rels.elements, len(w.basis), base)
-        kpres = minimal_presentation(
-            GradedPresentation(
-                pres.ring, rels.row_twists, matrix, tuple(rels.element_degrees())
-            )
-        )
-    return kpres, lam
+    cols, w, lam = _torsion(pres, l)
+    rels = syzygies_of(w.elements, w.ring, w.row_twists, tails=cols)
+    matrix = elements_to_matrix(rels.elements, len(w.basis), w.ring)
+    degrees = tuple(rels.element_degrees())
+    kpres = GradedPresentation(pres.ring, rels.row_twists, matrix, degrees)
+    return minimal_presentation(kpres), lam
 
 
 def _nonneg(num: dict[int, int]) -> dict[int, int]:
     if any(c < 0 for c in num.values()):
         raise AlgebraError("inconsistent numerator difference")
     return num
-
-
-def colon_with_irrelevant(
-    ring: GradedRing, row_twists, columns: list[Element]
-) -> GroebnerBasis:
-    """Reduced Groebner basis of {v : x_t * v in <columns> for every variable
-    x_t}: one block of rows per variable, v stacked as (x_1 v | ... | x_v v)."""
-    n = len(row_twists)
-    v = ring.nvars
-    heads: list[Element] = []
-    for i in range(n):
-        g: Element = {}
-        for t in range(v):
-            mono = tuple(1 if k == t else 0 for k in range(v))
-            g[(t * n + i, mono)] = 1
-        heads.append(g)
-    tails = [
-        {(c + t * n, m): val for (c, m), val in col.items()}
-        for col in columns
-        for t in range(v)
-    ]
-    stacked = syzygies_of(heads, ring, tuple(row_twists) * v, tails=tails)
-    return stacked.with_twists(row_twists)
 
 
 @dataclass

@@ -46,6 +46,7 @@ from .modops import (
     minimal_presentation,
     quotient_by_linear,
     sym_power,
+    torsion_length,
 )
 from .complexes import complex_regularity_bound, complex_terms
 from .bounds import (
@@ -364,7 +365,7 @@ def _generator_data(pres: GradedPresentation):
     section and tower estimates start from."""
     mi = module_invariants(pres)
     b0 = max(j for (i, j) in mi.betti if i == 0)
-    b1 = b1_degrees(pres)
+    b1 = b1_degrees(mi)
     h = max(max(quotient_ideal_gen_degrees(pres.ring), default=1), 1)
     return mi, b0, b1, h
 
@@ -465,8 +466,7 @@ def random_section_form(
     """A linear form whose torsion on M is finite (resampled until it is)."""
     for _ in range(attempts):
         l = random_linear_form(rng, pres.ring)
-        _, lam = colon_kernel(pres, l)
-        if lam is not None:
+        if torsion_length(pres, l) is not None:
             return l
     raise AlgebraError("no linear form with finite torsion found")
 
@@ -515,7 +515,7 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
     cur = pres
     for i, form in enumerate(forms):
         reg_i = mi.regularity if i == 0 else regularity(cur)
-        _, lam = colon_kernel(cur, form)
+        lam = torsion_length(cur, form)
         if lam is None:
             raise AlgebraError(f"form {i + 1} has infinite torsion on level {i}")
         regs.append(reg_i)

@@ -155,6 +155,18 @@ def test_hilbert_command(pres2, capsys):
     assert data["numerator"] == {"0": 1, "2": -2, "3": 1}
 
 
+def test_hilbert_text_keeps_negative_exponents(tmp_path, capsys):
+    path = tmp_path / "twisted.pres"
+    path.write_text(
+        "char 7\nvars x y z\nquotient\nx^2 + y^2\nend\n"
+        "gens 0 -1\nrels\nx*y, z^3\n0, x^3\nend\n"
+    )
+    assert main(["hilbert", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "numerator: t^-1 + 1 - t - 3*t^2 + 2*t^4"
+    )
+
+
 def test_hilbert_command_on_the_zero_module(tmp_path, capsys):
     path = tmp_path / "zero.pres"
     path.write_text("char 101\nvars x y\ngens 0\nrels\n1\nend\n")

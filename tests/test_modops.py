@@ -30,6 +30,7 @@ from cmreg.modops import (
     quotient_by_linear,
     span_vectors,
     sym_power,
+    torsion_length,
 )
 from cmreg.verify import random_module, random_polynomial, random_section_form
 
@@ -315,6 +316,7 @@ def test_colon_kernel_against_dense_torsion():
     for pres in _criterion_4_modules():
         l = random_section_form(pres, forms)
         kpres, lam = colon_kernel(pres, l)
+        assert torsion_length(pres, l) == lam
         by_degree = {} if kpres.is_zero_module else hilbert_data(kpres).q_polynomial
         top = max([*by_degree, *pres.column_degrees]) + 2
         dense = {d: _dense_torsion_dim(pres, l, d) for d in range(min(pres.row_twists), top + 1)}

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from cmreg import invariants, modops, verify
 from cmreg.core import AlgebraError, GradedRing, PrimeField, ZeroModule, validate_presentation
 from cmreg.invariants import hilbert_data, regularity
-from cmreg.modops import minimal_presentation
+from cmreg.modops import minimal_presentation, quotient_by_linear
 from cmreg.verify import (
     audit,
     audit_random,
@@ -16,6 +17,7 @@ from cmreg.verify import (
     section_check,
     tower_check,
 )
+from test_modops import _criterion_4_modules
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
@@ -207,6 +209,63 @@ def test_tower_check_random_forms():
     forms = random_tower(pres, random.Random(11), levels=2)
     assert len(forms) == 2
     assert tower_check(pres, forms).all_hold
+
+
+def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
+    # picking forms and walking a tower need only len K: one colon per form,
+    # and no presentation of K
+    modules = _criterion_4_modules()
+    counts = {"forms": 0, "colons": 0}
+    draw, syzygies = verify.random_linear_form, modops.syzygies_of
+
+    def counted_draw(*args):
+        counts["forms"] += 1
+        return draw(*args)
+
+    def counted_syzygies(*args, **kwargs):
+        counts["colons"] += 1
+        return syzygies(*args, **kwargs)
+
+    def no_presentation(pres):
+        raise AssertionError("the torsion module was presented")
+
+    monkeypatch.setattr(verify, "random_linear_form", counted_draw)
+    monkeypatch.setattr(modops, "syzygies_of", counted_syzygies)
+    monkeypatch.setattr(modops, "minimal_presentation", no_presentation)
+    rng = random.Random(2025)
+    for pres in modules[:5]:
+        random_section_form(pres, rng)
+    assert counts["colons"] == counts["forms"] >= 5
+    for pres in modules[25:30]:  # dimension 2: two levels
+        forms = random_tower(pres, rng, levels=2)
+        counts["colons"] = 0
+        tower_check(pres, forms)
+        assert counts["colons"] == 2
+
+
+def test_section_and_tower_checks_resolve_each_module_once(monkeypatch):
+    modules = _criterion_4_modules()
+    resolved = []
+    schreyer = invariants.schreyer_resolution
+
+    def counted(pres):
+        resolved.append(pres)
+        return schreyer(pres)
+
+    monkeypatch.setattr(invariants, "schreyer_resolution", counted)
+    rng = random.Random(2025)
+    pres = modules[0]
+    assert not pres.ring.is_quotient
+    l = random_section_form(pres, rng)
+    resolved.clear()
+    section_check(pres, l)
+    assert len(resolved) == 2  # M and M/lM
+    assert pres in resolved and quotient_by_linear(pres, l) in resolved
+    pres = modules[25]
+    forms = random_tower(pres, rng, levels=2)
+    resolved.clear()
+    tower_check(pres, forms)
+    assert resolved == [pres, quotient_by_linear(pres, forms[0])]
 
 
 # -- worst-case family ---------------------------------------------------------------
