@@ -268,9 +268,6 @@ class Polynomial:
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1
 
-    def is_constant(self) -> bool:
-        return all(mono_deg(m) == 0 for m in self.terms)
-
     def lead_term(self) -> tuple[Mono, int]:
         """(monomial, coefficient) maximal in the ring's order."""
         m = max(self.terms, key=self.ring.key)
@@ -319,11 +316,6 @@ class Polynomial:
         for _ in range(k):
             result = result * self
         return result
-
-    def term_mul(self, mono: Mono, coeff: int) -> "Polynomial":
-        return Polynomial(
-            self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()}
-        )
 
     # -- protocol ----------------------------------------------------------------
 

@@ -496,8 +496,8 @@ def groebner(
 def schreyer_syzygies(gb: GroebnerBasis):
     """Auto-reduced Groebner basis (for the induced order) of Syz(gb.basis).
 
-    Returns (elements, degrees, codec): the elements are packed by codec, the
-    Schreyer level over gb's lead terms, and degrees are their module degrees.
+    Returns (elements, leads, codec): the elements and their lead terms are
+    packed by codec, the Schreyer level over gb's lead terms.
 
     Only the minimal pairs are reduced.  Under the Schreyer order the syzygy of
     the pair (i, j), i < j, has the lead term (i, s_ij) with s_ij =
@@ -548,8 +548,7 @@ def schreyer_syzygies(gb: GroebnerBasis):
                 syz_lts.append(lead)
 
     basis, lts_out = autoreduce(syz, syz_lts, nxt, p)
-    degrees = [mono_deg(m) + degs[c] for c, m in map(nxt.decode, lts_out)]
-    return basis, degrees, nxt
+    return basis, lts_out, nxt
 
 
 # -- conversions ---------------------------------------------------------------
@@ -564,7 +563,14 @@ def column_element(pres: GradedPresentation, j: int) -> Element:
 
 
 def presentation_elements(pres: GradedPresentation) -> list[Element]:
-    return [column_element(pres, j) for j in range(pres.m)]
+    """The columns over S of the presented module's relations: the columns of
+    phi, then q*e_i for each row i and each quotient generator q, so that the
+    cokernel over the ambient ring is the module over S/J."""
+    cols = [column_element(pres, j) for j in range(pres.m)]
+    for i in range(pres.n):
+        for q in pres.ring.quotient_gens:
+            cols.append({(i, m): c for m, c in q.terms.items()})
+    return cols
 
 
 def elements_to_matrix(
@@ -609,10 +615,9 @@ class FreeResolution:
 
 
 def schreyer_resolution(pres: GradedPresentation) -> FreeResolution:
-    """Free resolution via iterated Schreyer syzygies, over a plain ring."""
-    ring = pres.ring
-    if ring.is_quotient:
-        raise AlgebraError("resolutions are computed over the ambient ring")
+    """Free resolution over the ambient ring S, via iterated Schreyer
+    syzygies, of the module's columns over S (see `presentation_elements`)."""
+    ring = pres.ring.base
     twists: list[tuple[int, ...]] = [pres.row_twists]
     diffs: list[tuple[tuple[Polynomial, ...], ...]] = []
 
@@ -623,13 +628,9 @@ def schreyer_resolution(pres: GradedPresentation) -> FreeResolution:
         diffs.append(elements_to_matrix(current.elements, len(twists[-1]), ring))
         level = tuple(current.element_degrees())
         twists.append(level)
-        syz, _, codec = schreyer_syzygies(current)
+        syz, leads, codec = schreyer_syzygies(current)
         current = GroebnerBasis(
-            ring=ring,
-            row_twists=level,
-            codec=codec,
-            basis=syz,
-            leads=[max(s) for s in syz],
+            ring=ring, row_twists=level, codec=codec, basis=syz, leads=leads
         )
     return FreeResolution(ring=ring, twists=twists, differentials=diffs)
 

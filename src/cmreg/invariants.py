@@ -1,8 +1,9 @@
 """Resolutions, Betti tables, regularity, Hilbert series and derived invariants.
 
-Modules over a quotient ring R are resolved over the ambient polynomial ring S
-via their "avatar": the presentation with the quotient-ideal columns appended.
-Regularity, Betti numbers and Hilbert data all come from that S-side picture.
+A module over a quotient ring R = S/J is resolved over the ambient polynomial
+ring S from its columns over S: the columns of phi plus q*e_i for each
+generator q of J (`groebner.presentation_elements`).  Regularity, Betti numbers
+and Hilbert data all come from that S-side picture.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .core import (
     ZeroModule,
     dense_rank,
     free_presentation,
-    validate_presentation,
 )
 from .groebner import (
     Element,
@@ -34,26 +34,6 @@ from .groebner import (
     reduce_poly,
     schreyer_resolution,
 )
-
-
-def s_avatar(pres: GradedPresentation) -> GradedPresentation:
-    """The same module presented over the ambient polynomial ring: the columns
-    of phi plus one column q*e_i per quotient generator q and row i."""
-    ring = pres.ring
-    if not ring.is_quotient:
-        return pres
-    base = ring.base
-    if pres.is_zero_module:
-        return GradedPresentation(base, (), (), ())
-    matrix = [list(row) for row in pres.matrix]
-    degrees = list(pres.column_degrees)
-    zero = base.zero()
-    for i in range(pres.n):
-        for q in ring.quotient_gens:
-            for r in range(pres.n):
-                matrix[r].append(q if r == i else zero)
-            degrees.append(int(q.degree()) + pres.row_twists[i])
-    return validate_presentation(base, pres.row_twists, matrix, degrees)
 
 
 # -- unit cancellation ---------------------------------------------------------
@@ -149,7 +129,7 @@ def minimalize_resolution(res: FreeResolution) -> FreeResolution:
 
 
 def minimal_resolution(pres: GradedPresentation) -> FreeResolution:
-    return minimalize_resolution(schreyer_resolution(s_avatar(pres)))
+    return minimalize_resolution(schreyer_resolution(pres))
 
 
 # -- Betti tables and regularity ---------------------------------------------------
@@ -206,9 +186,9 @@ def betti_of_resolution(res: FreeResolution) -> dict[tuple[int, int], int]:
 
 
 def _resolve(pres: GradedPresentation) -> tuple[FreeResolution, dict[tuple[int, int], int]]:
-    """A (not necessarily minimal) resolution of the S-side avatar, and the
-    Betti table read off it."""
-    res = schreyer_resolution(s_avatar(pres))
+    """A (not necessarily minimal) resolution over S of the columns over S,
+    and the Betti table read off it."""
+    res = schreyer_resolution(pres)
     return res, betti_of_resolution(res)
 
 
@@ -341,9 +321,8 @@ def numerator_of_cokernel(
 
 
 def hilbert_numerator(pres: GradedPresentation) -> dict[int, int]:
-    avatar = s_avatar(pres)
     return numerator_of_cokernel(
-        avatar.ring, avatar.row_twists, presentation_elements(avatar)
+        pres.ring.base, pres.row_twists, presentation_elements(pres)
     )
 
 
@@ -410,13 +389,14 @@ def hilbert_data(pres: GradedPresentation) -> HilbertData:
 def b1_degrees(mi: ModuleInvariants) -> dict[int, int]:
     """Degrees (with multiplicity) of minimal first syzygies of `mi.presentation`
     over its ring: read off `mi.betti` over S; over S/J counted by the graded
-    Nakayama quotient (im phi + JG) / (m*(im phi) + JG), a polynomial series."""
+    Nakayama quotient (im phi + JG) / (m*(im phi) + JG), a polynomial series:
+    the numerator of G / (m*(im phi) + JG) minus M's own, `mi.hilbert`'s."""
     pres = mi.presentation
     if not pres.ring.is_quotient:
         return {j: b for (i, j), b in mi.betti.items() if i == 1}
 
     base = pres.ring.base
-    cols = presentation_elements(s_avatar(pres))  # columns of phi, then JG columns
+    cols = presentation_elements(pres)  # columns of phi, then JG columns
     phi_cols, jg_cols = cols[: pres.m], cols[pres.m :]
     p = base.field.p
     m_phi: list[Element] = []
@@ -430,8 +410,7 @@ def b1_degrees(mi: ModuleInvariants) -> dict[int, int]:
             m_phi.append(shifted)
 
     big = numerator_of_cokernel(base, pres.row_twists, m_phi + jg_cols)
-    small = numerator_of_cokernel(base, pres.row_twists, phi_cols + jg_cols)
-    diff = tp_sub(big, small)
+    diff = tp_sub(big, mi.hilbert.numerator)
     for _ in range(base.nvars):
         diff = tp_divide_one_minus_t(diff)
     if any(c < 0 for c in diff.values()):
@@ -465,8 +444,8 @@ def quotient_ideal_gen_degrees(ring: GradedRing) -> list[int]:
 @dataclass
 class ModuleInvariants:
     """Invariants of a nonzero module.  `resolution` is a graded free
-    resolution of the S-side avatar, not necessarily minimal: read Betti
-    numbers from `betti`, not from its twists."""
+    resolution over S of its columns over S, not necessarily minimal: read
+    Betti numbers from `betti`, not from its twists."""
 
     presentation: GradedPresentation
     resolution: FreeResolution

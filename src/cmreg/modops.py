@@ -36,7 +36,6 @@ from .invariants import (
     hilbert_from_numerator,
     numerator_of_cokernel,
     numerator_of_gb,
-    s_avatar,
     tp_divide_one_minus_t,
     tp_sub,
 )
@@ -94,10 +93,9 @@ def _torsion(
     pres: GradedPresentation, l: Polynomial
 ) -> tuple[list[Element], GroebnerBasis, int | None]:
     """(columns of U, W = (U :_F l), length of K = W/U = (0 :_M l) or None when
-    infinite), with U the column module of M's S-side avatar in F."""
-    avatar = s_avatar(pres)
-    base, a = avatar.ring, avatar.row_twists
-    cols = presentation_elements(avatar)
+    infinite), with U the module of M's columns over S in F."""
+    base, a = pres.ring.base, pres.row_twists
+    cols = presentation_elements(pres)
     w = colon(base, a, cols, (l,))
     n_k = tp_sub(numerator_of_cokernel(base, a, cols), numerator_of_gb(w))
     return cols, w, hilbert_from_numerator(n_k, base.nvars).length
@@ -146,9 +144,8 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
     obtained by saturating the column module with the irrelevant ideal."""
     if pres.is_zero_module:
         return H0Profile({}, NEG_INF, None, 0), pres
-    avatar = s_avatar(pres)
-    base, a = avatar.ring, avatar.row_twists
-    cur = presentation_elements(avatar)
+    base, a = pres.ring.base, pres.row_twists
+    cur = presentation_elements(pres)
     n_u = numerator_of_cokernel(base, a, cur)
     cur_n = n_u
     while True:
@@ -317,7 +314,6 @@ def hilbert_value_dense(
 
 
 def hilbert_series_dense(pres: GradedPresentation, d: int) -> int:
-    avatar = s_avatar(pres)
     return hilbert_value_dense(
-        avatar.ring, avatar.row_twists, presentation_elements(avatar), d
+        pres.ring.base, pres.row_twists, presentation_elements(pres), d
     )

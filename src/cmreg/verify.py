@@ -61,6 +61,10 @@ from .bounds import (
 # true values are only computed when they stay cheap
 SYM_TARGET_GEN_LIMIT = 20
 FITT_TARGET_ROW_LIMIT = 4
+# symmetric powers l = 1..SYM_LIMIT are scored (cli.FORMULA_IDS names l1..l3)
+SYM_LIMIT = 3
+# linear forms drawn before giving up on finite torsion
+FORM_ATTEMPTS = 20
 
 
 # -- random instances ----------------------------------------------------------------
@@ -205,7 +209,6 @@ def _instance_summary(pres: GradedPresentation, extra: dict | None) -> dict:
 def audit(
     pres: GradedPresentation,
     instance: dict | None = None,
-    sym_limit: int = 3,
     check: bool = True,
 ) -> BoundReport:
     """Evaluate every formula whose hypotheses the module satisfies, then
@@ -243,12 +246,12 @@ def audit(
         bounds.append({"formula": formula, "l": l, "value": value, "applicable": applicable})
 
     if dim_r <= 1 and m >= 1:
-        for l in range(1, sym_limit + 1):
+        for l in range(1, SYM_LIMIT + 1):
             entry(f"sym_dim1_ring_l{l}", dim1_ring_sym(a, b, reg_r, dim_r, l), l=l)
         fv = dim1_ring_fitt(a, b, reg_r, dim_r)
         entry("fitt_dim1_ring", fv, applicable=fv is not None)
     if dim_r >= 2 and delta <= 1 and m >= n + dim_r - 2:
-        for l in range(1, sym_limit + 1):
+        for l in range(1, SYM_LIMIT + 1):
             entry(f"sym_dim1_module_l{l}", dim1_module_sym(a, b, reg_r, dim_r, l), l=l)
         entry("fitt_dim1_module", dim1_module_fitt(a, b, reg_r, dim_r))
     if delta <= 1 and max(a) <= 0 and (dim_r > 0 or n > 1):
@@ -323,9 +326,9 @@ def audit(
     )
 
 
-def audit_random(seed: int, sym_limit: int = 3, **params) -> BoundReport:
+def audit_random(seed: int, **params) -> BoundReport:
     pres = random_module(seed, **params)
-    return audit(pres, instance={"seed": seed, **params}, sym_limit=sym_limit)
+    return audit(pres, instance={"seed": seed, **params})
 
 
 # -- torsion/section arithmetic ------------------------------------------------------
@@ -460,11 +463,9 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     )
 
 
-def random_section_form(
-    pres: GradedPresentation, rng: random.Random, attempts: int = 20
-) -> Polynomial:
+def random_section_form(pres: GradedPresentation, rng: random.Random) -> Polynomial:
     """A linear form whose torsion on M is finite (resampled until it is)."""
-    for _ in range(attempts):
+    for _ in range(FORM_ATTEMPTS):
         l = random_linear_form(rng, pres.ring)
         if torsion_length(pres, l) is not None:
             return l
@@ -539,13 +540,13 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
 
 
 def random_tower(
-    pres: GradedPresentation, rng: random.Random, levels: int, attempts: int = 20
+    pres: GradedPresentation, rng: random.Random, levels: int
 ) -> list[Polynomial]:
     """Forms l_1..l_levels, each with finite torsion on the successive quotients."""
     forms: list[Polynomial] = []
     cur = pres
     for _ in range(levels):
-        l = random_section_form(cur, rng, attempts)
+        l = random_section_form(cur, rng)
         forms.append(l)
         cur = quotient_by_linear(cur, l)
     return forms

@@ -239,14 +239,21 @@ def all_pairs_syzygies(gb):
         syz.append(nxt.encode(rel, degs))
     lts = [max(s) for s in syz]
     basis, lts = autoreduce(syz, lts, nxt, p)
-    return basis, [mono_deg(m) + degs[c] for c, m in map(nxt.decode, lts)], len(syz)
+    return basis, lts, lead_degrees(gb, nxt, lts), len(syz)
+
+
+def lead_degrees(gb, codec, leads):
+    """Module degrees of syzygies of gb read off their packed lead terms."""
+    degs = gb.element_degrees()
+    return [mono_deg(m) + degs[c] for c, m in map(codec.decode, leads)]
 
 
 def assert_matches_all_pairs(gb):
-    basis, degrees, _ = schreyer_syzygies(gb)
-    ref_basis, ref_degrees, pairs = all_pairs_syzygies(gb)
+    basis, leads, codec = schreyer_syzygies(gb)
+    ref_basis, ref_leads, ref_degrees, pairs = all_pairs_syzygies(gb)
     assert basis == ref_basis
-    assert degrees == ref_degrees
+    assert leads == ref_leads == [max(s) for s in basis]
+    assert lead_degrees(gb, codec, leads) == ref_degrees
     return len(basis), pairs
 
 
@@ -255,13 +262,13 @@ def resolution_levels(pres):
     current = groebner(presentation_elements(pres), pres.ring, pres.row_twists)
     while current.basis:
         yield current
-        syz, _, codec = schreyer_syzygies(current)
+        syz, leads, codec = schreyer_syzygies(current)
         current = GroebnerBasis(
             ring=pres.ring,
             row_twists=tuple(current.element_degrees()),
             codec=codec,
             basis=syz,
-            leads=[max(s) for s in syz],
+            leads=leads,
         )
 
 
@@ -310,14 +317,15 @@ def test_schreyer_syzygies_equal_shifts(monkeypatch):
         return normal_form(v, basis, *args, **kwargs)
 
     monkeypatch.setattr(groebner_module, "normal_form", counting_normal_form)
-    basis, degrees, codec = schreyer_syzygies(gb)
+    basis, leads, codec = schreyer_syzygies(gb)
     assert pair_reductions == 2  # the (xy, yz) pair is never reduced
     p = F.p
     assert [codec.decode_element(s) for s in basis] == [
         {(0, (0, 0, 1)): 1, (2, (1, 0, 0)): p - 1},
         {(1, (0, 1, 0)): 1, (2, (1, 0, 0)): p - 1},
     ]
-    assert degrees == [3, 3]
+    assert [codec.decode(t) for t in leads] == [(0, (0, 0, 1)), (1, (0, 1, 0))]
+    assert lead_degrees(gb, codec, leads) == [3, 3]
 
 
 # -- packed terms -----------------------------------------------------------------

@@ -17,7 +17,13 @@ from cmreg.core import (
     validate_presentation,
 )
 from cmreg import groebner, invariants
-from cmreg.groebner import FreeResolution, presentation_elements
+from cmreg.groebner import (
+    FreeResolution,
+    elements_to_matrix,
+    elt_degree,
+    presentation_elements,
+    schreyer_resolution,
+)
 from cmreg.invariants import (
     b1_degrees,
     betti_from_resolution,
@@ -34,7 +40,6 @@ from cmreg.invariants import (
     quotient_ideal_gen_degrees,
     regularity,
     ring_invariants,
-    s_avatar,
     tp_divide_one_minus_t,
 )
 from cmreg.modops import (
@@ -148,15 +153,17 @@ def test_ring_invariants_non_cm():
     assert quotient_ideal_gen_degrees(R) == [2, 2]
 
 
-def test_avatar_over_quotient_ring():
+def test_columns_over_quotient_ring():
     R = GradedRing(F, ("x", "y"), quotient_gens=(u * u,))
     xb, yb = u, v  # entries stay in the ambient ring
     pres = validate_presentation(R, (0,), [[xb * yb]])
-    avatar = s_avatar(pres)
-    assert not avatar.ring.is_quotient
-    assert avatar.m == 2 and avatar.column_degrees == (2, 2)
-    # same module over the subring of constants: reg computed through the avatar
-    assert regularity(pres) == regularity(avatar)
+    cols = presentation_elements(pres)
+    assert not pres.ring.base.is_quotient
+    assert cols == [{(0, (1, 1)): 1}, {(0, (2, 0)): 1}]  # phi, then x^2 * e_0
+    assert [elt_degree(c, pres.row_twists) for c in cols] == [2, 2]
+    # the same module over S: reg computed from the columns over S
+    flat = validate_presentation(R2, (0,), elements_to_matrix(cols, 1, R2))
+    assert regularity(pres) == regularity(flat)
 
 
 def test_module_invariants_bundle():
@@ -346,27 +353,88 @@ def test_betti_table_matches_minimal_resolution():
     assert checked > 100 and quotient > 20
 
 
+def _hand_built_s_presentation(pres):
+    """(phi | q*e_i) over S, written out entry by entry."""
+    base = pres.ring.base
+    matrix = [list(row) for row in pres.matrix]
+    degrees = list(pres.column_degrees)
+    for i in range(pres.n):
+        for q in pres.ring.quotient_gens:
+            for r in range(pres.n):
+                matrix[r].append(q if r == i else base.zero())
+            degrees.append(int(q.degree()) + pres.row_twists[i])
+    return validate_presentation(base, pres.row_twists, matrix, degrees)
+
+
+def test_resolutions_over_quotient_ring_match_the_s_presentation():
+    checked = 0
+    for pres in _oracle_modules():
+        if not pres.ring.is_quotient:
+            continue
+        flat = _hand_built_s_presentation(pres)
+        assert not flat.ring.is_quotient
+        assert schreyer_resolution(pres) == schreyer_resolution(flat)
+        assert minimal_resolution(pres) == minimal_resolution(flat)
+        assert betti_numbers(pres) == betti_numbers(flat)
+        checked += 1
+    assert checked > 20
+
+
+def _dense_b1(pres):
+    """b_{1,d} = rank(phi + JG)_d - rank(m*phi + JG)_d, by dense ranks: the
+    minimal relations of a minimal presentation over its own ring."""
+    base, a = pres.ring.base, pres.row_twists
+    p = base.field.p
+    cols = presentation_elements(pres)
+    phi, jg = cols[: pres.m], cols[pres.m :]
+    m_phi = [
+        {(c, tuple(e + (k == t) for k, e in enumerate(m))): val for (c, m), val in col.items()}
+        for col in phi
+        for t in range(base.nvars)
+    ]
+    table = {}
+    for d in set(pres.column_degrees):
+        b = dense_rank(span_vectors(base, a, phi + jg, d), p) - dense_rank(
+            span_vectors(base, a, m_phi + jg, d), p
+        )
+        if b:
+            table[d] = b
+    return table
+
+
+def test_b1_degrees_match_dense_ranks():
+    # b1 over S comes from the Betti table, over S/J from a Nakayama count on
+    # Hilbert numerators; both against dense ranks with no Groebner basis
+    plain = quotient = 0
+    for pres in _oracle_modules():
+        pres = minimal_presentation(pres)
+        assert b1_degrees(module_invariants(pres)) == _dense_b1(pres)
+        if pres.ring.is_quotient:
+            quotient += 1
+        else:
+            plain += 1
+    assert plain == 80 and quotient == 40
+
+
 # dense Koszul homology costs C(v, v/2) * dim F_d columns per rank; keep it small
 KOSZUL_SIZE_LIMIT = 60
 
 
 def _koszul_size(pres, top):
-    avatar = s_avatar(pres)
-    ring, a = avatar.ring, avatar.row_twists
+    ring, a = pres.ring.base, pres.row_twists
     widest = max(len(degree_basis(ring, a, d)) for d in range(min(a), top + 3))
     return comb(ring.nvars, ring.nvars // 2) * widest
 
 
 def _koszul_betti(pres, top):
-    """b_{i,j} = dim H_i(K(x_1..x_v) (x) M)_j for j <= top, by dense ranks on the
-    S-side avatar coker(U -> F) alone.  (K_i (x) M)_j is C(v, i) copies of M_{j-i},
-    and d_i sends e_T (x) g to the sum over t in T of +-x_t g e_{T-t}; its rank in
+    """b_{i,j} = dim H_i(K(x_1..x_v) (x) M)_j for j <= top, by dense ranks on
+    coker(U -> F) alone, U the columns over S.  (K_i (x) M)_j is C(v, i) copies
+    of M_{j-i}, and d_i sends e_T (x) g to the sum over t in T of +-x_t g e_{T-t}; its rank in
     degree j is rank(L + U') - rank U', with L the images of the generators e_T (x) e_c
     and U' one copy of U per (i-1)-subset."""
-    avatar = s_avatar(pres)
-    ring, a = avatar.ring, avatar.row_twists
+    ring, a = pres.ring.base, pres.row_twists
     n, v, p = len(a), ring.nvars, ring.field.p
-    cols = presentation_elements(avatar)
+    cols = presentation_elements(pres)
     unit = [tuple(int(k == t) for k in range(v)) for t in range(v)]
     degrees = range(min(a), top + 1)
     ranks = {}

@@ -17,7 +17,6 @@ from cmreg.invariants import (
     hilbert_data,
     hilbert_numerator,
     regularity,
-    s_avatar,
 )
 from cmreg.modops import (
     colon_kernel,
@@ -300,10 +299,9 @@ def test_h0_profile_needs_no_rebasing(monkeypatch):
 
 def _dense_torsion_dim(pres, l, d):
     """dim (0 :_M l)_d = dim M_d - rank(l : M_d -> M_{d+1}), by dense ranks."""
-    avatar = s_avatar(pres)
-    base, a = avatar.ring, avatar.row_twists
+    base, a = pres.ring.base, pres.row_twists
     p = base.field.p
-    cols = presentation_elements(avatar)
+    cols = presentation_elements(pres)
     l_rows = [{(i, m): c for m, c in l.terms.items()} for i in range(len(a))]
     rank_u = dense_rank(span_vectors(base, a, cols, d), p)
     rank_u_next = dense_rank(span_vectors(base, a, cols, d + 1), p)
