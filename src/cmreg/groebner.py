@@ -32,16 +32,29 @@ Syzygies of arbitrary generators, and module colons {r : sum_k r_k h_k in
 <tails>}, are one Groebner basis of the graph module (see `syzygies_of`).  No
 basis records how its elements arise from the generators; only a single normal
 form can return its quotients, which Schreyer syzygies read off.
+
+Within one top-level call the same Groebner input recurs: the basis of a
+module's own columns is wanted by its Hilbert numerator, its torsion and its
+resolution.  `groebner` and `syzygies_of` therefore share one memo, keyed by
+the exact input (ring, row twists, packed generators) and holding the finished
+auto-reduced basis.  It lives only inside `memo_scope()`: `verify.audit`,
+`section_check`, `random_section_form` and `tower_check` each open one (or
+join the one already open).  Outside a scope nothing is memoised, and a scope
+lives no longer than one instance: `cmreg random --audit` gets one per trial,
+through `audit`.  Sharing a basis is sound because callers only read it; its division
+cache, the one state that changes, stays valid since the basis never grows.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, mul
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import (
     CACHE_SIZE,
@@ -473,6 +486,41 @@ def autoreduce(
     return [current[a] for a in final], [leads[a] for a in final]
 
 
+# the open scope's bases by exact input, None outside every scope
+_MEMO: ContextVar[dict | None] = ContextVar("cmreg_groebner_memo", default=None)
+
+
+@contextmanager
+def memo_scope() -> Iterator[None]:
+    """Memoise `groebner` and `syzygies_of` until the outermost scope exits;
+    a nested scope joins the open one."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoised(
+    kind: str,
+    ring: GradedRing,
+    row_twists: Sequence[int],
+    packed: Sequence[Packed],
+    build: Callable[[], GroebnerBasis],
+) -> GroebnerBasis:
+    """build(), or inside a scope the basis built earlier from the same input."""
+    memo = _MEMO.get()
+    if memo is None:
+        return build()
+    key = (kind, ring, tuple(row_twists), tuple(tuple(g.items()) for g in packed))
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def groebner(
     gens: Sequence[Element],
     ring: GradedRing,
@@ -483,14 +531,18 @@ def groebner(
     p = ring.field.p
     codec = Codec.pot(ring, row_twists)
     packed = [codec.encode(g, row_twists) for g in gens]
-    basis, lts = autoreduce(*buchberger(packed, codec, row_twists, p), codec, p)
-    return GroebnerBasis(
-        ring=ring,
-        row_twists=tuple(row_twists),
-        codec=codec,
-        basis=basis,
-        leads=lts,
-    )
+
+    def build() -> GroebnerBasis:
+        basis, lts = autoreduce(*buchberger(packed, codec, row_twists, p), codec, p)
+        return GroebnerBasis(
+            ring=ring,
+            row_twists=tuple(row_twists),
+            codec=codec,
+            basis=basis,
+            leads=lts,
+        )
+
+    return _memoised("groebner", ring, row_twists, packed, build)
 
 
 def schreyer_syzygies(gb: GroebnerBasis):
@@ -668,17 +720,22 @@ def syzygies_of(
         gens.append(g)
     gens.extend(codec.encode(u, graph_twists) for u in tails)
     p = ring.field.p
-    basis, lts = buchberger(gens, codec, graph_twists, p)
-    # a row-block lead term divides no e-block term: reduce the e-block alone
-    e_block = [i for i, t in enumerate(lts) if codec.component(t) >= n]
-    basis, lts = autoreduce([basis[i] for i in e_block], [lts[i] for i in e_block], codec, p)
-    return GroebnerBasis(
-        ring=ring,
-        row_twists=twists,
-        codec=Codec.pot(ring, twists),
-        basis=basis,
-        leads=lts,
-    )
+
+    def build() -> GroebnerBasis:
+        basis, lts = buchberger(gens, codec, graph_twists, p)
+        # a row-block lead term divides no e-block term: reduce the e-block alone
+        e_block = [i for i, t in enumerate(lts) if codec.component(t) >= n]
+        basis, lts = autoreduce([basis[i] for i in e_block], [lts[i] for i in e_block], codec, p)
+        return GroebnerBasis(
+            ring=ring,
+            row_twists=twists,
+            codec=Codec.pot(ring, twists),
+            basis=basis,
+            leads=lts,
+        )
+
+    # the heads' e-terms mark where the tails start, so the gens are the input
+    return _memoised("syzygies_of", ring, row_twists, gens, build)
 
 
 # -- polynomial-level helpers ---------------------------------------------------

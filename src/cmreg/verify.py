@@ -10,6 +10,10 @@ drives the doubly exponential bound.  `random_module` supplies seeded,
 reproducible instances; `mayr_meyer` builds the classical worst-case family
 (only its shape is ever inspected -- resolving it is the whole point of not
 trusting single examples).
+
+`audit`, `section_check`, `random_section_form` and `tower_check` each run in
+one `groebner.memo_scope()`, so a Groebner basis wanted twice by one call is
+built once (see the `groebner` module docstring).
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +33,7 @@ from .core import (
     render_poly,
     validate_presentation,
 )
+from .groebner import memo_scope
 from .invariants import (
     b1_degrees,
     hilbert_data,
@@ -206,6 +211,7 @@ def _instance_summary(pres: GradedPresentation, extra: dict | None) -> dict:
     return info
 
 
+@memo_scope()
 def audit(
     pres: GradedPresentation,
     instance: dict | None = None,
@@ -373,6 +379,7 @@ def _generator_data(pres: GradedPresentation):
     return mi, b0, b1, h
 
 
+@memo_scope()
 def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     """Compare the torsion K = (0 :_M l) against finite-length sections.
 
@@ -463,6 +470,7 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     )
 
 
+@memo_scope()
 def random_section_form(pres: GradedPresentation, rng: random.Random) -> Polynomial:
     """A linear form whose torsion on M is finite (resampled until it is)."""
     for _ in range(FORM_ATTEMPTS):
@@ -492,6 +500,7 @@ class TowerReport:
         return all(self.chain_holds) and self.final_holds
 
 
+@memo_scope()
 def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerReport:
     """Walk the quotient tower cut out by the forms and test, level by level,
     Q_i <= Q_{i+1}^2 with Q_i = 1 + max(reg M_i, len K_i, floor), where K_i is

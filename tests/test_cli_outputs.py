@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from cmreg import groebner
 from cmreg.cli import main
 
 EXPECTED = Path(__file__).with_name("cli_outputs.json")
@@ -91,6 +92,29 @@ def _run(argv: list[str], directory: Path) -> dict:
 def test_cli_output_is_unchanged(key, tmp_path):
     expected = json.loads(EXPECTED.read_text())[key]
     assert _run(CASES[key], tmp_path) == expected
+
+
+@pytest.mark.parametrize(
+    "key, scopes",
+    [("random --seed 7 --trials 4 --audit", 4), ("section-check readme", 1)],
+)
+def test_cli_memo_scopes(key, scopes, tmp_path, monkeypatch):
+    """`random --audit` runs each trial in its own memo scope (through `audit`),
+    `section-check` runs in one (through `section_check`); the output is
+    unchanged and no scope outlives `main`."""
+    seen = []  # the memo each Buchberger run saw, kept alive so ids stay apart
+    original = groebner.buchberger
+
+    def recording(*args, **kwargs):
+        seen.append(groebner._MEMO.get())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    expected = json.loads(EXPECTED.read_text())[key]
+    assert _run(CASES[key], tmp_path) == expected
+    assert groebner._MEMO.get() is None
+    assert None not in seen
+    assert len({id(memo) for memo in seen}) == scopes
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 from itertools import combinations
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmreg import groebner as groebner_module
+from cmreg import invariants as invariants_module
+from cmreg import modops as modops_module
 from cmreg.core import (
     DegreeOverflow,
     GradedRing,
@@ -35,11 +38,15 @@ from cmreg.groebner import (
     reduce_poly,
     schreyer_resolution,
     schreyer_syzygies,
+    _MEMO,
+    memo_scope,
     syzygies_of,
 )
 from cmreg.invariants import betti_numbers, regularity
 from cmreg.modops import sym_power
+from cmreg.verify import random_section_form, section_check
 from test_invariants import _acceptance_box_module
+from test_modops import _criterion_4_modules
 
 F = PrimeField(101)
 R3 = GradedRing(F, ("x", "y", "z"))
@@ -295,8 +302,10 @@ def test_schreyer_syzygies_of_random_generators():
             d = rng.randint(1, 2)
             g = {}
             for i, t in enumerate(twists):
-                for m, c in random_homogeneous(R3, d + t, rng).terms.items():
+                # degree d - t in the row of twist t: g has module degree d
+                for m, c in random_homogeneous(R3, d - t, rng).terms.items():
                     g[(i, m)] = c
+            assert {mono_deg(m) + twists[i] for i, m in g} <= {d}
             gens.append(g)
         assert_matches_all_pairs(groebner(gens, R3, twists))
 
@@ -458,3 +467,114 @@ def test_degree_overflow_is_refused(order):
     assert time.perf_counter() - t0 < 10
     # the limit itself is fine
     assert regularity(validate_presentation(ring, (0,), ((at_limit,),))) == MAX_DEGREE - 1
+
+
+# -- scoped memo ---------------------------------------------------------------
+
+
+@pytest.fixture
+def buchberger_runs(monkeypatch):
+    """A list that grows by one per Buchberger run."""
+    runs = []
+    original = groebner_module.buchberger
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner_module, "buchberger", counting)
+    return runs
+
+
+def _memo_inputs():
+    """One `groebner` input and one `syzygies_of` input with tails."""
+    gens = [poly_element(f) for f in (x * y, y * z, x * x - z * z)]
+    heads = [poly_element(f) for f in (x, y)]
+    tails = [poly_element(x * z), poly_element(y * y)]
+    return (
+        lambda: groebner(gens, R3, (0,)),
+        lambda: syzygies_of(heads, R3, (0,), tails=tails),
+    )
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["groebner", "syzygies_of"])
+def test_memo_runs_buchberger_once_per_input_in_a_scope(which, buchberger_runs):
+    call = _memo_inputs()[which]
+    with memo_scope():
+        first = call()
+        assert call() is first
+    assert len(buchberger_runs) == 1
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["groebner", "syzygies_of"])
+def test_memo_is_off_outside_a_scope(which, buchberger_runs):
+    call = _memo_inputs()[which]
+    assert _MEMO.get() is None
+    first, second = call(), call()
+    assert first is not second and first.basis == second.basis
+    assert len(buchberger_runs) == 2
+
+
+def test_memo_is_dropped_when_the_scope_exits(buchberger_runs):
+    call = _memo_inputs()[0]
+    with memo_scope():
+        call()
+    assert _MEMO.get() is None
+    with pytest.raises(RuntimeError):
+        with memo_scope():
+            call()
+            raise RuntimeError("leave the scope")
+    assert _MEMO.get() is None
+    with memo_scope():
+        call()
+    assert len(buchberger_runs) == 3
+
+
+def test_nested_scope_reuses_the_outer_one(buchberger_runs):
+    gb_call, syz_call = _memo_inputs()
+    with memo_scope():
+        outer = _MEMO.get()
+        gb = gb_call()
+        with memo_scope():
+            assert _MEMO.get() is outer
+            assert gb_call() is gb
+            syz = syz_call()
+        assert _MEMO.get() is outer  # the inner exit keeps the outer memo
+        assert syz_call() is syz
+    assert _MEMO.get() is None
+    assert len(buchberger_runs) == 2
+
+
+def test_memoised_bases_equal_fresh_ones_after_section_check(monkeypatch):
+    """Every basis the memo hands out during section_check still equals a fresh
+    computation from the same input: no caller mutated a shared basis."""
+    calls = []
+    for name in ("groebner", "syzygies_of"):
+        original = getattr(groebner_module, name)
+
+        def recording(*args, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            calls.append((_original, copy.deepcopy((args, kwargs)), result))
+            return result
+
+        for module in (groebner_module, invariants_module, modops_module):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recording)
+
+    modules = _criterion_4_modules()
+    rng = random.Random(2025)
+    memoised = {}
+    for pres in modules[:4] + modules[25:29]:
+        with memo_scope():
+            section_check(pres, random_section_form(pres, rng))
+            memoised.update((id(gb), gb) for gb in _MEMO.get().values())
+    assert len(calls) > len(memoised) > 0  # the memo was hit
+
+    handed_out = {id(result) for _, _, result in calls}
+    assert set(memoised) <= handed_out
+    for original, (args, kwargs), result in calls:
+        fresh = original(*args, **kwargs)
+        assert fresh.row_twists == result.row_twists
+        assert fresh.leads == result.leads
+        assert fresh.basis == result.basis
+        assert fresh.elements == result.elements
