@@ -25,8 +25,9 @@ selection is by ascending module degree, so the engine works degree by degree
 without re-checking gradedness in hot loops.
 
 Schreyer syzygies reduce only the pairs whose predicted lead term is minimal
-(see `schreyer_syzygies`); the other pairs' syzygies would be dropped by
-autoreduce, which returns the same reduced basis either way.
+(see `schreyer_syzygies`) and keep those relations as they come: their lead
+terms are already the minimal generators of the syzygies' lead-term module, so
+they form a Groebner basis, and no level of a resolution is tail-reduced.
 
 Syzygies of arbitrary generators, and module colons {r : sum_k r_k h_k in
 <tails>}, are one Groebner basis of the graph module (see `syzygies_of`).  No
@@ -52,7 +53,7 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -451,12 +452,8 @@ def buchberger(
 def autoreduce(
     basis: list[Packed], lts: list[int], codec: Codec, p: int
 ) -> tuple[list[Packed], list[int]]:
-    """Drop lead-redundant elements, tail-reduce the rest, then sort by
-    (lead component, descending lex on the lead monomial).
-
-    The sort is what keeps Schreyer towers short: it forces each level of
-    syzygies to avoid one more variable in its lead monomials.
-    """
+    """Drop lead-redundant elements, tail-reduce the rest, then sort them as
+    `_tower_order` does."""
     keep: list[int] = []
     kept_by_comp: dict[int, list[int]] = {}
     for i in sorted(range(len(basis)), key=lts.__getitem__):
@@ -478,12 +475,23 @@ def autoreduce(
         current[pos], _ = normal_form(current[pos], current, leads, by_comp, codec, p, div_cache=div_cache)
         div_cache[lt] = pos
 
+    return _tower_order(current, leads, codec)
+
+
+def _tower_order(
+    basis: list[Packed], leads: list[int], codec: Codec
+) -> tuple[list[Packed], list[int]]:
+    """Sort by (lead component, descending lex on the lead monomial); the lead
+    terms are distinct, so nothing ties.
+
+    The sort is what keeps Schreyer towers short: it forces each level of
+    syzygies to avoid one more variable in its lead monomials.
+    """
     decoded = [codec.decode(t) for t in leads]
     final = sorted(
-        range(len(keep)),
-        key=lambda a: (decoded[a][0], tuple(-e for e in decoded[a][1]), keep[a]),
+        range(len(leads)), key=lambda a: (decoded[a][0], tuple(-e for e in decoded[a][1]))
     )
-    return [current[a] for a in final], [leads[a] for a in final]
+    return [basis[a] for a in final], [leads[a] for a in final]
 
 
 # the open scope's bases by exact input, None outside every scope
@@ -546,21 +554,23 @@ def groebner(
 
 
 def schreyer_syzygies(gb: GroebnerBasis):
-    """Auto-reduced Groebner basis (for the induced order) of Syz(gb.basis).
+    """Groebner basis (for the induced order) of Syz(gb.basis), not
+    tail-reduced, sorted as `_tower_order` sorts.
 
     Returns (elements, leads, codec): the elements and their lead terms are
     packed by codec, the Schreyer level over gb's lead terms.
 
     Only the minimal pairs are reduced.  Under the Schreyer order the syzygy of
     the pair (i, j), i < j, has the lead term (i, s_ij) with s_ij =
-    lcm(m_i, m_j)/m_i, known before any reduction (Schreyer's theorem).  For
+    lcm(m_i, m_j)/m_i, known before any reduction (Schreyer's theorem), and
+    the relations of all pairs form a Groebner basis of the syzygies.  For
     each i the pairs are taken by ascending (deg s_ij, j), and one is kept
     unless an already kept s_ik divides its s_ij, so equal shifts keep the
-    smallest j.  These are the lead terms autoreduce would keep out of all the
-    pairs, with the same tie rule, and the reduced basis is determined by its
-    lead terms: the output is the same element for element as reducing every
-    pair (La Scala-Stillman, "Strategies for computing minimal free
-    resolutions", 1998).
+    smallest j.  The kept lead terms generate the same lead-term module, so
+    the kept relations are a Groebner basis as they stand; they have the lead
+    terms of the reduced basis, and `autoreduce` of them is that basis element
+    for element (La Scala-Stillman, "Strategies for computing minimal free
+    resolutions", 1998).  A resolution needs no more, so none is reduced.
     """
     p = gb.ring.field.p
     codec, leads, lts = gb.codec, gb.leads, gb.lts
@@ -599,7 +609,7 @@ def schreyer_syzygies(gb: GroebnerBasis):
                 syz.append(rel)
                 syz_lts.append(lead)
 
-    basis, lts_out = autoreduce(syz, syz_lts, nxt, p)
+    basis, lts_out = _tower_order(syz, syz_lts, nxt)
     return basis, lts_out, nxt
 
 
@@ -653,17 +663,52 @@ def elements_to_matrix(
 class FreeResolution:
     """Chain ... -> F_2 -> F_1 -> F_0 with coker(d_1) the presented module.
 
-    twists[k] lists the generator degrees of F_k; differentials[k-1] is the
-    matrix of d_k (rows indexed by F_{k-1}, columns by F_k).
+    twists[k] lists the generator degrees of F_k.  levels[k-1] = (codec,
+    columns) holds d_k packed: columns[c] is the image of the c-th generator of
+    F_k, an element of F_{k-1} packed by codec, and codec.bases[r] is the
+    r-th generator of F_{k-1}, so the scalar entry of d_k at (r, c) is
+    columns[c].get(codec.bases[r], 0).  A Schreyer resolution keeps its
+    Groebner levels here as they are; `from_matrices` packs hand-built
+    matrices.  `differentials[k-1]`, the matrix of d_k (rows indexed by
+    F_{k-1}, columns by F_k), is decoded on first access.
     """
 
     ring: GradedRing
     twists: list[tuple[int, ...]]
-    differentials: list[tuple[tuple[Polynomial, ...], ...]]
+    levels: list[tuple[Codec, list[Packed]]]
+
+    @classmethod
+    def from_matrices(
+        cls,
+        ring: GradedRing,
+        twists: Sequence[Sequence[int]],
+        differentials: Sequence[Sequence[Sequence[Polynomial]]],
+    ) -> "FreeResolution":
+        """The resolution with these matrices, each level position over term."""
+        twists = [tuple(t) for t in twists]
+        levels = []
+        for k, mat in enumerate(differentials):
+            codec = Codec.pot(ring, twists[k])
+            columns = [
+                codec.encode(
+                    {(i, m): c for i, row in enumerate(mat) for m, c in row[j].terms.items()},
+                    twists[k],
+                )
+                for j in range(len(twists[k + 1]))
+            ]
+            levels.append((codec, columns))
+        return cls(ring=ring, twists=twists, levels=levels)
+
+    @cached_property
+    def differentials(self) -> list[tuple[tuple[Polynomial, ...], ...]]:
+        return [
+            elements_to_matrix(list(map(codec.decode_element, columns)), len(rows), self.ring)
+            for (codec, columns), rows in zip(self.levels, self.twists)
+        ]
 
     @property
     def length(self) -> int:
-        return len(self.differentials)
+        return len(self.levels)
 
 
 def schreyer_resolution(pres: GradedPresentation) -> FreeResolution:
@@ -671,20 +716,20 @@ def schreyer_resolution(pres: GradedPresentation) -> FreeResolution:
     syzygies, of the module's columns over S (see `presentation_elements`)."""
     ring = pres.ring.base
     twists: list[tuple[int, ...]] = [pres.row_twists]
-    diffs: list[tuple[tuple[Polynomial, ...], ...]] = []
+    levels: list[tuple[Codec, list[Packed]]] = []
 
     current = groebner(presentation_elements(pres), ring, pres.row_twists)
     while current.basis:
-        if len(diffs) > ring.nvars + 1:
+        if len(levels) > ring.nvars + 1:
             raise AlgebraError("resolution failed to terminate")
-        diffs.append(elements_to_matrix(current.elements, len(twists[-1]), ring))
+        levels.append((current.codec, current.basis))
         level = tuple(current.element_degrees())
         twists.append(level)
         syz, leads, codec = schreyer_syzygies(current)
         current = GroebnerBasis(
             ring=ring, row_twists=level, codec=codec, basis=syz, leads=leads
         )
-    return FreeResolution(ring=ring, twists=twists, differentials=diffs)
+    return FreeResolution(ring=ring, twists=twists, levels=levels)
 
 
 # -- syzygies and colons ---------------------------------------------------------
@@ -757,5 +802,10 @@ def quotient_groebner(ring: GradedRing) -> GroebnerBasis:
 
 
 def reduce_poly(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    rem, _ = gb.normal_form(poly_element(f))
-    return element_poly(rem, gb.ring)
+    """The normal form of f; f itself when no term of f reduces."""
+    packed = gb.codec.encode(poly_element(f), gb.row_twists)
+    rem, _ = gb._reduce(packed, False)
+    # a reduction step removes a term of f for good, so rem == f means none
+    if rem == packed:
+        return f
+    return element_poly(gb.codec.decode_element(rem), gb.ring)

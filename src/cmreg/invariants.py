@@ -121,11 +121,7 @@ def minimalize_resolution(res: FreeResolution) -> FreeResolution:
     if len(diffs) > res.ring.nvars:
         raise AlgebraError("minimal resolution longer than the variable count")
 
-    return FreeResolution(
-        ring=res.ring,
-        twists=[tuple(t) for t in twists],
-        differentials=[tuple(tuple(row) for row in mat) for mat in diffs],
-    )
+    return FreeResolution.from_matrices(res.ring, twists, diffs)
 
 
 def minimal_resolution(pres: GradedPresentation) -> FreeResolution:
@@ -160,15 +156,18 @@ def betti_of_resolution(res: FreeResolution) -> dict[tuple[int, int], int]:
     d_k on the degree-j rows and columns,
 
         b_{i,j} = #{twists of F_i equal to j} - rank C_{i,j} - rank C_{i+1,j}.
+
+    The constant terms are read off the packed levels: the one in row r of a
+    column is its term equal to codec.bases[r].
     """
     p = res.ring.field.p
-    one = (0,) * res.ring.nvars
     ranks: dict[tuple[int, int], int] = {}
-    for k, mat in enumerate(res.differentials, start=1):
+    for k, (codec, columns) in enumerate(res.levels, start=1):
         rows = _indices_by_degree(res.twists[k - 1])
+        bases = codec.bases
         for j, cols in _indices_by_degree(res.twists[k]).items():
             if j in rows:
-                block = [[mat[r][c].terms.get(one, 0) for c in cols] for r in rows[j]]
+                block = [[columns[c].get(bases[r], 0) for c in cols] for r in rows[j]]
                 ranks[(k, j)] = dense_rank(block, p)
     table: dict[tuple[int, int], int] = {}
     for (i, j), count in betti_from_resolution(res).items():
@@ -443,9 +442,10 @@ def quotient_ideal_gen_degrees(ring: GradedRing) -> list[int]:
 
 @dataclass
 class ModuleInvariants:
-    """Invariants of a nonzero module.  `resolution` is a graded free
-    resolution over S of its columns over S, not necessarily minimal: read
-    Betti numbers from `betti`, not from its twists."""
+    """Invariants of a nonzero module.  `resolution` is the Schreyer
+    resolution over S of its columns over S, neither minimal nor tail-reduced:
+    read Betti numbers from `betti`, not from its twists.  Its levels stay
+    packed; `resolution.differentials` decodes them on first access."""
 
     presentation: GradedPresentation
     resolution: FreeResolution

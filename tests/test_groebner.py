@@ -42,10 +42,15 @@ from cmreg.groebner import (
     memo_scope,
     syzygies_of,
 )
-from cmreg.invariants import betti_numbers, regularity
+from cmreg.invariants import (
+    betti_numbers,
+    hilbert_numerator,
+    numerator_from_resolution,
+    regularity,
+)
 from cmreg.modops import sym_power
 from cmreg.verify import random_section_form, section_check
-from test_invariants import _acceptance_box_module
+from test_invariants import _acceptance_box_module, _module_over_complete_intersection
 from test_modops import _criterion_4_modules
 
 F = PrimeField(101)
@@ -171,6 +176,25 @@ def test_resolution_of_module_with_two_rows():
         assert gb.reduces_to_zero(col)
 
 
+def test_unreduced_resolutions_are_resolutions():
+    # the Schreyer levels are not tail-reduced: still d_k d_{k+1} = 0, and the
+    # alternating sum of twists is the Hilbert numerator of the Groebner path
+    trials = random.Random(5).sample(range(200), 40)
+    modules = [_acceptance_box_module(t) for t in trials]
+    modules += [sym_power(pres, 2) for pres in modules[:20]]
+    modules += [_module_over_complete_intersection(t) for t in trials[:30]]
+    checked = quotient = 0
+    for pres in modules:
+        if pres.is_zero_module:
+            continue
+        res = schreyer_resolution(pres)
+        assert_complex(res)
+        assert numerator_from_resolution(res) == hilbert_numerator(pres)
+        checked += 1
+        quotient += pres.ring.is_quotient
+    assert checked >= 80 and quotient >= 20
+
+
 def random_homogeneous(ring, deg, rng):
     from cmreg.core import monomials_of_degree
 
@@ -256,11 +280,15 @@ def lead_degrees(gb, codec, leads):
 
 
 def assert_matches_all_pairs(gb):
+    """schreyer_syzygies leaves its relations unreduced: they must be syzygies
+    with the reference's lead terms, and reduce to the reference exactly."""
     basis, leads, codec = schreyer_syzygies(gb)
     ref_basis, ref_leads, ref_degrees, pairs = all_pairs_syzygies(gb)
-    assert basis == ref_basis
     assert leads == ref_leads == [max(s) for s in basis]
     assert lead_degrees(gb, codec, leads) == ref_degrees
+    for s in basis:
+        assert apply_syzygy(codec.decode_element(s), gb.elements, gb.ring) == {}
+    assert autoreduce(basis, leads, codec, gb.ring.field.p) == (ref_basis, ref_leads)
     return len(basis), pairs
 
 
@@ -329,7 +357,14 @@ def test_schreyer_syzygies_equal_shifts(monkeypatch):
     basis, leads, codec = schreyer_syzygies(gb)
     assert pair_reductions == 2  # the (xy, yz) pair is never reduced
     p = F.p
+    # the pairs' relations as they come, z*e_0 - y*e_1 and y*e_1 - x*e_2 ...
     assert [codec.decode_element(s) for s in basis] == [
+        {(0, (0, 0, 1)): 1, (1, (0, 1, 0)): p - 1},
+        {(1, (0, 1, 0)): 1, (2, (1, 0, 0)): p - 1},
+    ]
+    # ... whose reduced basis replaces the first by z*e_0 - x*e_2
+    reduced, _ = autoreduce(basis, leads, codec, p)
+    assert [codec.decode_element(s) for s in reduced] == [
         {(0, (0, 0, 1)): 1, (2, (1, 0, 0)): p - 1},
         {(1, (0, 1, 0)): 1, (2, (1, 0, 0)): p - 1},
     ]

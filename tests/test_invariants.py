@@ -499,10 +499,8 @@ def _koszul_plus_split_summand(d):
         (zero, zero, zero, one),
     )
     d3 = ((z,), (-y,), (x,), (zero,))
-    return FreeResolution(
-        ring=R3,
-        twists=[(0,), (1, 1, 1, d), (2, 2, 2, d), (3,)],
-        differentials=[d1, d2, d3],
+    return FreeResolution.from_matrices(
+        R3, [(0,), (1, 1, 1, d), (2, 2, 2, d), (3,)], [d1, d2, d3]
     )
 
 
@@ -515,14 +513,54 @@ def test_betti_table_of_non_minimal_resolution():
         assert betti_from_resolution(minimalize_resolution(res)) == koszul
 
 
+def test_betti_tables_from_packed_levels_and_from_matrices_agree():
+    # a Schreyer resolution's scalar entries are read off its packed levels;
+    # re-packing its decoded matrices position over term must not change them
+    checked = 0
+    resolutions = [schreyer_resolution(pres) for pres in _oracle_modules()]
+    resolutions += [_koszul_plus_split_summand(d) for d in (1, 2, 3)]
+    for res in resolutions:
+        again = FreeResolution.from_matrices(res.ring, res.twists, res.differentials)
+        assert again.differentials == res.differentials
+        assert betti_of_resolution(again) == betti_of_resolution(res)
+        checked += 1
+    assert checked > 120
+
+
+def test_betti_tables_decode_no_resolution(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = (_acceptance_box_module(3), _module_over_complete_intersection(3))
+    monkeypatch.setattr(
+        groebner, "elements_to_matrix", counting("elements_to_matrix", groebner.elements_to_matrix)
+    )
+    monkeypatch.setattr(
+        groebner.Codec, "decode_element", counting("decode_element", groebner.Codec.decode_element)
+    )
+    for pres in modules:
+        assert not pres.is_zero_module
+        mi = module_invariants(pres)
+        assert regularity(pres) == mi.regularity
+    assert calls == []
+    assert mi.resolution.differentials  # decoding on request goes through them
+    assert calls
+
+
 def test_betti_table_rejects_what_no_resolution_gives():
     one, zero = R2.one(), R2.zero()
-    not_a_complex = FreeResolution(
-        ring=R2, twists=[(0,), (0,), (0,)], differentials=[((one,),), ((one,),)]
+    not_a_complex = FreeResolution.from_matrices(
+        R2, [(0,), (0,), (0,)], [((one,),), ((one,),)]
     )
     # exact at F_0 and F_1 but not at F_2: F (x) k has homology at F_2 alone
-    not_exact = FreeResolution(
-        ring=R2, twists=[(0,), (0,), (1,)], differentials=[((one,),), ((zero,),)]
+    not_exact = FreeResolution.from_matrices(
+        R2, [(0,), (0,), (1,)], [((one,),), ((zero,),)]
     )
     for res in (not_a_complex, not_exact):
         with pytest.raises(AlgebraError):
