@@ -3,9 +3,8 @@
 For M = coker(phi: F -> G) and a symmetric power index l, the complex places
 Sym_{l-s}(G) (x) wedge^s(F) at homological position s on the left, and the dual
 terms Sym_{s-l}(G)* (x) wedge^{n+s}(F), shifted by sigma, at position s+1 on
-the right.  Only the twist lists matter for the regularity bound; the small
-cases l = 0, 1 also get explicit matrices (minors and contractions) so the
-complex property can be checked directly.
+the right.  Only the twist lists matter for the regularity bound, so this
+module is twist arithmetic alone: no differential is ever built.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from .core import AlgebraError, GradedPresentation, Polynomial
-from .modops import minor_function
+from .core import AlgebraError
 
 
 @dataclass
@@ -80,75 +78,3 @@ def complex_regularity_bound(
     if not eligible:
         raise AlgebraError("no complex terms within the dimension window")
     return max(reg_r + t.max_twist - t.position for t in eligible)
-
-
-# -- explicit matrices for l = 0, 1 -------------------------------------------------
-
-
-def _dual_basis(n: int, m: int, l: int, s: int):
-    return [
-        (alpha, t)
-        for alpha in combinations_with_replacement(range(n), s - l)
-        for t in combinations(range(m), n + s)
-    ]
-
-
-def explicit_differentials(
-    pres: GradedPresentation, l: int
-) -> tuple[list[ComplexTerm], list[tuple[tuple[Polynomial, ...], ...]]]:
-    """The full complex with matrices, for l = 0 or 1 (sigma = sum of twists).
-
-    Returns (terms, differentials) with differentials[k] mapping position k+1
-    to position k; entries live over the ambient ring.
-    """
-    if l not in (0, 1):
-        raise AlgebraError("explicit matrices only for the two smallest powers")
-    ring = pres.ring.base
-    n, m = pres.n, pres.m
-    a, b = pres.row_twists, pres.column_degrees
-    terms = complex_terms(a, b, l, sum(a))
-    minor = minor_function(pres.matrix, ring)
-    all_rows = tuple(range(n))
-    zero = ring.zero()
-
-    matrices: list[tuple[tuple[Polynomial, ...], ...]] = []
-
-    if l == 1:
-        # position 1 -> 0 is phi itself
-        matrices.append(pres.matrix)
-
-    if m >= n + l:
-        # epsilon: first dual term -> last sym-wedge term, via maximal minors
-        source = _dual_basis(n, m, l, l)
-        if l == 0:
-            rows = [[minor(all_rows, t) for (_, t) in source]]
-        else:
-            rows = [[zero] * len(source) for _ in range(m)]
-            for col, (_, t) in enumerate(source):
-                for pos, j in enumerate(t):
-                    sub = t[:pos] + t[pos + 1 :]
-                    val = minor(all_rows, sub)
-                    rows[j][col] = val if pos % 2 == 0 else -val
-        matrices.append(tuple(tuple(r) for r in rows))
-
-    for s in range(l + 1, m - n + 1):
-        source = _dual_basis(n, m, l, s)
-        target = _dual_basis(n, m, l, s - 1)
-        where = {bt: k for k, bt in enumerate(target)}
-        rows = [[zero] * len(source) for _ in target]
-        for col, (alpha, t) in enumerate(source):
-            for i in set(alpha):
-                alpha_less = list(alpha)
-                alpha_less.remove(i)
-                alpha_less = tuple(alpha_less)
-                for pos, j in enumerate(t):
-                    entry = pres.matrix[i][j]
-                    if entry.is_zero():
-                        continue
-                    r = where[(alpha_less, t[:pos] + t[pos + 1 :])]
-                    rows[r][col] = rows[r][col] + (
-                        entry if pos % 2 == 0 else -entry
-                    )
-        matrices.append(tuple(tuple(r) for r in rows))
-
-    return terms, matrices

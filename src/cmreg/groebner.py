@@ -331,18 +331,6 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def with_twists(self, row_twists: Sequence[int]) -> "GroebnerBasis":
-        """This position-over-term basis in the free module with other twists;
-        the order compares components, then monomials, so the packed terms do
-        not depend on the twists."""
-        return GroebnerBasis(
-            ring=self.ring,
-            row_twists=tuple(row_twists),
-            codec=Codec.pot(self.ring, row_twists),
-            basis=self.basis,
-            leads=self.leads,
-        )
-
     def _reduce(self, v: Packed, track: bool):
         return normal_form(
             v,
@@ -362,10 +350,6 @@ class GroebnerBasis:
         if track:
             quots = {k: {codec.mono(s): c for s, c in q.items()} for k, q in quots.items()}
         return codec.decode_element(rem), quots
-
-    def reduces_to_zero(self, v: Element) -> bool:
-        rem, _ = self.normal_form(v)
-        return not rem
 
     def element_degrees(self) -> list[int]:
         return [mono_deg(m) + self.row_twists[c] for c, m in self.lts]

@@ -124,10 +124,6 @@ def minimalize_resolution(res: FreeResolution) -> FreeResolution:
     return FreeResolution.from_matrices(res.ring, twists, diffs)
 
 
-def minimal_resolution(pres: GradedPresentation) -> FreeResolution:
-    return minimalize_resolution(schreyer_resolution(pres))
-
-
 # -- Betti tables and regularity ---------------------------------------------------
 
 

@@ -67,8 +67,14 @@ def colon(
     ring: GradedRing, row_twists, columns: list[Element], forms: tuple[Polynomial, ...]
 ) -> GroebnerBasis:
     """Reduced Groebner basis of {v : f * v in <columns> for every f in forms}:
-    one block of rows per form, v stacked as (f_1 v | ... | f_k v)."""
+    one block of rows per form, v stacked as (f_1 v | ... | f_k v).
+
+    The forms must share one degree d (every caller passes linear forms).  The
+    stacked rows are twisted down by d, so the e-block of `syzygies_of` gets
+    exactly `row_twists` and its basis is the answer as it stands; a uniform
+    shift keeps the pair order, the packed terms and the overflow checks."""
     n, k = len(row_twists), len(forms)
+    d = forms[0].degree()
     heads = [
         {(t * n + i, m): c for t, f in enumerate(forms) for m, c in f.terms.items()}
         for i in range(n)
@@ -78,8 +84,7 @@ def colon(
         for col in columns
         for t in range(k)
     ]
-    stacked = syzygies_of(heads, ring, tuple(row_twists) * k, tails=tails)
-    return stacked.with_twists(row_twists)
+    return syzygies_of(heads, ring, tuple(a - d for a in row_twists) * k, tails=tails)
 
 
 def colon_with_irrelevant(
@@ -167,16 +172,9 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
     else:
         a0, indeg, span = NEG_INF, None, 0
 
-    if cur:
-        degrees = tuple(int(elt_degree(w, a)) for w in cur)
-        matrix = elements_to_matrix(cur, pres.n, pres.ring.base)
-        mprime = minimal_presentation(
-            GradedPresentation(pres.ring, pres.row_twists, matrix, degrees)
-        )
-    else:
-        mprime = GradedPresentation(
-            pres.ring, pres.row_twists, tuple(() for _ in range(pres.n)), ()
-        )
+    degrees = tuple(int(elt_degree(w, a)) for w in cur)
+    matrix = elements_to_matrix(cur, pres.n, base)
+    mprime = minimal_presentation(GradedPresentation(pres.ring, a, matrix, degrees))
     return H0Profile(h0, a0, indeg, span), mprime
 
 

@@ -26,16 +26,13 @@ from cmreg.core import (
 )
 from cmreg.invariants import regularity
 from cmreg.modops import fitting_ideal_0, sym_power
+from helpers import cyclic
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
 R3 = GradedRing(F, ("x", "y", "z"))
 u, v = R2.gens()
 x, y, z = R3.gens()
-
-
-def cyclic(ring, polys):
-    return validate_presentation(ring, (0,), [list(polys)])
 
 
 def test_degree_cap():

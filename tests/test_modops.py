@@ -11,7 +11,13 @@ from cmreg.core import (
     free_presentation,
     validate_presentation,
 )
-from cmreg.groebner import groebner, poly_element, presentation_elements, syzygies_of
+from cmreg.groebner import (
+    groebner,
+    memo_scope,
+    poly_element,
+    presentation_elements,
+    syzygies_of,
+)
 from cmreg.invariants import (
     betti_numbers,
     hilbert_data,
@@ -19,6 +25,8 @@ from cmreg.invariants import (
     regularity,
 )
 from cmreg.modops import (
+    H0Profile,
+    colon,
     colon_kernel,
     degree_basis,
     dense_rank,
@@ -32,16 +40,13 @@ from cmreg.modops import (
     torsion_length,
 )
 from cmreg.verify import random_module, random_polynomial, random_section_form
+from helpers import cyclic
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
 R3 = GradedRing(F, ("x", "y", "z"))
 u, v = R2.gens()
 x, y, z = R3.gens()
-
-
-def cyclic(ring, polys):
-    return validate_presentation(ring, (0,), [list(polys)])
 
 
 def test_quotient_by_linear_appends_columns():
@@ -110,6 +115,28 @@ def test_h0_profile_saturated_module():
     assert profile.h0_by_degree == {}
     assert profile.a0 == NEG_INF and profile.a_span == 0
     assert hilbert_numerator(mprime) == hilbert_numerator(pres)
+
+
+def test_h0_profile_free_module():
+    # no columns: nothing to saturate, and M' is M as presented
+    for twists in ((0,), (0, 2), (-1, 3)):
+        pres = free_presentation(R2, twists)
+        profile, mprime = h0_profile(pres)
+        assert profile == H0Profile({}, NEG_INF, None, 0)
+        assert mprime == pres
+
+
+def test_colon_hands_back_the_memoised_basis():
+    pres = validate_presentation(R3, (0, 1), [[x * y, z * z], [y, x]])
+    cols = presentation_elements(pres)
+    for forms in ((z,), R3.gens()):
+        fresh = colon(R3, pres.row_twists, cols, forms)
+        with memo_scope():
+            first = colon(R3, pres.row_twists, cols, forms)
+            again = colon(R3, pres.row_twists, cols, forms)
+        assert again is first
+        assert first.row_twists == pres.row_twists
+        assert first.elements == fresh.elements
 
 
 def test_sym_power_one_is_identity():

@@ -17,6 +17,7 @@ from cmreg.verify import (
     section_check,
     tower_check,
 )
+from helpers import cyclic
 from test_modops import _criterion_4_modules
 
 F = PrimeField(101)
@@ -24,10 +25,6 @@ R2 = GradedRing(F, ("x", "y"))
 R3 = GradedRing(F, ("x", "y", "z"))
 u, v = R2.gens()
 x, y, z = R3.gens()
-
-
-def cyclic(ring, polys):
-    return validate_presentation(ring, (0,), [list(polys)])
 
 
 def with_cancelled_generator(pres, f):
