@@ -87,83 +87,63 @@ def _tokenize(text: str, line: int, col0: int) -> list[tuple[str, object, int]]:
 def parse_polynomial(
     ring: GradedRing, text: str, line: int = 1, col0: int = 0
 ) -> Polynomial:
-    """Parse one polynomial over the (plain) ring, with column diagnostics."""
+    """Parse one polynomial over the (plain) ring, with column diagnostics.
+
+    With no parentheses in the grammar each term is a coefficient times a
+    monomial, so terms are read straight into a dict; exponents are never expanded.
+    """
     toks = _tokenize(text, line, col0)
     if not toks:
         raise ParseError("empty polynomial", line, col0 + 1)
+    toks.append((None, None, None))  # end of input
+    index = {nm: i for i, nm in enumerate(ring.variables)}
     names_by_len = sorted(ring.variables, key=len, reverse=True)
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else (None, None, None)
-
-    def split_vars(name: str, col: int) -> list[Polynomial]:
-        # greedy longest-match factorization of a juxtaposed identifier
-        if name in ring.variables:
-            return [ring.var(name)]
-        parts: list[Polynomial] = []
-        rest = name
-        while rest:
-            for nm in names_by_len:
-                if rest.startswith(nm):
-                    parts.append(ring.var(nm))
-                    rest = rest[len(nm):]
-                    break
-            else:
-                raise ParseError(f"unknown variable {name!r}", line, col)
-        return parts
-
-    def parse_factor() -> Polynomial:
-        nonlocal pos
-        kind, val, col = peek()
-        if kind == "int":
-            pos += 1
-            if peek()[:2] == ("op", "^"):
-                raise ParseError("exponent must follow a variable", line, peek()[2])
-            return ring.constant(val)
-        if kind == "name":
-            pos += 1
-            parts = split_vars(val, col)
-            exp = 1
-            if peek()[:2] == ("op", "^"):
-                pos += 1
-                ekind, eval_, ecol = peek()
-                if ekind != "int":
-                    raise ParseError("expected an integer exponent", line, ecol or col)
-                exp = eval_
-                pos += 1
-            out = parts[-1] ** exp  # the exponent binds to the last variable
-            for part in parts[:-1]:
-                out = part * out
-            return out
-        raise ParseError("expected a coefficient or a variable", line, col or col0 + 1)
-
-    def parse_term() -> Polynomial:
-        nonlocal pos
-        out = parse_factor()
+    terms: dict[tuple[int, ...], int] = {}
+    pos, sign = 0, 1
+    if toks[0][:2] in (("op", "+"), ("op", "-")):
+        pos, sign = 1, (-1 if toks[0][1] == "-" else 1)
+    while True:
+        coeff, exps = sign, [0] * ring.nvars
         while True:
-            kind, val, _col = peek()
-            if kind == "op" and val == "*":
-                pos += 1
-                out = out * parse_factor()
-            elif kind in ("int", "name"):
-                out = out * parse_factor()
+            kind, val, col = toks[pos]
+            pos += 1
+            if kind == "int":
+                if toks[pos][:2] == ("op", "^"):
+                    raise ParseError("exponent must follow a variable", line, toks[pos][2])
+                coeff *= val
+            elif kind == "name":
+                rest, parts = val, []
+                while rest:  # greedy longest-match split of juxtaposed names
+                    for nm in names_by_len:
+                        if rest.startswith(nm):
+                            parts.append(index[nm])
+                            rest = rest[len(nm):]
+                            break
+                    else:
+                        raise ParseError(f"unknown variable {val!r}", line, col)
+                exp = 1
+                if toks[pos][:2] == ("op", "^"):
+                    ekind, exp, ecol = toks[pos + 1]
+                    if ekind != "int":
+                        raise ParseError("expected an integer exponent", line, ecol or col)
+                    pos += 2
+                for i in parts[:-1]:
+                    exps[i] += 1
+                exps[parts[-1]] += exp  # the exponent binds to the last name
             else:
-                return out
-
-    total = ring.zero()
-    sign = 1
-    if peek()[:2] in (("op", "+"), ("op", "-")):
-        sign = -1 if toks[pos][1] == "-" else 1
-        pos += 1
-    total = total + sign * parse_term()
-    while pos < len(toks):
+                raise ParseError("expected a coefficient or a variable", line, col or col0 + 1)
+            if toks[pos][:2] == ("op", "*"):
+                pos += 1
+            elif toks[pos][0] not in ("int", "name"):
+                break
+        mono = tuple(exps)
+        terms[mono] = terms.get(mono, 0) + coeff
         kind, val, col = toks[pos]
+        if kind is None:
+            return Polynomial(ring, terms)
         if kind != "op" or val not in "+-":
             raise ParseError("expected '+' or '-' between terms", line, col)
-        pos += 1
-        total = total + (-1 if val == "-" else 1) * parse_term()
-    return total
+        pos, sign = pos + 1, (-1 if val == "-" else 1)
 
 
 def parse_file(text: str) -> GradedPresentation:

@@ -202,7 +202,8 @@ def sym_power(pres: GradedPresentation, l: int) -> GradedPresentation:
             col = [zero] * len(gens)
             for i in range(pres.n):
                 target = index[tuple(sorted(gamma + (i,)))]
-                col[target] = col[target] + pres.matrix[i][j]
+                # gamma + (i,) is a different monomial for each i: one entry each
+                col[target] = pres.matrix[i][j]
             for k in range(len(gens)):
                 matrix[k].append(col[k])
             degrees.append(

@@ -400,12 +400,12 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     prof_m, mprime = h0_profile(pres)
     mbar = quotient_by_linear(pres, l)
     prof_bar, _ = h0_profile(mbar)
-    mbar_prime = quotient_by_linear(mprime, l) if not mprime.is_zero_module else mprime
+    mbar_prime = quotient_by_linear(mprime, l)
     prof_bar_prime, _ = h0_profile(mbar_prime)
     kpres, lam = colon_kernel(pres, l)
     if lam is None:
         raise AlgebraError("the form has infinite torsion; pick a more generic one")
-    kvals = hilbert_data(kpres).q_polynomial if not kpres.is_zero_module else {}
+    kvals = hilbert_data(kpres).q_polynomial
 
     hm, hb, hbp = prof_m.h0_by_degree, prof_bar.h0_by_degree, prof_bar_prime.h0_by_degree
     support = set(hm) | set(hb) | set(hbp) | set(kvals)

@@ -9,8 +9,16 @@ from cmreg.cli import (
     parse_polynomial,
     serialize_presentation,
 )
-from cmreg.core import GradedRing, NonHomogeneous, NonPrime, ParseError, PrimeField
+from cmreg.core import (
+    GradedRing,
+    NonHomogeneous,
+    NonPrime,
+    ParseError,
+    Polynomial,
+    PrimeField,
+)
 from cmreg.verify import mayr_meyer
+from test_cli_outputs import SAMPLES
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
@@ -54,20 +62,46 @@ def test_parse_polynomial_longest_match_names():
     assert parse_polynomial(ring, "b0_1^2 x") == b01 * b01 * x
 
 
+def test_parse_reads_terms_without_polynomial_arithmetic(monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("the reader called Polynomial arithmetic")
+
+    for op in ("__mul__", "__rmul__", "__add__", "__sub__", "__pow__"):
+        monkeypatch.setattr(Polynomial, op, forbidden)
+    for text in SAMPLES.values():
+        parse_file(text)
+    for text in ("x^2 + 3*x*y", "2xy^3", "xy^2", "-x + 5", "0", "100*x"):
+        parse_polynomial(R2, text)
+    ring = GradedRing(F, ("x", "x2", "b0_1"))
+    for text in ("x2", "xx2", "b0_1^2 x"):
+        parse_polynomial(ring, text)
+
+
+# each malformed entry, parsed as if it began at line 4, column 11
+PARSE_ERRORS = [
+    ("", "empty polynomial", 11),
+    ("2^3", "exponent must follow a variable", 12),
+    ("3x 2^2", "exponent must follow a variable", 15),
+    ("x^y", "expected an integer exponent", 13),
+    ("x^", "expected an integer exponent", 11),
+    ("x + + y", "expected a coefficient or a variable", 15),
+    ("x y^2 *", "expected a coefficient or a variable", 11),
+    ("x %", "unexpected character '%'", 13),
+    ("x^2 + q", "unknown variable 'q'", 17),
+    ("xq", "unknown variable 'xq'", 11),
+    ("x^2^3", "expected '+' or '-' between terms", 14),
+]
+
+
 def test_parse_polynomial_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial(R2, "x^2 + q", line=4)
     assert err.value.line == 4 and err.value.col == 7
-    with pytest.raises(ParseError):
-        parse_polynomial(R2, "")
-    with pytest.raises(ParseError):
-        parse_polynomial(R2, "2^3")  # exponents only follow variables
-    with pytest.raises(ParseError):
-        parse_polynomial(R2, "x^y")
-    with pytest.raises(ParseError):
-        parse_polynomial(R2, "x + + y")
-    with pytest.raises(ParseError):
-        parse_polynomial(R2, "x %")
+    for text, message, col in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(R2, text, 4, 10)
+        assert (err.value.line, err.value.col) == (4, col), text
+        assert str(err.value) == f"line 4, col {col}: {message}"
 
 
 # -- file format ---------------------------------------------------------------------
@@ -295,10 +329,12 @@ def test_bad_input_exits_one(tmp_path, capsys):
 
 
 def test_degree_past_the_engine_limit_exits_one(tmp_path, capsys):
-    big = tmp_path / "big.pres"
-    big.write_text("char 101\nvars x y\ngens 0\nrels\nx^40000\ny\nend\n")
-    assert main(["reg", str(big)]) == 1
-    assert "exceeds" in capsys.readouterr().err
+    # the second exponent is read as a number; expanding it would never finish
+    for exponent in (40000, 99999999999):
+        big = tmp_path / "big.pres"
+        big.write_text(f"char 101\nvars x y\ngens 0\nrels\nx^{exponent}\ny\nend\n")
+        assert main(["reg", str(big)]) == 1
+        assert "exceeds" in capsys.readouterr().err
 
 
 def test_failed_verdict_exits_two(pres2, capsys, monkeypatch):

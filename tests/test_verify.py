@@ -161,6 +161,16 @@ def test_section_check_regular_form_is_trivial():
     assert report.all_hold
 
 
+def test_section_check_finite_length_module():
+    pres = cyclic(R2, [u * u, u * v, v * v])  # M = H0(M), so M' and Mbar' are zero
+    report = section_check(pres, v)
+    assert report.kernel_by_degree == {1: 2}
+    assert report.h0 == {0: 1, 1: 2}
+    assert report.h0_bar == {0: 1, 1: 1}
+    assert report.h0_bar_prime == {}
+    assert report.all_hold
+
+
 def test_section_check_on_non_minimal_presentation():
     pres = with_cancelled_generator(cyclic(R2, [u * u, u * v]), v**4)
     assert pres.row_twists == (0, 4)
