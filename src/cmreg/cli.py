@@ -69,18 +69,32 @@ _TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([+\-*^])|(\S)")
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
+def _number(digits: str, line: int, col: int) -> int:
+    """The integer `digits` spells; a ParseError past the interpreter's limit on
+    integer string conversion."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number too long ({len(digits)} digits)", line, col) from None
+
+
 def _tokenize(text: str, line: int, col0: int) -> list[tuple[str, object, int]]:
+    """Tokens with their columns, ending in (None, None, column just past the
+    last token)."""
     toks: list[tuple[str, object, int]] = []
+    end = col0 + 1
     for mt in _TOKEN.finditer(text):
         col = col0 + mt.start() + 1
+        end = col0 + mt.end() + 1
         if mt.group(1) is not None:
-            toks.append(("int", int(mt.group(1)), col))
+            toks.append(("int", _number(mt.group(1), line, col), col))
         elif mt.group(2) is not None:
             toks.append(("name", mt.group(2), col))
         elif mt.group(3) is not None:
             toks.append(("op", mt.group(3), col))
         else:
             raise ParseError(f"unexpected character {mt.group(4)!r}", line, col)
+    toks.append((None, None, end))
     return toks
 
 
@@ -93,9 +107,8 @@ def parse_polynomial(
     monomial, so terms are read straight into a dict; exponents are never expanded.
     """
     toks = _tokenize(text, line, col0)
-    if not toks:
+    if len(toks) == 1:
         raise ParseError("empty polynomial", line, col0 + 1)
-    toks.append((None, None, None))  # end of input
     index = {nm: i for i, nm in enumerate(ring.variables)}
     names_by_len = sorted(ring.variables, key=len, reverse=True)
     terms: dict[tuple[int, ...], int] = {}
@@ -125,13 +138,13 @@ def parse_polynomial(
                 if toks[pos][:2] == ("op", "^"):
                     ekind, exp, ecol = toks[pos + 1]
                     if ekind != "int":
-                        raise ParseError("expected an integer exponent", line, ecol or col)
+                        raise ParseError("expected an integer exponent", line, ecol)
                     pos += 2
                 for i in parts[:-1]:
                     exps[i] += 1
                 exps[parts[-1]] += exp  # the exponent binds to the last name
             else:
-                raise ParseError("expected a coefficient or a variable", line, col or col0 + 1)
+                raise ParseError("expected a coefficient or a variable", line, col)
             if toks[pos][:2] == ("op", "*"):
                 pos += 1
             elif toks[pos][0] not in ("int", "name"):
@@ -172,7 +185,7 @@ def parse_file(text: str) -> GradedPresentation:
     mt = re.fullmatch(r"char\s+(\d+)", s)
     if not mt:
         raise ParseError("expected 'char <prime>'", no, 1)
-    field = PrimeField(int(mt.group(1)))
+    field = PrimeField(_number(mt.group(1), no, 1 + mt.start(1)))
 
     no, s = take("'vars <names>'")
     mt = re.fullmatch(r"vars\s+(.+)", s)
@@ -209,7 +222,7 @@ def parse_file(text: str) -> GradedPresentation:
         tok = mt.group(0)
         if not re.fullmatch(r"-?\d+", tok):
             raise ParseError(f"bad generator twist {tok!r}", no, 5 + mt.start())
-        twists.append(int(tok))
+        twists.append(_number(tok, no, 5 + mt.start()))
     if not twists:
         raise ParseError("a presentation needs at least one generator twist", no, 1)
 

@@ -20,6 +20,13 @@ wrap, so an element whose module degree is more than MAX_DEGREE above the
 smallest level-0 twist raises `DegreeOverflow`; that is checked on input and
 for every S-pair.
 
+`Codec.top` is a second level-0 layout, for `invariants.regularity`: module
+degree minus the smallest twist, then the grevlex variable fields (whatever the
+ring's order), then n-1-c in the low bits.  Under it a homogeneous element's
+lead term has the fewest factors x_v, so in(U + x_v F) = in(U) + x_v F and
+in(U : x_v^oo) = in(U) : x_v^oo, which position over term breaks.  Buchberger
+runs on it as it is; only its lead terms are read.
+
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree
 without re-checking gradedness in hot loops.
@@ -116,8 +123,8 @@ class Codec(NamedTuple):
     mask of their guard bits, and read turns sign * shift into the exponent
     tuple.  bases[c] is the term e_c.  The component field is
     (t >> cshift) & cmask and holds len(bases)-1-c; ib is the width of a
-    Schreyer index field (0 at level 0).  top is the largest module degree an
-    element may have.
+    Schreyer index field (0 at level 0).  limit is the largest module degree
+    an element may have.
     """
 
     weights: tuple[int, ...]
@@ -128,7 +135,7 @@ class Codec(NamedTuple):
     cmask: int
     ib: int
     off: int
-    top: int
+    limit: int
     read: Callable[[int], Mono]
 
     @classmethod
@@ -146,8 +153,34 @@ class Codec(NamedTuple):
             cmask=-1,
             ib=0,
             off=0,
-            top=MAX_DEGREE + min(row_twists, default=0),
+            limit=MAX_DEGREE + min(row_twists, default=0),
             read=read,
+        )
+
+    @classmethod
+    def top(cls, ring: GradedRing, row_twists: Sequence[int]) -> "Codec":
+        """Degree first on a free module with the given twists, for any ring
+        order: module degree minus the smallest twist, then the grevlex
+        variable fields, then n-1-c in the low bits."""
+        weights, guard, fill, _, _ = _pot_layout(ring.nvars, False)
+        n = len(row_twists)
+        low = min(row_twists, default=0)
+        cb = n.bit_length()
+        deg_at = FIELD * ring.nvars + cb
+        return cls(
+            weights=tuple(w << cb for w in weights),
+            sign=-1,
+            guard=guard << cb,
+            bases=tuple(
+                ((t - low) << deg_at) + (fill << cb) + n - 1 - c
+                for c, t in enumerate(row_twists)
+            ),
+            cshift=0,
+            cmask=(1 << cb) - 1,
+            ib=0,
+            off=cb,
+            limit=MAX_DEGREE + low,
+            read=_reader(ring.nvars, False, cb),
         )
 
     def schreyer(self, leads: Sequence[int]) -> "Codec":
@@ -163,7 +196,7 @@ class Codec(NamedTuple):
             cmask=(1 << ib) - 1,
             ib=ib,
             off=self.off + ib,
-            top=self.top,
+            limit=self.limit,
             read=_reader(len(self.weights), self.sign > 0, self.off + ib),
         )
 
@@ -187,9 +220,9 @@ class Codec(NamedTuple):
 
     def check(self, deg: int) -> None:
         """Refuse an element of module degree deg whose terms might not fit."""
-        if deg > self.top:
+        if deg > self.limit:
             raise DegreeOverflow(
-                f"module degree {deg} exceeds {self.top}, the packed terms' "
+                f"module degree {deg} exceeds {self.limit}, the packed terms' "
                 f"limit of {MAX_DEGREE} above the smallest twist"
             )
 

@@ -4,6 +4,12 @@ A module over a quotient ring R = S/J is resolved over the ambient polynomial
 ring S from its columns over S: the columns of phi plus q*e_i for each
 generator q of J (`groebner.presentation_elements`).  Regularity, Betti numbers
 and Hilbert data all come from that S-side picture.
+
+`regularity` needs no resolution: it walks the last variables over the lead
+terms of one Groebner basis under `Codec.top` (see `_filter_regular_walk`), and
+falls back to the Betti table only when a step is not certified.
+`module_invariants` keeps the Schreyer resolution, so its `regularity` is the
+Betti-derived one, an independent second path.
 """
 
 from __future__ import annotations
@@ -24,9 +30,11 @@ from .core import (
     free_presentation,
 )
 from .groebner import (
+    Codec,
     Element,
     FreeResolution,
     GroebnerBasis,
+    buchberger,
     elt_add_scaled,
     groebner,
     presentation_elements,
@@ -198,7 +206,84 @@ def regularity_from_betti(table: dict[tuple[int, int], int]) -> int:
 
 
 def regularity(pres: GradedPresentation) -> int:
-    return regularity_from_betti(betti_numbers(pres))
+    """reg M from the lead terms of one Groebner basis of M's columns over S
+    under `Codec.top`, by the filter-regular walk (see `_filter_regular_walk`);
+    from the Betti table when the walk cannot certify a step.
+
+    Refuses with `DegreeOverflow` when reg + pd, the degree a minimal
+    resolution may reach, is past the packed terms' limit.
+    """
+    ring, twists = pres.ring.base, pres.row_twists
+    codec = Codec.top(ring, twists)
+    gens = [codec.encode(g, twists) for g in presentation_elements(pres)]
+    _, leads = buchberger(gens, codec, twists, ring.field.p)
+    ideals: list[list[Mono]] = [[] for _ in twists]
+    for c, m in map(codec.decode, leads):
+        ideals[c].append(m)
+    walk = _filter_regular_walk(ideals, twists, ring.nvars)
+    if walk is None:
+        return regularity_from_betti(betti_numbers(pres))
+    reg, depth = walk
+    codec.check(reg + ring.nvars - depth)  # Auslander-Buchsbaum: pd = v - depth
+    return reg
+
+
+def _finite_series(num: dict[int, int], nvars: int) -> dict[int, int] | None:
+    """num / (1-t)^nvars when that is a polynomial with nonnegative
+    coefficients, the Hilbert series of a module of finite length; else None."""
+    for _ in range(nvars):
+        if tp_eval1(num):
+            return None
+        num = tp_divide_one_minus_t(num)
+    return num if all(c > 0 for c in num.values()) else None
+
+
+def _filter_regular_walk(
+    ideals: list[list[Mono]], twists, nvars: int
+) -> tuple[int, int] | None:
+    """(reg, depth) of N_0 = F / U from in(U), given per component of F; None
+    when some step is not certified.
+
+    Under `Codec.top` the last variables behave as Bayer and Stillman need ("A
+    criterion for detecting m-regularity", 1987): with N_i = N_0 / (x_v, ...,
+    x_{v-i+1}) N_0 and x = x_{v-i}, in(U_i) = in(U) + (x_v..x_{v-i+1})F =: J_i
+    and in(U_i : x^oo) = J_i : x^oo, so the Hilbert numerator of (0 :_{N_i} x^oo)
+    is N(J_i) - N(J_i : x^oo).  When that module has finite length it is
+    H^0_m(N_i), x is filter-regular on N_i, and reg N_i = max(a_0(N_i),
+    reg N_{i+1}) (Eisenbud, "The Geometry of Syzygies", Prop. 4.16), with a_0
+    the top degree of H^0_m.  The walk stops at the first N_i of finite length,
+    so reg N_0 is the largest a_0 on the way (Bermejo-Gimenez, "Saturation and
+    Castelnuovo-Mumford regularity", 2006).  Before the first nonzero H^0 every
+    x is regular, so depth N_0 is the index of that first one.
+    """
+    unit = (0,) * nvars
+    ideals = [_minimalize_monos(monos) for monos in ideals]
+    if all(unit in monos for monos in ideals):
+        raise ZeroModule("regularity of the zero module")
+    reg: int | float = NEG_INF
+    depth = None
+    for i in range(nvars + 1):  # N_v has finite length, so this returns
+        x = nvars - 1 - i
+        # no lead term involves x: J_i : x^oo = J_i and H^0_m(N_i) = 0
+        if x < 0 or any(m[x] for monos in ideals for m in monos):
+            saturated = [
+                _minimalize_monos(m[:x] + (0,) + m[x + 1 :] for m in monos) if x >= 0 else {unit}
+                for monos in ideals
+            ]
+            finite = all(unit in monos for monos in saturated)  # N_i = H^0_m(N_i)
+            num = _numerator_of_components(ideals, twists)
+            if not finite:
+                num = tp_sub(num, _numerator_of_components(saturated, twists))
+            h0 = _finite_series(num, nvars)
+            if h0 is None:
+                return None
+            if h0:
+                reg = max(reg, max(h0))
+                depth = i if depth is None else depth
+            if finite:
+                return int(reg), depth
+        var = tuple(int(j == x) for j in range(nvars))
+        ideals = [frozenset([var, *(m for m in monos if not m[x])]) for monos in ideals]
 
 
 # -- integer polynomials in one variable t (dict exponent -> coefficient) --------
@@ -296,14 +381,18 @@ def _numerator_of_lead_terms(monos: frozenset) -> tuple[tuple[int, int], ...]:
 def numerator_of_gb(gb: GroebnerBasis) -> dict[int, int]:
     """Hilbert numerator of the cokernel presented by an already computed
     Groebner basis, from its lead terms alone."""
-    row_twists = gb.row_twists
-    by_comp: dict[int, list[Mono]] = {i: [] for i in range(len(row_twists))}
+    by_comp: list[list[Mono]] = [[] for _ in gb.row_twists]
     for c, m in gb.lts:
         by_comp[c].append(m)
+    return _numerator_of_components(map(_minimalize_monos, by_comp), gb.row_twists)
+
+
+def _numerator_of_components(ideals, twists) -> dict[int, int]:
+    """Hilbert numerator of (+)_c S(-twists[c]) / L_c for minimal monomial
+    ideals L_c."""
     total: dict[int, int] = {}
-    for i, twist in enumerate(row_twists):
-        part = dict(_numerator_of_lead_terms(_minimalize_monos(by_comp[i])))
-        total = tp_add(total, tp_shift(part, twist))
+    for monos, twist in zip(ideals, twists):
+        total = tp_add(total, tp_shift(dict(_numerator_of_lead_terms(monos)), twist))
     return total
 
 

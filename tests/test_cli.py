@@ -83,9 +83,10 @@ PARSE_ERRORS = [
     ("2^3", "exponent must follow a variable", 12),
     ("3x 2^2", "exponent must follow a variable", 15),
     ("x^y", "expected an integer exponent", 13),
-    ("x^", "expected an integer exponent", 11),
+    ("x^", "expected an integer exponent", 13),
     ("x + + y", "expected a coefficient or a variable", 15),
-    ("x y^2 *", "expected a coefficient or a variable", 11),
+    ("x y^2 *", "expected a coefficient or a variable", 18),
+    ("x^2 + ", "expected a coefficient or a variable", 16),
     ("x %", "unexpected character '%'", 13),
     ("x^2 + q", "unknown variable 'q'", 17),
     ("xq", "unknown variable 'xq'", 11),
@@ -335,6 +336,22 @@ def test_degree_past_the_engine_limit_exits_one(tmp_path, capsys):
         big.write_text(f"char 101\nvars x y\ngens 0\nrels\nx^{exponent}\ny\nend\n")
         assert main(["reg", str(big)]) == 1
         assert "exceeds" in capsys.readouterr().err
+
+
+def test_number_past_the_conversion_limit_is_a_parse_error(tmp_path, capsys):
+    # past 4,300 digits int() refuses a decimal string; each number is a token
+    huge = "9" * 5000
+    cases = [
+        (f"char 101\nvars x y\ngens 0 0\nrels\nx, {huge}x\nend\n", 5, 4),
+        (f"char {huge}\nvars x y\ngens 0\nrels\nx\nend\n", 1, 6),
+        (f"char 101\nvars x y\ngens 0 {huge}\nrels\nx, y\nend\n", 3, 8),
+    ]
+    for text, line, col in cases:
+        path = tmp_path / "long.pres"
+        path.write_text(text)
+        assert main(["reg", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: line {line}, col {col}: number too long"), err
 
 
 def test_failed_verdict_exits_two(pres2, capsys, monkeypatch):

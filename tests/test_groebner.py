@@ -442,6 +442,37 @@ def test_packed_add_scaled_matches_elements(level, data):
     assert codec.decode_element(packed) == target
 
 
+@given(st.data())
+def test_top_terms_order_by_degree_then_grevlex_then_position(data):
+    # any ring order: the layout is grevlex regardless
+    order = data.draw(st.sampled_from(["grevlex", "lex"]))
+    nvars = data.draw(st.integers(1, 4))
+    ring = GradedRing(F, tuple(f"x{i}" for i in range(nvars)), order)
+    n = data.draw(st.integers(1, 6))
+    twists = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    scale = data.draw(st.sampled_from([1, MAX_DEGREE // (4 * 3 * nvars)]))
+    mono = st.tuples(*(st.integers(0, 3) for _ in range(nvars))).map(
+        lambda m: tuple(scale * e for e in m)
+    )
+    term = st.tuples(st.integers(0, n - 1), mono)
+    a, b, s = data.draw(term), data.draw(term), data.draw(mono)
+    codec = Codec.top(ring, twists)
+
+    def key(t):
+        c, m = t
+        return (sum(m) + twists[c], tuple(-e for e in reversed(m)), -c)
+
+    (ta,) = codec.encode({a: 1}, twists)
+    (tb,) = codec.encode({b: 1}, twists)
+    assert codec.decode(ta) == a and codec.decode(tb) == b
+    assert codec.component(ta) == a[0]
+    assert _sign(ta - tb) == _sign((key(a) > key(b)) - (key(a) < key(b)))
+    (tas,) = codec.encode({(a[0], mono_mul(a[1], s)): 1}, twists)
+    assert ta + codec.shift(s) == tas
+    (tb_in_a,) = codec.encode({(a[0], b[1]): 1}, twists)
+    assert codec.divides(ta, tb_in_a) == mono_divides(a[1], b[1])
+
+
 def _over_order(pres, order):
     ring = GradedRing(pres.ring.field, pres.ring.variables, order)
     matrix = [[Polynomial(ring, f.terms) for f in row] for row in pres.matrix]

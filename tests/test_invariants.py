@@ -38,17 +38,24 @@ from cmreg.invariants import (
     numerator_from_resolution,
     quotient_ideal_gen_degrees,
     regularity,
+    regularity_from_betti,
     ring_invariants,
     tp_divide_one_minus_t,
 )
 from cmreg.modops import (
     degree_basis,
+    fitting_ideal_0,
     hilbert_value_dense,
     minimal_presentation,
     span_vectors,
     sym_power,
 )
-from cmreg.verify import random_complete_intersection, random_module
+from cmreg.verify import (
+    FITT_TARGET_ROW_LIMIT,
+    SYM_TARGET_GEN_LIMIT,
+    random_complete_intersection,
+    random_module,
+)
 from helpers import compose, cyclic
 
 F = PrimeField(101)
@@ -556,3 +563,80 @@ def test_betti_table_rejects_what_no_resolution_gives():
     for res in (not_a_complex, not_exact):
         with pytest.raises(AlgebraError):
             betti_of_resolution(res)
+
+
+# -- regularity without a resolution -------------------------------------------------
+
+
+def _recast(pres, order, shift):
+    """pres over the same variables with this term order, every twist moved by
+    shift."""
+    ring = pres.ring
+    base = GradedRing(ring.field, ring.variables, order)
+    quotient = tuple(Polynomial(base, q.terms) for q in ring.quotient_gens)
+    target = GradedRing(ring.field, ring.variables, order, quotient) if quotient else base
+    matrix = [[Polynomial(base, e.terms) for e in row] for row in pres.matrix]
+    return validate_presentation(
+        target,
+        tuple(a + shift for a in pres.row_twists),
+        matrix,
+        tuple(b + shift for b in pres.column_degrees),
+    )
+
+
+def _regularity_targets():
+    """The oracle modules, the Sym^3 and R/Fitt_0 targets `audit` would compare
+    them with, and every module again over lex with twists lowered by 3."""
+    for pres in _oracle_modules():
+        yield pres
+        if comb(pres.n + 2, 3) <= SYM_TARGET_GEN_LIMIT:
+            power = sym_power(pres, 3)
+            if not power.is_zero_module:
+                yield power
+        if pres.n <= FITT_TARGET_ROW_LIMIT:
+            minors = fitting_ideal_0(pres)
+            if minors:
+                yield validate_presentation(pres.ring, (0,), [minors])
+        yield _recast(pres, "lex", -3)
+
+
+@pytest.fixture
+def resolved(monkeypatch):
+    """The presentations `schreyer_resolution` is called on, in order."""
+    seen = []
+    schreyer = invariants.schreyer_resolution
+
+    def counted(pres):
+        seen.append(pres)
+        return schreyer(pres)
+
+    monkeypatch.setattr(invariants, "schreyer_resolution", counted)
+    return seen
+
+
+def test_regularity_two_paths_agree(resolved):
+    # the filter-regular walk on one Groebner basis against the Betti table
+    kinds = {"lex": 0, "negative": 0, "quotient": 0}
+    checked = 0
+    for pres in _regularity_targets():
+        reg = regularity(pres)
+        assert reg == regularity_from_betti(betti_numbers(pres))
+        checked += 1
+        kinds["lex"] += pres.ring.order == "lex"
+        kinds["negative"] += min(pres.row_twists) < 0
+        kinds["quotient"] += pres.ring.is_quotient
+    assert checked > 300 and min(kinds.values()) > 30
+    # every walk here was certified: only betti_numbers resolved
+    assert len(resolved) == checked
+
+
+def test_regularity_falls_back_when_the_walk_is_not_certified(resolved):
+    # y is not filter-regular on S/(xy): (0 : y^oo) = (x)/(xy) has infinite length
+    pres = cyclic(R2, [u * v])
+    assert regularity(pres) == 1
+    assert resolved == [pres]
+    assert regularity_from_betti(betti_numbers(pres)) == 1
+    # S/(x^2, y^3): the walk certifies it at once, with no resolution
+    resolved.clear()
+    assert regularity(cyclic(R2, [u * u, v * v * v])) == 3
+    assert resolved == []
