@@ -162,19 +162,22 @@ def parse_polynomial(
 def parse_file(text: str) -> GradedPresentation:
     """Parse a module file into a validated presentation."""
     raw = text.splitlines()
+    # (line number, stripped text, count of leading blanks): every column
+    # reported is counted on the line as written
     content = [
-        (no, s)
+        (no, s.strip(), len(s) - len(s.lstrip()))
         for no, line in enumerate(raw, start=1)
-        for s in [line.split("#", 1)[0].strip()]
-        if s
+        for s in [line.split("#", 1)[0]]
+        if s.strip()
     ]
     pos = 0
+    lead = 0
 
     def take(what: str) -> tuple[int, str]:
-        nonlocal pos
+        nonlocal pos, lead
         if pos >= len(content):
             raise ParseError(f"unexpected end of file, expected {what}", len(raw) or 1, 1)
-        no, s = content[pos]
+        no, s, lead = content[pos]
         pos += 1
         return no, s
 
@@ -184,24 +187,24 @@ def parse_file(text: str) -> GradedPresentation:
     no, s = take("'char <prime>'")
     mt = re.fullmatch(r"char\s+(\d+)", s)
     if not mt:
-        raise ParseError("expected 'char <prime>'", no, 1)
-    field = PrimeField(_number(mt.group(1), no, 1 + mt.start(1)))
+        raise ParseError("expected 'char <prime>'", no, lead + 1)
+    field = PrimeField(_number(mt.group(1), no, lead + 1 + mt.start(1)))
 
     no, s = take("'vars <names>'")
     mt = re.fullmatch(r"vars\s+(.+)", s)
     if not mt:
-        raise ParseError("expected 'vars <names>'", no, 1)
+        raise ParseError("expected 'vars <names>'", no, lead + 1)
     names = tuple(mt.group(1).split())
-    for nm in names:
-        if not _NAME.fullmatch(nm):
-            raise ParseError(f"bad variable name {nm!r}", no, 1 + s.index(nm))
+    for mt in re.finditer(r"\S+", s[4:]):
+        if not _NAME.fullmatch(mt.group(0)):
+            raise ParseError(f"bad variable name {mt.group(0)!r}", no, lead + 5 + mt.start())
 
     order = "grevlex"
     if peek_word() == "order":
         no, s = take("'order <name>'")
         order = s.split(maxsplit=1)[1].strip() if " " in s else ""
         if order not in ORDER_KEYS:
-            raise ParseError(f"unsupported order {order!r}", no, 7)
+            raise ParseError(f"unsupported order {order!r}", no, lead + 7)
     base = GradedRing(field, names, order)
 
     quotient: list[Polynomial] = []
@@ -211,24 +214,24 @@ def parse_file(text: str) -> GradedPresentation:
             no, s = take("a quotient polynomial or 'end'")
             if s == "end":
                 break
-            quotient.append(parse_polynomial(base, s, no, 0))
+            quotient.append(parse_polynomial(base, s, no, lead))
     ring = GradedRing(field, names, order, tuple(quotient)) if quotient else base
 
     no, s = take("'gens <twists>'")
     if s.split()[0] != "gens":
-        raise ParseError("expected 'gens <twists>'", no, 1)
+        raise ParseError("expected 'gens <twists>'", no, lead + 1)
     twists: list[int] = []
     for mt in re.finditer(r"\S+", s[4:]):
         tok = mt.group(0)
         if not re.fullmatch(r"-?\d+", tok):
-            raise ParseError(f"bad generator twist {tok!r}", no, 5 + mt.start())
-        twists.append(_number(tok, no, 5 + mt.start()))
+            raise ParseError(f"bad generator twist {tok!r}", no, lead + 5 + mt.start())
+        twists.append(_number(tok, no, lead + 5 + mt.start()))
     if not twists:
-        raise ParseError("a presentation needs at least one generator twist", no, 1)
+        raise ParseError("a presentation needs at least one generator twist", no, lead + 1)
 
     no, s = take("'rels'")
     if s != "rels":
-        raise ParseError("expected 'rels'", no, 1)
+        raise ParseError("expected 'rels'", no, lead + 1)
     n = len(twists)
     columns: list[list[Polynomial]] = []
     while True:
@@ -238,10 +241,10 @@ def parse_file(text: str) -> GradedPresentation:
         pieces = s.split(",")
         if len(pieces) != n:
             raise ParseError(
-                f"expected {n} comma-separated entries, got {len(pieces)}", no, 1
+                f"expected {n} comma-separated entries, got {len(pieces)}", no, lead + 1
             )
         col: list[Polynomial] = []
-        off = 0
+        off = lead
         for i, piece in enumerate(pieces):
             entry = parse_polynomial(base, piece, no, off)
             if not entry.is_homogeneous():
@@ -251,11 +254,12 @@ def parse_file(text: str) -> GradedPresentation:
             col.append(entry)
             off += len(piece) + 1
         if all(e.is_zero() for e in col):
-            raise ParseError("relation line is identically zero", no, 1)
+            raise ParseError("relation line is identically zero", no, lead + 1)
         columns.append(col)
 
     if pos < len(content):
-        raise ParseError("unexpected content after final 'end'", content[pos][0], 1)
+        no, _, lead = content[pos]
+        raise ParseError("unexpected content after final 'end'", no, lead + 1)
 
     matrix = [[columns[j][i] for j in range(len(columns))] for i in range(n)]
     return validate_presentation(ring, tuple(twists), matrix)

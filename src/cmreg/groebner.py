@@ -29,7 +29,10 @@ runs on it as it is; only its lead terms are read.
 
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree
-without re-checking gradedness in hot loops.
+without re-checking gradedness in hot loops.  The input generators wait in the
+same degree queue and each joins the basis as its normal form, so a basis
+grows in nondecreasing degree and its lead terms come out minimal: none
+divides another in its component.
 
 Schreyer syzygies reduce only the pairs whose predicted lead term is minimal
 (see `schreyer_syzygies`) and keep those relations as they come: their lead
@@ -405,10 +408,18 @@ def buchberger(
 ) -> tuple[list[Packed], list[int]]:
     """Raw Buchberger loop: returns (basis, lts) before auto-reduction.
 
-    Pair selection is by ascending module degree.  The chain criterion prunes a
-    pair (i, j) when some other lead term in the component divides lcm(i, j)
-    and both cross pairs have already been dealt with; unlike the coprimality
-    shortcut, that one stays valid for module lead terms.
+    Pair selection is by ascending module degree.  Each nonzero generator waits
+    in the same queue at its module degree, ahead of that degree's pairs, and
+    joins the basis only as its normal form.  So the basis grows in
+    nondecreasing degree and every element enters reduced: its lead term is
+    divisible by no earlier one, and a later lead term, of no smaller degree and
+    different, cannot divide it.  The lead terms are therefore minimal: none
+    divides another in its component.
+
+    The chain criterion prunes a pair (i, j) when some other lead term in the
+    component divides lcm(i, j) and both cross pairs have already been dealt
+    with; unlike the coprimality shortcut, that one stays valid for module lead
+    terms.
     """
     cs, cm, divides = codec.cshift, codec.cmask, codec.divides
     basis: list[Packed] = []
@@ -435,9 +446,11 @@ def buchberger(
         # only cached misses can go stale, but flushing hits too costs little
         div_cache.clear()
 
-    for g in gens:
+    # a generator is queued as (degree, -1, index): it sorts before the pairs
+    for k, g in enumerate(gens):
         if g:
-            add_element(g)
+            c, m = codec.decode(max(g))
+            heapq.heappush(pairs, (mono_deg(m) + row_twists[c], -1, k))
 
     def chained(i: int, j: int, tau: int) -> bool:
         for k in by_comp[(tau >> cs) & cm]:
@@ -451,6 +464,11 @@ def buchberger(
 
     while pairs:
         deg, i, j = heapq.heappop(pairs)
+        if i < 0:
+            rem, _ = normal_form(gens[j], basis, lts, by_comp, codec, p, div_cache=div_cache)
+            if rem:
+                add_element(rem)
+            continue
         pending.discard((i, j))
         tau = lts[i] + codec.shift(mono_div(mono_lcm(lms[i], lms[j]), lms[i]))
         if chained(i, j, tau):

@@ -220,7 +220,7 @@ def regularity(pres: GradedPresentation) -> int:
     ideals: list[list[Mono]] = [[] for _ in twists]
     for c, m in map(codec.decode, leads):
         ideals[c].append(m)
-    walk = _filter_regular_walk(ideals, twists, ring.nvars)
+    walk = _filter_regular_walk(list(map(frozenset, ideals)), twists, ring.nvars)
     if walk is None:
         return regularity_from_betti(betti_numbers(pres))
     reg, depth = walk
@@ -239,10 +239,11 @@ def _finite_series(num: dict[int, int], nvars: int) -> dict[int, int] | None:
 
 
 def _filter_regular_walk(
-    ideals: list[list[Mono]], twists, nvars: int
+    ideals: list[frozenset], twists, nvars: int
 ) -> tuple[int, int] | None:
-    """(reg, depth) of N_0 = F / U from in(U), given per component of F; None
-    when some step is not certified.
+    """(reg, depth) of N_0 = F / U from in(U), given per component of F by its
+    minimal generators (`buchberger`'s lead terms are minimal); None when some
+    step is not certified.
 
     Under `Codec.top` the last variables behave as Bayer and Stillman need ("A
     criterion for detecting m-regularity", 1987): with N_i = N_0 / (x_v, ...,
@@ -257,7 +258,6 @@ def _filter_regular_walk(
     x is regular, so depth N_0 is the index of that first one.
     """
     unit = (0,) * nvars
-    ideals = [_minimalize_monos(monos) for monos in ideals]
     if all(unit in monos for monos in ideals):
         raise ZeroModule("regularity of the zero module")
     reg: int | float = NEG_INF

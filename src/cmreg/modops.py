@@ -4,6 +4,11 @@ Fitting ideals, presentation minimalization, and dense degreewise linear
 algebra used as an independent cross-check.  `colon` is the one colon routine:
 the torsion of a linear form and each saturation round call it.  Units are
 cancelled by `invariants.cancel_units`, which also minimalizes resolutions.
+
+`h0_profile` runs a saturation round only when its outcome is open.  A module
+of finite length is its own H0 (its Hilbert numerator shows dimension 0), and
+a variable that divides no lead term of the column module's reduced basis is
+a nonzerodivisor on the module, so H0 vanishes and the columns are saturated.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .groebner import (
     GroebnerBasis,
     elements_to_matrix,
     elt_degree,
+    groebner,
     presentation_elements,
     syzygies_of,
 )
@@ -127,6 +133,11 @@ def colon_kernel(
     return minimal_presentation(kpres), lam
 
 
+def _has_free_variable(gb: GroebnerBasis) -> bool:
+    """Whether some variable divides no lead term of gb."""
+    return any(not any(m[x] for _, m in gb.lts) for x in range(gb.ring.nvars))
+
+
 def _nonneg(num: dict[int, int]) -> dict[int, int]:
     if any(c < 0 for c in num.values()):
         raise AlgebraError("inconsistent numerator difference")
@@ -146,19 +157,35 @@ class H0Profile:
 
 def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]:
     """Profile of the finite-length part of M plus a presentation of M' = M/H0,
-    obtained by saturating the column module with the irrelevant ideal."""
+    obtained by saturating U, the column module over S, with the irrelevant
+    ideal m.
+
+    A round replaces U by (U :_F m) until the Hilbert numerator stops changing.
+    Two cases are decided without one:
+    - M has finite length (its numerator has dimension 0): H0 = M, so
+      U^sat = F, whose reduced basis is the unit vectors e_i.
+    - Some variable x divides no lead term of U's reduced basis (U's own, or
+      the last round's result): x f in U with f in normal form would give
+      x lt(f) = lt(x f) in in(U), so lt(f) in in(U); x is a nonzerodivisor on
+      F/U, H0 = 0 and U is saturated (Eisenbud, "The Geometry of Syzygies",
+      ch. 4).  lt(x f) = x lt(f) holds for every monomial order.
+    """
     if pres.is_zero_module:
         return H0Profile({}, NEG_INF, None, 0), pres
     base, a = pres.ring.base, pres.row_twists
     cur = presentation_elements(pres)
-    n_u = numerator_of_cokernel(base, a, cur)
-    cur_n = n_u
-    while True:
-        gb = colon_with_irrelevant(base, a, cur)
-        n_big = numerator_of_gb(gb)
-        if n_big == cur_n:
-            break
-        cur, cur_n = gb.elements, n_big
+    gb = groebner(cur, base, a)
+    n_u = cur_n = numerator_of_gb(gb)
+    if hilbert_from_numerator(n_u, base.nvars).dimension == 0:
+        unit = (0,) * base.nvars
+        cur, cur_n = [{(i, unit): 1} for i in range(pres.n)], {}
+    else:
+        while not _has_free_variable(gb):
+            gb = colon_with_irrelevant(base, a, cur)
+            n_big = numerator_of_gb(gb)
+            if n_big == cur_n:
+                break
+            cur, cur_n = gb.elements, n_big
 
     diff = tp_sub(n_u, cur_n)
     for _ in range(base.nvars):

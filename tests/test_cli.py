@@ -354,6 +354,26 @@ def test_number_past_the_conversion_limit_is_a_parse_error(tmp_path, capsys):
         assert err.startswith(f"parse error: line {line}, col {col}: number too long"), err
 
 
+def test_columns_count_from_the_start_of_an_indented_line(tmp_path, capsys):
+    cases = [
+        # the same fault without and with four leading blanks
+        ("char 101\nvars x y\ngens 0 0\nrels\nx, y^\nend\n", 5, 6, "expected an integer exponent"),
+        ("char 101\nvars x y\ngens 0 0\nrels\n    x, y^\nend\n", 5, 10, "expected an integer exponent"),
+        ("char 101\nvars x y\nquotient\n  x +\nend\n", 4, 6, "expected a coefficient or a variable"),
+        ("  char 1o1\n", 1, 3, "expected 'char <prime>'"),
+        ("char 101\n vars x1x 1x\n", 2, 11, "bad variable name '1x'"),
+        ("char 101\nvars x y\n   gens 0 a\n", 3, 11, "bad generator twist 'a'"),
+        ("char 101\nvars x y\ngens 0\nrels\nx\nend\n   extra\n", 7, 4, "unexpected content after final 'end'"),
+    ]
+    for text, line, col, message in cases:
+        path = tmp_path / "indented.pres"
+        path.write_text(text)
+        assert main(["reg", str(path)]) == 1
+        assert capsys.readouterr().err == f"parse error: line {line}, col {col}: {message}\n", text
+    with pytest.raises(NonHomogeneous, match="line 5, col 4: entry 2"):
+        parse_file("char 101\nvars x y\ngens 0 0\nrels\n x, y + x^2\nend\n")
+
+
 def test_failed_verdict_exits_two(pres2, capsys, monkeypatch):
     # poison one formula so the soundness canary trips
     monkeypatch.setattr("cmreg.verify.main_bound", lambda *a, **k: -1)

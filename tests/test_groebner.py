@@ -19,6 +19,7 @@ from cmreg.core import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    monomials_of_degree,
     validate_presentation,
 )
 from cmreg.groebner import (
@@ -26,10 +27,13 @@ from cmreg.groebner import (
     Codec,
     GroebnerBasis,
     _add_scaled,
+    _index,
     autoreduce,
+    buchberger,
     column_element,
     elements_to_matrix,
     elt_add_scaled,
+    elt_degree,
     groebner,
     normal_form,
     poly_element,
@@ -471,6 +475,66 @@ def test_top_terms_order_by_degree_then_grevlex_then_position(data):
     assert ta + codec.shift(s) == tas
     (tb_in_a,) = codec.encode({(a[0], b[1]): 1}, twists)
     assert codec.divides(ta, tb_in_a) == mono_divides(a[1], b[1])
+
+
+@st.composite
+def homogeneous_modules(draw):
+    """A ring, row twists and homogeneous generators of a submodule of the free
+    module, with q*e_i appended for each generator q of a drawn J: the columns
+    over S of a module over S/J when J is nonzero."""
+    order = draw(st.sampled_from(["grevlex", "lex"]))
+    nvars = draw(st.integers(1, 3))
+    ring = GradedRing(PrimeField(7), tuple(f"x{i}" for i in range(nvars)), order)
+    n = draw(st.integers(1, 3))
+    twists = tuple(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+    coeff = st.integers(1, 6)
+
+    def form(deg):
+        monos = list(monomials_of_degree(nvars, deg))
+        return draw(st.dictionaries(st.sampled_from(monos), coeff, max_size=4)) if monos else {}
+
+    gens = []
+    for d in draw(st.lists(st.integers(0, 4), min_size=1, max_size=6)):
+        gens.append({(i, m): c for i, t in enumerate(twists) for m, c in form(d - t).items()})
+    for q in [form(d) for d in draw(st.lists(st.integers(1, 3), max_size=2))]:
+        gens += [{(i, m): c for m, c in q.items()} for i in range(n)]
+    return ring, twists, gens
+
+
+def _graph_input(ring, twists, gens):
+    """The input `syzygies_of` hands `buchberger`: (gens_k | e_k) in the graph
+    module, position over term."""
+    heads = [g for g in gens if g]
+    graph_twists = (*twists, *(int(elt_degree(h, twists)) for h in heads))
+    codec = Codec.pot(ring, graph_twists)
+    packed = []
+    for k, h in enumerate(heads):
+        g = codec.encode(h, graph_twists)
+        g[codec.bases[len(twists) + k]] = 1
+        packed.append(g)
+    return codec, graph_twists, packed
+
+
+@given(homogeneous_modules(), st.sampled_from(["pot", "top", "graph"]))
+def test_buchberger_leads_are_minimal(module, layout):
+    ring, twists, gens = module
+    if layout == "graph":
+        codec, twists, packed = _graph_input(ring, twists, gens)
+    else:
+        codec = getattr(Codec, layout)(ring, twists)
+        packed = [codec.encode(g, twists) for g in gens]
+    p = ring.field.p
+    basis, leads = buchberger(packed, codec, twists, p)
+    assert leads == [max(g) for g in basis]
+    by_comp = _index(codec, leads)
+    for g in packed:
+        assert not normal_form(g, basis, leads, by_comp, codec, p)[0]
+    decoded = list(map(codec.decode, leads))
+    for (c, a), (d, b) in combinations(decoded, 2):
+        assert c != d or not (mono_divides(a, b) or mono_divides(b, a)), (a, b)
+    # the elements joined in nondecreasing module degree
+    degrees = [mono_deg(m) + twists[c] for c, m in decoded]
+    assert degrees == sorted(degrees)
 
 
 def _over_order(pres, order):

@@ -5,6 +5,7 @@ import pytest
 from cmreg import modops
 from cmreg.core import (
     AlgebraError,
+    GradedPresentation,
     GradedRing,
     NEG_INF,
     PrimeField,
@@ -12,6 +13,8 @@ from cmreg.core import (
     validate_presentation,
 )
 from cmreg.groebner import (
+    elements_to_matrix,
+    elt_degree,
     groebner,
     memo_scope,
     poly_element,
@@ -22,7 +25,11 @@ from cmreg.invariants import (
     betti_numbers,
     hilbert_data,
     hilbert_numerator,
+    numerator_of_cokernel,
+    numerator_of_gb,
     regularity,
+    tp_divide_one_minus_t,
+    tp_sub,
 )
 from cmreg.modops import (
     H0Profile,
@@ -322,6 +329,71 @@ def test_h0_profile_needs_no_rebasing(monkeypatch):
     monkeypatch.setattr(modops, "colon_with_irrelevant", rebased)
     for pres, (profile, mprime) in zip(modules, got):
         assert h0_profile(pres) == (profile, mprime)
+
+
+def _h0_by_rounds(pres, colon_round):
+    """h0_profile as plain rounds: colon the columns with every variable until
+    the Hilbert numerator stops changing, deciding no case in advance."""
+    if pres.is_zero_module:
+        return H0Profile({}, NEG_INF, None, 0), pres
+    base, a = pres.ring.base, pres.row_twists
+    cur = presentation_elements(pres)
+    n_u = cur_n = numerator_of_cokernel(base, a, cur)
+    while True:
+        gb = colon_round(base, a, cur)
+        n_big = numerator_of_gb(gb)
+        if n_big == cur_n:
+            break
+        cur, cur_n = gb.elements, n_big
+    diff = tp_sub(n_u, cur_n)
+    for _ in range(base.nvars):
+        diff = tp_divide_one_minus_t(diff)
+    h0 = {e: c for e, c in diff.items() if c}
+    a0, indeg = (max(h0), min(h0)) if h0 else (NEG_INF, None)
+    profile = H0Profile(h0, a0, indeg, a0 - indeg + 1 if h0 else 0)
+    matrix = elements_to_matrix(cur, pres.n, base)
+    degrees = tuple(int(elt_degree(w, a)) for w in cur)
+    return profile, minimal_presentation(GradedPresentation(pres.ring, a, matrix, degrees))
+
+
+def test_h0_profile_decided_cases_match_the_rounds(monkeypatch):
+    from test_invariants import _oracle_modules
+
+    rounds = []
+    colon_round = modops.colon_with_irrelevant
+
+    def counted(*args):
+        rounds.append(1)
+        return colon_round(*args)
+
+    monkeypatch.setattr(modops, "colon_with_irrelevant", counted)
+    forms = random.Random(2025)  # criterion 4's forms, in its order
+    modules = []
+    for pres in _criterion_4_modules():
+        l = random_section_form(pres, forms)
+        _, mprime = _h0_by_rounds(pres, colon_round)
+        modules += [pres, quotient_by_linear(pres, l), quotient_by_linear(mprime, l)]
+    modules += list(_oracle_modules())
+
+    paths = {"finite length": 0, "free variable": 0, "rounds": 0}
+    for pres in modules:
+        rounds.clear()
+        expected = _h0_by_rounds(pres, counted)
+        old = len(rounds)
+        rounds.clear()
+        assert h0_profile(pres) == expected
+        if pres.is_zero_module:
+            continue
+        if hilbert_data(pres).dimension == 0:
+            assert not rounds
+            paths["finite length"] += 1
+        elif len(rounds) < old:  # a free variable skipped the confirming round
+            paths["free variable"] += 1
+        else:
+            assert len(rounds) == old
+            paths["rounds"] += 1
+    print(f"h0_profile paths over {len(modules)} modules: {paths}")
+    assert min(paths.values()) >= 10, paths
 
 
 def _dense_torsion_dim(pres, l, d):
