@@ -202,7 +202,7 @@ def parse_file(text: str) -> GradedPresentation:
     order = "grevlex"
     if peek_word() == "order":
         no, s = take("'order <name>'")
-        order = s.split(maxsplit=1)[1].strip() if " " in s else ""
+        order = s[5:].strip()
         if order not in ORDER_KEYS:
             raise ParseError(f"unsupported order {order!r}", no, lead + 7)
     base = GradedRing(field, names, order)

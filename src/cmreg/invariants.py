@@ -10,6 +10,10 @@ terms of one Groebner basis under `Codec.top` (see `_filter_regular_walk`), and
 falls back to the Betti table only when a step is not certified.
 `module_invariants` keeps the Schreyer resolution, so its `regularity` is the
 Betti-derived one, an independent second path.
+
+`hilbert_from_numerator` alone divides a numerator by (1-t): every finite series
+and length (the walk's H^0, `modops.h0_profile`'s H0, the torsion (0 :_M l) and
+`b1_degrees`) is read and checked there.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .core import (
     ZeroModule,
     dense_rank,
     free_presentation,
+    mono_mul,
 )
 from .groebner import (
     Codec,
@@ -35,7 +40,6 @@ from .groebner import (
     FreeResolution,
     GroebnerBasis,
     buchberger,
-    elt_add_scaled,
     groebner,
     presentation_elements,
     quotient_groebner,
@@ -217,10 +221,8 @@ def regularity(pres: GradedPresentation) -> int:
     codec = Codec.top(ring, twists)
     gens = [codec.encode(g, twists) for g in presentation_elements(pres)]
     _, leads = buchberger(gens, codec, twists, ring.field.p)
-    ideals: list[list[Mono]] = [[] for _ in twists]
-    for c, m in map(codec.decode, leads):
-        ideals[c].append(m)
-    walk = _filter_regular_walk(list(map(frozenset, ideals)), twists, ring.nvars)
+    ideals = _lead_ideals(map(codec.decode, leads), len(twists))
+    walk = _filter_regular_walk(ideals, twists, ring.nvars)
     if walk is None:
         return regularity_from_betti(betti_numbers(pres))
     reg, depth = walk
@@ -228,22 +230,12 @@ def regularity(pres: GradedPresentation) -> int:
     return reg
 
 
-def _finite_series(num: dict[int, int], nvars: int) -> dict[int, int] | None:
-    """num / (1-t)^nvars when that is a polynomial with nonnegative
-    coefficients, the Hilbert series of a module of finite length; else None."""
-    for _ in range(nvars):
-        if tp_eval1(num):
-            return None
-        num = tp_divide_one_minus_t(num)
-    return num if all(c > 0 for c in num.values()) else None
-
-
 def _filter_regular_walk(
     ideals: list[frozenset], twists, nvars: int
 ) -> tuple[int, int] | None:
     """(reg, depth) of N_0 = F / U from in(U), given per component of F by its
-    minimal generators (`buchberger`'s lead terms are minimal); None when some
-    step is not certified.
+    minimal generators (`buchberger`'s lead terms are minimal); None when a
+    step is not certified: some (0 :_{N_i} x^oo) has infinite length.
 
     Under `Codec.top` the last variables behave as Bayer and Stillman need ("A
     criterion for detecting m-regularity", 1987): with N_i = N_0 / (x_v, ...,
@@ -274,9 +266,10 @@ def _filter_regular_walk(
             num = _numerator_of_components(ideals, twists)
             if not finite:
                 num = tp_sub(num, _numerator_of_components(saturated, twists))
-            h0 = _finite_series(num, nvars)
-            if h0 is None:
+            hd = hilbert_from_numerator(num, nvars)
+            if hd.length is None:
                 return None
+            h0 = hd.q_polynomial
             if h0:
                 reg = max(reg, max(h0))
                 depth = i if depth is None else depth
@@ -378,13 +371,19 @@ def _numerator_of_lead_terms(monos: frozenset) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(total.items()))
 
 
+def _lead_ideals(lts, n: int) -> list[frozenset]:
+    """Per component of a rank-n free module, the monomial ideal of the lead
+    terms (c, m) in it, as given: `buchberger`'s leads are already minimal."""
+    ideals: list[list[Mono]] = [[] for _ in range(n)]
+    for c, m in lts:
+        ideals[c].append(m)
+    return list(map(frozenset, ideals))
+
+
 def numerator_of_gb(gb: GroebnerBasis) -> dict[int, int]:
     """Hilbert numerator of the cokernel presented by an already computed
     Groebner basis, from its lead terms alone."""
-    by_comp: list[list[Mono]] = [[] for _ in gb.row_twists]
-    for c, m in gb.lts:
-        by_comp[c].append(m)
-    return _numerator_of_components(map(_minimalize_monos, by_comp), gb.row_twists)
+    return _numerator_of_components(_lead_ideals(gb.lts, len(gb.row_twists)), gb.row_twists)
 
 
 def _numerator_of_components(ideals, twists) -> dict[int, int]:
@@ -432,6 +431,10 @@ class HilbertData:
 
 
 def hilbert_from_numerator(num: dict[int, int], var_count: int) -> HilbertData:
+    """Dimension, multiplicity and length from a Hilbert numerator, with
+    `q_polynomial` = num / (1-t)^codimension, the Hilbert series when the length
+    is finite.  Raises `AlgebraError` when no module has this numerator, a
+    finite series with a negative coefficient included."""
     num = {e: c for e, c in num.items() if c}
     if not num:
         return HilbertData(
@@ -450,7 +453,7 @@ def hilbert_from_numerator(num: dict[int, int], var_count: int) -> HilbertData:
         c += 1
     delta = var_count - c
     e = tp_eval1(q)
-    if delta < 0 or e <= 0:
+    if delta < 0 or e <= 0 or (delta == 0 and min(q.values()) < 0):
         raise AlgebraError("Hilbert numerator inconsistent with a nonzero module")
     return HilbertData(
         numerator=num,
@@ -482,24 +485,19 @@ def b1_degrees(mi: ModuleInvariants) -> dict[int, int]:
     base = pres.ring.base
     cols = presentation_elements(pres)  # columns of phi, then JG columns
     phi_cols, jg_cols = cols[: pres.m], cols[pres.m :]
-    p = base.field.p
-    m_phi: list[Element] = []
-    for col in phi_cols:
-        if not col:
-            continue
-        for v in range(base.nvars):
-            mono = tuple(1 if t == v else 0 for t in range(base.nvars))
-            shifted: Element = {}
-            elt_add_scaled(shifted, col, mono, 1, p)
-            m_phi.append(shifted)
+    xs = [tuple(int(t == v) for t in range(base.nvars)) for v in range(base.nvars)]
+    m_phi = [
+        {(c, mono_mul(m, x)): a for (c, m), a in col.items()}
+        for col in phi_cols
+        if col
+        for x in xs
+    ]
 
     big = numerator_of_cokernel(base, pres.row_twists, m_phi + jg_cols)
-    diff = tp_sub(big, mi.hilbert.numerator)
-    for _ in range(base.nvars):
-        diff = tp_divide_one_minus_t(diff)
-    if any(c < 0 for c in diff.values()):
-        raise AlgebraError("negative syzygy count")
-    return {e: c for e, c in diff.items() if c}
+    hd = hilbert_from_numerator(tp_sub(big, mi.hilbert.numerator), base.nvars)
+    if hd.length is None:
+        raise AlgebraError("minimal syzygies of infinite length")
+    return hd.q_polynomial
 
 
 # -- ring-level invariants ---------------------------------------------------------

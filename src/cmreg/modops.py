@@ -42,7 +42,6 @@ from .invariants import (
     hilbert_from_numerator,
     numerator_of_cokernel,
     numerator_of_gb,
-    tp_divide_one_minus_t,
     tp_sub,
 )
 
@@ -138,12 +137,6 @@ def _has_free_variable(gb: GroebnerBasis) -> bool:
     return any(not any(m[x] for _, m in gb.lts) for x in range(gb.ring.nvars))
 
 
-def _nonneg(num: dict[int, int]) -> dict[int, int]:
-    if any(c < 0 for c in num.values()):
-        raise AlgebraError("inconsistent numerator difference")
-    return num
-
-
 @dataclass
 class H0Profile:
     """Degreewise sizes of the finite-length part (sections supported at the
@@ -169,6 +162,8 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
       x lt(f) = lt(x f) in in(U), so lt(f) in in(U); x is a nonzerodivisor on
       F/U, H0 = 0 and U is saturated (Eisenbud, "The Geometry of Syzygies",
       ch. 4).  lt(x f) = x lt(f) holds for every monomial order.
+
+    H0's series is read and checked by `invariants.hilbert_from_numerator`.
     """
     if pres.is_zero_module:
         return H0Profile({}, NEG_INF, None, 0), pres
@@ -187,10 +182,10 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
                 break
             cur, cur_n = gb.elements, n_big
 
-    diff = tp_sub(n_u, cur_n)
-    for _ in range(base.nvars):
-        diff = tp_divide_one_minus_t(diff)
-    h0 = _nonneg({e: c for e, c in diff.items() if c})
+    hd = hilbert_from_numerator(tp_sub(n_u, cur_n), base.nvars)
+    if hd.length is None:
+        raise AlgebraError("H0 of infinite length")
+    h0 = hd.q_polynomial
 
     if h0:
         a0: int | float = max(h0)
@@ -217,6 +212,8 @@ def sym_power(pres: GradedPresentation, l: int) -> GradedPresentation:
     ring = pres.ring
     if l == 0:
         return validate_presentation(ring, (0,), [[]], [])
+    if pres.is_zero_module:
+        return pres  # Sym^l(0) = 0
     gens = list(combinations_with_replacement(range(pres.n), l))
     index = {g: k for k, g in enumerate(gens)}
     twists = tuple(sum(pres.row_twists[i] for i in g) for g in gens)

@@ -139,6 +139,15 @@ def test_parse_file_full_round_trip():
     assert again.matrix == pres.matrix
 
 
+def test_parse_file_accepts_a_tab_after_order():
+    pres = parse_file("char 101\nvars x y\norder\tlex\ngens 0\nrels\nx^2\nend\n")
+    assert pres.ring.order == "lex"
+    with pytest.raises(ParseError, match="line 3, col 7: unsupported order 'weight'"):
+        parse_file("char 101\nvars x\norder\tweight\ngens 0\nrels\nend\n")
+    with pytest.raises(ParseError, match="line 3, col 7: unsupported order ''"):
+        parse_file("char 101\nvars x\norder\ngens 0\nrels\nend\n")
+
+
 def test_parse_file_accepts_comments_and_free_modules():
     pres = parse_file("# a free module\nchar 101\nvars x\ngens 0 2\nrels\nend\n")
     assert pres.m == 0 and pres.row_twists == (0, 2)
@@ -255,6 +264,19 @@ def test_sym_fitt_complex_commands(pres2, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["bound"] == 2
     assert [t["position"] for t in data["terms"]] == [0, 1, 2]
+
+
+def test_sym_command_on_the_zero_module(tmp_path, capsys):
+    path = tmp_path / "zero.pres"
+    path.write_text("char 101\nvars x y\ngens 0\nrels\n1\nend\n")
+    assert main(["sym", str(path), "--l", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Sym^1: 0 generators, 0 relations",
+        "reg = None",
+    ]
+    assert main(["sym", str(path), "--l", "2", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["regularity"] is None and data["generators"] == 0
 
 
 def test_section_check_command(pres2, capsys):

@@ -125,6 +125,14 @@ def test_divide_one_minus_t_requires_root():
     assert tp_divide_one_minus_t({0: 1, 2: -1}) == {0: 1, 1: 1}
 
 
+def test_hilbert_from_numerator_rejects_a_negative_finite_series():
+    # 2 - 3t + t^2 = (1-t)(2-t): length 1, but the series 2 - t is no module's
+    with pytest.raises(AlgebraError):
+        hilbert_from_numerator({0: 2, 1: -3, 2: 1}, 1)
+    # with a second variable it is the h-polynomial of a module of dimension 1
+    assert hilbert_from_numerator({0: 2, 1: -3, 2: 1}, 2).q_polynomial == {0: 2, 1: -1}
+
+
 def test_zero_module_paths():
     one = R2.one()
     pres = validate_presentation(R2, (0,), [[one]])
@@ -639,4 +647,19 @@ def test_regularity_falls_back_when_the_walk_is_not_certified(resolved):
     # S/(x^2, y^3): the walk certifies it at once, with no resolution
     resolved.clear()
     assert regularity(cyclic(R2, [u * u, v * v * v])) == 3
+    assert resolved == []
+
+
+def test_regularity_raises_on_an_impossible_series(resolved, monkeypatch):
+    # a walk step whose series has a negative coefficient is an error in the
+    # numerators, not an uncertified step: no fallback to the Betti table
+    ring = GradedRing(F, ("x",))
+    (t,) = ring.gens()
+    pres = cyclic(ring, [t * t])
+    assert regularity(pres) == 1
+    monkeypatch.setattr(
+        invariants, "_numerator_of_components", lambda ideals, twists: {0: 2, 1: -3, 2: 1}
+    )
+    with pytest.raises(AlgebraError):
+        regularity(pres)
     assert resolved == []

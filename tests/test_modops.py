@@ -159,6 +159,13 @@ def test_sym_power_zero_is_ring():
     assert s0.row_twists == (0,) and s0.m == 0
 
 
+def test_sym_power_of_the_zero_module_is_zero():
+    zero = minimal_presentation(validate_presentation(R2, (0,), [[R2.one()]]))
+    assert zero.is_zero_module
+    for l in (1, 2):
+        assert sym_power(zero, l).is_zero_module
+
+
 def test_sym_power_shape_two_generators():
     # coker (x y)^T : two generators, one relation
     pres = validate_presentation(R2, (0, 0), [[u], [v]])
