@@ -294,6 +294,8 @@ def ideal_bounds(
 ) -> dict[str, int]:
     """Classical regularity bounds for an ideal generated in degrees <= cap in
     p_vars variables.  Entries whose hypotheses fail are simply absent."""
+    if cap < 1:
+        raise AlgebraError(f"degree cap {cap} is below 1")
     out: dict[str, int] = {}
     if c is not None and p_vars - c >= 2:
         out["general_c"] = ((c + 1) * cap ** (c + 1)) ** (2 ** (p_vars - c - 2))

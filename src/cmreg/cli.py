@@ -474,7 +474,10 @@ def _cmd_bounds(pres, args):
     lines = [f"computed reg = {comp['regularity']}"]
     lines += [f"{name:24} {value}" for name, value in values.items()]
     if n == 1:
-        cap = args.B if args.B is not None else degree_cap(a, b)
+        top = max(b) - a[0] if b else 0  # M = S(-a_0)/I, I generated in degrees b_j - a_0
+        if args.B is not None and args.B < top:
+            raise AlgebraError(f"--B {args.B} is below the ideal's top degree {top}")
+        cap = args.B if args.B is not None else max(degree_cap(a, b), top)
         payload["ideal"] = ideal = ideal_bounds(
             pres.ring.nvars, cap, c=c, n=m, deg_r=deg_r, reg_r=reg_r
         )
@@ -497,13 +500,10 @@ def _cmd_sym(pres, args):
 
 
 def _cmd_fitt(pres, args):
-    pres = minimal_presentation(pres)
-    minors = fitting_ideal_0(pres)
-    if minors:
-        quotient = validate_presentation(pres.ring, (0,), [minors])
-        r = regularity(quotient)
-    else:
-        r = ring_invariants(pres.ring)[2]  # zero ideal: the quotient is R itself
+    minors = fitting_ideal_0(minimal_presentation(pres))
+    # R itself when there are no minors, the zero module when a minor is a unit
+    quotient = minimal_presentation(validate_presentation(pres.ring, (0,), [minors]))
+    r = regularity(quotient) if not quotient.is_zero_module else None
     gens = [render_poly(g) for g in minors]
     lines = [f"fitting ideal: {len(minors)} generators", *(f"  {g}" for g in gens)]
     lines.append(f"reg(R/Fitt) = {r}")
@@ -589,9 +589,11 @@ def _file_text(pres):
 
 def _cmd_random(_pres, args):
     if not args.audit:
-        if args.trials != 1:
-            raise AlgebraError("--trials above 1 requires --audit")
+        if args.trials != 1 or args.csv:
+            raise AlgebraError("--trials and --csv require --audit")
         return _file_text(_random_trial(args.seed, 0, args.order)[0])
+    if args.trials < 1:
+        raise AlgebraError("--trials must be at least 1")
     reports = []
     for trial in range(args.trials):
         pres, info = _random_trial(args.seed, trial, args.order)

@@ -512,8 +512,6 @@ def ring_invariants(ring: GradedRing) -> tuple[int, int, int, bool]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _quotient_ideal_gen_degrees(ring: GradedRing) -> tuple[int, ...]:
-    if not ring.is_quotient:
-        return ()
     table = betti_numbers(free_presentation(ring, (0,)))
     return tuple(sorted(j for (i, j), b in table.items() if i == 1 for _ in range(b)))
 

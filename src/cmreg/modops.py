@@ -4,6 +4,7 @@ Fitting ideals, presentation minimalization, and dense degreewise linear
 algebra used as an independent cross-check.  `colon` is the one colon routine:
 the torsion of a linear form and each saturation round call it.  Units are
 cancelled by `invariants.cancel_units`, which also minimalizes resolutions.
+The flagged zero module runs through each operation's general path.
 
 `h0_profile` runs a saturation round only when its outcome is open.  A module
 of finite length is its own H0 (its Hilbert numerator shows dimension 0), and
@@ -114,7 +115,7 @@ def _torsion(
 def torsion_length(pres: GradedPresentation, l: Polynomial) -> int | None:
     """Length of K = (0 :_M l), None when infinite; K itself is not presented."""
     _check_linear(pres, l)
-    return 0 if pres.is_zero_module else _torsion(pres, l)[2]
+    return _torsion(pres, l)[2]
 
 
 def colon_kernel(
@@ -122,8 +123,6 @@ def colon_kernel(
 ) -> tuple[GradedPresentation, int | None]:
     """(presentation of K = (0 :_M l), its length or None when infinite)."""
     _check_linear(pres, l)
-    if pres.is_zero_module:
-        return pres, 0
     cols, w, lam = _torsion(pres, l)
     rels = syzygies_of(w.elements, w.ring, w.row_twists, tails=cols)
     matrix = elements_to_matrix(rels.elements, len(w.basis), w.ring)
@@ -165,8 +164,6 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
 
     H0's series is read and checked by `invariants.hilbert_from_numerator`.
     """
-    if pres.is_zero_module:
-        return H0Profile({}, NEG_INF, None, 0), pres
     base, a = pres.ring.base, pres.row_twists
     cur = presentation_elements(pres)
     gb = groebner(cur, base, a)
@@ -266,8 +263,6 @@ def fitting_ideal_0(pres: GradedPresentation) -> list[Polynomial]:
     """Generators (the maximal minors of size n) of the 0-th Fitting ideal.
     An n x m matrix with m < n has none: the ideal is zero."""
     n, m = pres.n, pres.m
-    if m < n:
-        return []
     minor = minor_function(pres.matrix, pres.ring.base)
     all_rows = tuple(range(n))
     seen = set()

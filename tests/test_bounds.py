@@ -201,6 +201,8 @@ def test_ideal_bounds_three_vars():
     out = ideal_bounds(3, 2)
     assert out["small_p"] == 4
     assert "large_p" not in out
+    with pytest.raises(AlgebraError):
+        ideal_bounds(3, 0)
 
 
 def test_ideal_bounds_four_vars():

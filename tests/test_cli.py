@@ -255,6 +255,17 @@ def test_bounds_B_override(pres3, capsys):
     assert data["ideal"]["small_p"] == 3 * (3 - 1) + 1
 
 
+def test_bounds_ideal_cap_covers_the_ideals_degrees(tmp_path, capsys):
+    # M = S(3)/(x^3): the ideal (x^3) is generated in degree 3, and reg S/(x^3) = 2
+    path = tmp_path / "twisted.pres"
+    path.write_text("char 101\nvars x y z\ngens -3\nrels\nx^3\nend\n")
+    assert main(["bounds", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ideal"]["small_p"] == 7
+    path.write_text("char 101\nvars x y z\ngens 0\nrels\nx^3\nend\n")
+    assert main(["bounds", str(path), "--B", "2"]) == 1
+    assert "below the ideal's top degree 3" in capsys.readouterr().err
+
+
 def test_sym_fitt_complex_commands(pres2, capsys):
     assert main(["sym", pres2, "--l", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["regularity"] == 1
@@ -277,6 +288,26 @@ def test_sym_command_on_the_zero_module(tmp_path, capsys):
     assert main(["sym", str(path), "--l", "2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["regularity"] is None and data["generators"] == 0
+
+
+def test_fitt_command_on_the_zero_module(tmp_path, capsys):
+    # one minor, the unit 1: R/Fitt_0 is the zero module
+    path = tmp_path / "zero.pres"
+    path.write_text("char 101\nvars x y\ngens 0\nrels\n1\nend\n")
+    assert main(["fitt", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "reg(R/Fitt) = None"
+    assert main(["fitt", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["regularity_of_quotient"] is None
+
+
+@pytest.mark.parametrize("quotient, reg_r", [("", 0), ("quotient\nx*z - y^2\nend\n", 1)])
+def test_fitt_command_without_minors_reads_reg_r(tmp_path, capsys, quotient, reg_r):
+    # a 2 x 1 matrix has no maximal minors: R/Fitt_0 is R itself
+    path = tmp_path / "narrow.pres"
+    path.write_text(f"char 101\nvars x y z\n{quotient}gens 0 0\nrels\nx, 0\nend\n")
+    assert main(["fitt", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"generators": [], "regularity_of_quotient": reg_r}
 
 
 def test_section_check_command(pres2, capsys):
@@ -322,6 +353,10 @@ def test_random_audit_csv(capsys):
 
 def test_random_trials_without_audit_is_usage_error(capsys):
     assert main(["random", "--trials", "3"]) == 1
+    assert main(["random", "--seed", "3", "--csv"]) == 1
+    for trials in ("0", "-2"):
+        assert main(["random", "--trials", trials, "--audit"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_mayr_meyer_command_round_trips(capsys):

@@ -148,6 +148,7 @@ def test_zero_module_paths():
 
 def test_ring_invariants_polynomial_ring():
     assert ring_invariants(R3) == (3, 1, 0, True)
+    assert quotient_ideal_gen_degrees(R3) == []  # S's Betti table has no row 1
 
 
 def test_ring_invariants_hypersurface():
