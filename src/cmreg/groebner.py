@@ -20,12 +20,15 @@ wrap, so an element whose module degree is more than MAX_DEGREE above the
 smallest level-0 twist raises `DegreeOverflow`; that is checked on input and
 for every S-pair.
 
-`Codec.top` is a second level-0 layout, for `invariants.regularity`: module
-degree minus the smallest twist, then the grevlex variable fields (whatever the
-ring's order), then n-1-c in the low bits.  Under it a homogeneous element's
-lead term has the fewest factors x_v, so in(U + x_v F) = in(U) + x_v F and
+`Codec.top` is a second level-0 layout: module degree minus the smallest twist,
+then the grevlex variable fields (whatever the ring's order), then n-1-c in the
+low bits.  Under it a homogeneous element's lead term has the fewest factors
+x_v, so in(U + x_v F) = in(U) + x_v F, in(U : x_v) = in(U) : x_v and
 in(U : x_v^oo) = in(U) : x_v^oo, which position over term breaks.  Buchberger
-runs on it as it is; only its lead terms are read.
+runs on it as it is; only its lead terms are read (`top_lead_terms`), by two
+readers: `invariants.regularity`'s walk and `modops.colon_with_irrelevant`,
+whose run gives up at the first lead term with x_v.  A completed lead-term set
+is memoised in the scope, below.
 
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree
@@ -48,9 +51,11 @@ Within one top-level call the same Groebner input recurs: the basis of a
 module's own columns is wanted by its Hilbert numerator, its torsion and its
 resolution.  `groebner` and `syzygies_of` therefore share one memo, keyed by
 the exact input (ring, row twists, packed generators) and holding the finished
-auto-reduced basis.  It lives only inside `memo_scope()`: `verify.audit`,
-`section_check`, `random_section_form` and `tower_check` each open one (or
-join the one already open).  Outside a scope nothing is memoised, and a scope
+auto-reduced basis; `top_lead_terms` keeps its completed degree-first lead
+terms in the same memo, with the twists less their minimum in the key.  The
+memo lives only inside `memo_scope()`: `verify.audit`, `section_check`,
+`random_section_form` and `tower_check` each open one (or join the one
+already open).  Outside a scope nothing is memoised, and a scope
 lives no longer than one instance: `cmreg random --audit` gets one per trial,
 through `audit`.  Sharing a basis is sound because callers only read it; its division
 cache, the one state that changes, stays valid since the basis never grows.
@@ -65,7 +70,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import add, mul
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .core import (
     CACHE_SIZE,
@@ -83,6 +88,7 @@ from .core import (
 Term = tuple[int, Mono]
 Element = dict[Term, int]
 Packed = dict[int, int]
+T = TypeVar("T")
 
 MAX_DEGREE = (1 << 15) - 1  # largest exponent or degree a packed field holds
 FIELD = 16  # bits per variable field, guard bit on top: one struct "H" each
@@ -405,8 +411,10 @@ def buchberger(
     codec: Codec,
     row_twists: Sequence[int],
     p: int,
-) -> tuple[list[Packed], list[int]]:
-    """Raw Buchberger loop: returns (basis, lts) before auto-reduction.
+    stop: int | None = None,
+) -> tuple[list[Packed], list[int]] | None:
+    """Raw Buchberger loop: returns (basis, lts) before auto-reduction, or None
+    as soon as a lead term involves the variable of index `stop`, if given.
 
     Pair selection is by ascending module degree.  Each nonzero generator waits
     in the same queue at its module degree, ahead of that degree's pairs, and
@@ -465,21 +473,21 @@ def buchberger(
     while pairs:
         deg, i, j = heapq.heappop(pairs)
         if i < 0:
-            rem, _ = normal_form(gens[j], basis, lts, by_comp, codec, p, div_cache=div_cache)
-            if rem:
-                add_element(rem)
-            continue
-        pending.discard((i, j))
-        tau = lts[i] + codec.shift(mono_div(mono_lcm(lms[i], lms[j]), lms[i]))
-        if chained(i, j, tau):
-            continue
-        codec.check(deg)
-        s: Packed = {}
-        _add_scaled(s, basis[i], tau - lts[i], 1, p)
-        _add_scaled(s, basis[j], tau - lts[j], -1, p)
+            s = gens[j]
+        else:
+            pending.discard((i, j))
+            tau = lts[i] + codec.shift(mono_div(mono_lcm(lms[i], lms[j]), lms[i]))
+            if chained(i, j, tau):
+                continue
+            codec.check(deg)
+            s = {}
+            _add_scaled(s, basis[i], tau - lts[i], 1, p)
+            _add_scaled(s, basis[j], tau - lts[j], -1, p)
         rem, _ = normal_form(s, basis, lts, by_comp, codec, p, div_cache=div_cache)
         if rem:
             add_element(rem)
+            if stop is not None and lms[-1][stop]:
+                return None
 
     return basis, lts
 
@@ -552,16 +560,20 @@ def _memoised(
     ring: GradedRing,
     row_twists: Sequence[int],
     packed: Sequence[Packed],
-    build: Callable[[], GroebnerBasis],
-) -> GroebnerBasis:
-    """build(), or inside a scope the basis built earlier from the same input."""
+    build: Callable[[], T],
+) -> T:
+    """build(), or inside a scope the result built earlier from the same input;
+    a None result is not stored."""
     memo = _MEMO.get()
     if memo is None:
         return build()
     key = (kind, ring, tuple(row_twists), tuple(tuple(g.items()) for g in packed))
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+    got = memo.get(key)
+    if got is None:
+        got = build()
+        if got is not None:
+            memo[key] = got
+    return got
 
 
 def groebner(
@@ -586,6 +598,31 @@ def groebner(
         )
 
     return _memoised("groebner", ring, row_twists, packed, build)
+
+
+def top_lead_terms(
+    gens: Sequence[Element],
+    ring: GradedRing,
+    row_twists: Sequence[int],
+    stop: int | None = None,
+) -> tuple[Term, ...] | None:
+    """The lead terms of a Groebner basis of the submodule generated by `gens`
+    under `Codec.top`, minimal generators of its lead-term module; None when
+    the run gave up at a lead term involving the variable of index `stop`.
+
+    Neither the packing nor the limit checks see a uniform shift of the
+    twists, so the memo keys the twists less their minimum and a module and its
+    twist share one run.  A run that gave up is not memoised."""
+    low = min(row_twists, default=0)
+    codec = Codec.top(ring, row_twists)
+    packed = [codec.encode(g, row_twists) for g in gens]
+
+    def build() -> tuple[Term, ...] | None:
+        run = buchberger(packed, codec, row_twists, ring.field.p, stop)
+        return None if run is None else tuple(map(codec.decode, run[1]))
+
+    shifted = tuple(t - low for t in row_twists)
+    return _memoised("top_lead_terms", ring, shifted, packed, build)
 
 
 def schreyer_syzygies(gb: GroebnerBasis):

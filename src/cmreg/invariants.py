@@ -39,12 +39,12 @@ from .groebner import (
     Element,
     FreeResolution,
     GroebnerBasis,
-    buchberger,
     groebner,
     presentation_elements,
     quotient_groebner,
     reduce_poly,
     schreyer_resolution,
+    top_lead_terms,
 )
 
 
@@ -212,21 +212,22 @@ def regularity_from_betti(table: dict[tuple[int, int], int]) -> int:
 def regularity(pres: GradedPresentation) -> int:
     """reg M from the lead terms of one Groebner basis of M's columns over S
     under `Codec.top`, by the filter-regular walk (see `_filter_regular_walk`);
-    from the Betti table when the walk cannot certify a step.
+    from the Betti table when the walk cannot certify a step.  The lead terms
+    come from `top_lead_terms`, which the scope shares with `modops`'
+    saturation rounds and across modules whose columns agree and whose twists
+    differ by a shift.
 
     Refuses with `DegreeOverflow` when reg + pd, the degree a minimal
     resolution may reach, is past the packed terms' limit.
     """
     ring, twists = pres.ring.base, pres.row_twists
-    codec = Codec.top(ring, twists)
-    gens = [codec.encode(g, twists) for g in presentation_elements(pres)]
-    _, leads = buchberger(gens, codec, twists, ring.field.p)
-    ideals = _lead_ideals(map(codec.decode, leads), len(twists))
-    walk = _filter_regular_walk(ideals, twists, ring.nvars)
+    lts = top_lead_terms(presentation_elements(pres), ring, twists)
+    walk = _filter_regular_walk(_lead_ideals(lts, len(twists)), twists, ring.nvars)
     if walk is None:
         return regularity_from_betti(betti_numbers(pres))
     reg, depth = walk
-    codec.check(reg + ring.nvars - depth)  # Auslander-Buchsbaum: pd = v - depth
+    # Auslander-Buchsbaum: pd = v - depth
+    Codec.top(ring, twists).check(reg + ring.nvars - depth)
     return reg
 
 

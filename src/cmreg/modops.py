@@ -10,6 +10,9 @@ The flagged zero module runs through each operation's general path.
 of finite length is its own H0 (its Hilbert numerator shows dimension 0), and
 a variable that divides no lead term of the column module's reduced basis is
 a nonzerodivisor on the module, so H0 vanishes and the columns are saturated.
+A round that does run is read off the degree-first basis (`Codec.top`) when
+no lead term there involves x_v: x_v is then a nonzerodivisor too, and the
+round confirms U without a graph colon (see `colon_with_irrelevant`).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .core import (
     AlgebraError,
+    DegreeOverflow,
     GradedPresentation,
     GradedRing,
     Mono,
@@ -37,6 +41,7 @@ from .groebner import (
     groebner,
     presentation_elements,
     syzygies_of,
+    top_lead_terms,
 )
 from .invariants import (
     cancel_units,
@@ -96,7 +101,23 @@ def colon(
 def colon_with_irrelevant(
     ring: GradedRing, row_twists, columns: list[Element]
 ) -> GroebnerBasis:
-    """The colon of the columns by every variable: one saturation round."""
+    """The colon U : m of the module U the columns generate by every variable:
+    one saturation round, as U's reduced basis (position over term).
+
+    The round is first read off U's degree-first basis (`top_lead_terms`, whose
+    run gives up at the first lead term with x_v).  Under `Codec.top`
+    in(U : x_v) = in(U) : x_v, and the lead terms are minimal, so when none
+    involves x_v, x_v is a nonzerodivisor on F/U and U : m = U (Bayer-Stillman,
+    "A criterion for detecting m-regularity", 1987): the answer is U's own
+    memoised basis.  Otherwise, or when the degree-first run overflows, the
+    graph colon decides."""
+    x = ring.nvars - 1
+    try:
+        lts = top_lead_terms(columns, ring, row_twists, stop=x)
+        if lts is not None and not any(m[x] for _, m in lts):
+            return groebner(columns, ring, row_twists)
+    except DegreeOverflow:
+        pass
     return colon(ring, row_twists, columns, ring.gens())
 
 
@@ -161,6 +182,9 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
       x lt(f) = lt(x f) in in(U), so lt(f) in in(U); x is a nonzerodivisor on
       F/U, H0 = 0 and U is saturated (Eisenbud, "The Geometry of Syzygies",
       ch. 4).  lt(x f) = x lt(f) holds for every monomial order.
+    A round itself is settled from U's degree-first basis when no lead term
+    there involves x_v, and by the graph colon otherwise; the rounds run and
+    their answers are the same either way (`colon_with_irrelevant`).
 
     H0's series is read and checked by `invariants.hilbert_from_numerator`.
     """

@@ -45,6 +45,7 @@ from cmreg.groebner import (
     _MEMO,
     memo_scope,
     syzygies_of,
+    top_lead_terms,
 )
 from cmreg.invariants import (
     betti_numbers,
@@ -660,10 +661,11 @@ def test_nested_scope_reuses_the_outer_one(buchberger_runs):
 
 
 def test_memoised_bases_equal_fresh_ones_after_section_check(monkeypatch):
-    """Every basis the memo hands out during section_check still equals a fresh
-    computation from the same input: no caller mutated a shared basis."""
+    """Every basis or lead-term set the memo hands out during section_check
+    still equals a fresh computation from the same input: no caller mutated a
+    shared result."""
     calls = []
-    for name in ("groebner", "syzygies_of"):
+    for name in ("groebner", "syzygies_of", "top_lead_terms"):
         original = getattr(groebner_module, name)
 
         def recording(*args, _original=original, **kwargs):
@@ -677,17 +679,29 @@ def test_memoised_bases_equal_fresh_ones_after_section_check(monkeypatch):
 
     modules = _criterion_4_modules()
     rng = random.Random(2025)
-    memoised = {}
+    memoised, keys = {}, set()
     for pres in modules[:4] + modules[25:29]:
         with memo_scope():
             section_check(pres, random_section_form(pres, rng))
             memoised.update((id(gb), gb) for gb in _MEMO.get().values())
+            keys.update(_MEMO.get())
     assert len(calls) > len(memoised) > 0  # the memo was hit
+    kinds = {key[0] for key in keys}
+    assert kinds == {"groebner", "syzygies_of", "top_lead_terms"}
 
     handed_out = {id(result) for _, _, result in calls}
     assert set(memoised) <= handed_out
     for original, (args, kwargs), result in calls:
         fresh = original(*args, **kwargs)
+        if original is top_lead_terms:
+            # the memo holds completed runs only: compare with a run that never stops
+            stop = kwargs.pop("stop", None)
+            whole = original(*args, **kwargs)
+            if result is None:
+                assert fresh is None and any(m[stop] for _, m in whole)
+            else:
+                assert result == whole
+            continue
         assert fresh.row_twists == result.row_twists
         assert fresh.leads == result.leads
         assert fresh.basis == result.basis

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from cmreg import modops
 from cmreg.core import (
     AlgebraError,
+    DegreeOverflow,
     GradedPresentation,
     GradedRing,
     NEG_INF,
@@ -13,6 +15,7 @@ from cmreg.core import (
     validate_presentation,
 )
 from cmreg.groebner import (
+    MAX_DEGREE,
     elements_to_matrix,
     elt_degree,
     groebner,
@@ -20,6 +23,7 @@ from cmreg.groebner import (
     poly_element,
     presentation_elements,
     syzygies_of,
+    top_lead_terms,
 )
 from cmreg.invariants import (
     betti_numbers,
@@ -340,7 +344,12 @@ def test_h0_profile_needs_no_rebasing(monkeypatch):
         assert h0_profile(pres) == (profile, mprime)
 
 
-def _h0_by_rounds(pres, colon_round):
+def _graph_round(ring, row_twists, columns):
+    """One saturation round by the graph colon alone, with no shortcut."""
+    return colon(ring, row_twists, columns, ring.gens())
+
+
+def _h0_by_rounds(pres, colon_round=_graph_round):
     """h0_profile as plain rounds: colon the columns with every variable until
     the Hilbert numerator stops changing, deciding no case in advance."""
     if pres.is_zero_module:
@@ -365,29 +374,38 @@ def _h0_by_rounds(pres, colon_round):
     return profile, minimal_presentation(GradedPresentation(pres.ring, a, matrix, degrees))
 
 
-def test_h0_profile_decided_cases_match_the_rounds(monkeypatch):
+def _h0_modules():
+    """Criterion 4's 50 modules, each followed by its M/lM and M'/lM', then the
+    oracle modules (quotient rings, lex orders, negative twists)."""
     from test_invariants import _oracle_modules
 
-    rounds = []
-    colon_round = modops.colon_with_irrelevant
-
-    def counted(*args):
-        rounds.append(1)
-        return colon_round(*args)
-
-    monkeypatch.setattr(modops, "colon_with_irrelevant", counted)
     forms = random.Random(2025)  # criterion 4's forms, in its order
     modules = []
     for pres in _criterion_4_modules():
         l = random_section_form(pres, forms)
-        _, mprime = _h0_by_rounds(pres, colon_round)
+        _, mprime = _h0_by_rounds(pres)
         modules += [pres, quotient_by_linear(pres, l), quotient_by_linear(mprime, l)]
-    modules += list(_oracle_modules())
+    return modules + list(_oracle_modules())
 
+
+def test_h0_profile_decided_cases_match_the_rounds(monkeypatch):
+    # the oracle's rounds are graph colons: they share no shortcut with h0_profile
+    rounds = []
+
+    def counting(colon_round):
+        def counted(*args):
+            rounds.append(1)
+            return colon_round(*args)
+
+        return counted
+
+    monkeypatch.setattr(modops, "colon_with_irrelevant", counting(modops.colon_with_irrelevant))
+    oracle_round = counting(_graph_round)
+    modules = _h0_modules()
     paths = {"finite length": 0, "free variable": 0, "rounds": 0}
     for pres in modules:
         rounds.clear()
-        expected = _h0_by_rounds(pres, counted)
+        expected = _h0_by_rounds(pres, oracle_round)
         old = len(rounds)
         rounds.clear()
         assert h0_profile(pres) == expected
@@ -403,6 +421,117 @@ def test_h0_profile_decided_cases_match_the_rounds(monkeypatch):
             paths["rounds"] += 1
     print(f"h0_profile paths over {len(modules)} modules: {paths}")
     assert min(paths.values()) >= 10, paths
+
+
+def _round_and_route(monkeypatch, ring, row_twists, columns):
+    """(colon_with_irrelevant's answer, "graph colon" when it called colon
+    else "degree-first")."""
+    graph_calls = []
+
+    def counted(*args):
+        graph_calls.append(1)
+        return colon(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modops, "colon", counted)
+        got = modops.colon_with_irrelevant(ring, row_twists, columns)
+    return got, "graph colon" if graph_calls else "degree-first"
+
+
+def _same_round(got, want):
+    return (got.basis, got.leads, got.row_twists) == (want.basis, want.leads, want.row_twists)
+
+
+def test_saturation_round_routes_agree_with_the_graph_colon(monkeypatch):
+    inputs = []
+    saturation_round = modops.colon_with_irrelevant
+
+    def recording(ring, row_twists, columns):
+        inputs.append((ring, row_twists, copy.deepcopy(columns)))
+        return saturation_round(ring, row_twists, columns)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modops, "colon_with_irrelevant", recording)
+        for pres in _h0_modules():
+            h0_profile(pres)
+
+    routes = {"degree-first": 0, "graph colon": 0}
+    for ring, a, cols in inputs:
+        want = _graph_round(ring, a, cols)
+        got, route = _round_and_route(monkeypatch, ring, a, cols)
+        routes[route] += 1
+        assert _same_round(got, want)
+        # in a scope where regularity already walked U, the round reads the
+        # completed run from the memo, whatever its lead terms
+        with memo_scope():
+            top_lead_terms(cols, ring, a)
+            hit, hit_route = _round_and_route(monkeypatch, ring, a, cols)
+        assert hit_route == route and _same_round(hit, want)
+    print(f"saturation rounds over {len(inputs)} inputs: {routes}")
+    assert min(routes.values()) >= 10, routes
+
+
+def test_saturation_round_hand_cases(monkeypatch):
+    # S/(xy): y is a zero divisor and H0 = 0, so the round is the graph colon's
+    pres = cyclic(R2, [u * v])
+    assert h0_profile(pres)[0] == H0Profile({}, NEG_INF, None, 0)
+    cols = presentation_elements(pres)
+    got, route = _round_and_route(monkeypatch, R2, (0,), cols)
+    assert route == "graph colon" and _same_round(got, _graph_round(R2, (0,), cols))
+
+    # a generic 2x2 linear matrix: y is a nonzerodivisor, the round confirms U
+    # from the degree-first basis (the `cmreg section-check` sample in CI)
+    pres = validate_presentation(
+        R2, (0, 0), [[21 * u + 94 * v, 39 * u + 32 * v], [74 * u + 87 * v, 55 * u + 81 * v]]
+    )
+    cols = presentation_elements(pres)
+    got, route = _round_and_route(monkeypatch, R2, (0, 0), cols)
+    assert route == "degree-first" and _same_round(got, _graph_round(R2, (0, 0), cols))
+
+    # the overflow fallback: a degree-first run that overflows leaves the
+    # answer to the graph colon
+    def overflowing(*args, **kwargs):
+        raise DegreeOverflow("degree-first run")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modops, "top_lead_terms", overflowing)
+        got, route = _round_and_route(monkeypatch, R2, (0, 0), cols)
+    assert route == "graph colon" and _same_round(got, _graph_round(R2, (0, 0), cols))
+
+
+def _generic_2x2(e):
+    """A generic 2x2 matrix in x^e and y^e, rows twisted by 0."""
+    c = [[21, 94, 39, 32], [74, 87, 55, 81]]
+    return [[r[0] * u**e + r[1] * v**e, r[2] * u**e + r[3] * v**e] for r in c]
+
+
+@pytest.mark.parametrize(
+    "rows, route",
+    [
+        # the degree-first run completes (two leads x^e in two components), but
+        # 2e is past the limit: U's own basis overflows, and so does the graph
+        # colon, which then decides
+        (_generic_2x2(MAX_DEGREE), None),
+        (_generic_2x2(MAX_DEGREE // 2), "degree-first"),
+        # y divides the one lead term: the graph colon answers, or overflows
+        ([[u ** (MAX_DEGREE - 2) * v]], "graph colon"),
+        ([[u ** (MAX_DEGREE - 1) * v]], None),
+    ],
+)
+def test_saturation_round_near_max_degree(monkeypatch, rows, route):
+    """An entry of degree near MAX_DEGREE gives the graph colon's basis, or
+    the same DegreeOverflow."""
+    pres = validate_presentation(R2, (0,) * len(rows), rows)
+    a, cols = pres.row_twists, presentation_elements(pres)
+    if route is None:
+        with pytest.raises(DegreeOverflow) as want:
+            _graph_round(R2, a, cols)
+        with pytest.raises(DegreeOverflow) as got:
+            modops.colon_with_irrelevant(R2, a, cols)
+        assert str(got.value) == str(want.value)
+    else:
+        got, taken = _round_and_route(monkeypatch, R2, a, cols)
+        assert taken == route and _same_round(got, _graph_round(R2, a, cols))
 
 
 def _dense_torsion_dim(pres, l, d):
