@@ -56,6 +56,7 @@ from .bounds import (
     refined_exact_bound,
 )
 from .verify import (
+    FORMULA_IDS,
     audit,
     mayr_meyer,
     random_module,
@@ -291,21 +292,6 @@ def serialize_presentation(pres: GradedPresentation) -> str:
 # -- shared output helpers -------------------------------------------------------------
 
 
-FORMULA_IDS = [
-    "sym_dim1_ring_l1",
-    "sym_dim1_ring_l2",
-    "sym_dim1_ring_l3",
-    "fitt_dim1_ring",
-    "sym_dim1_module_l1",
-    "sym_dim1_module_l2",
-    "sym_dim1_module_l3",
-    "fitt_dim1_module",
-    "uniform_dim1",
-    "main",
-    "complex",
-]
-
-
 def _render_series(num: dict[int, int]) -> str:
     if not num:
         return "0"
@@ -459,6 +445,8 @@ def _cmd_bounds(pres, args):
     a, b = report.instance["row_twists"], report.instance["column_degrees"]
     n, m = len(a), len(b)
     comp = report.computed
+    if args.B is not None and n != 1:
+        raise AlgebraError(f"--B needs a cyclic module; its minimal presentation has {n} generators")
     c, delta = comp["codimension"], comp["dimension"]
     deg_r, reg_r = comp["ring"]["degree"], comp["ring"]["regularity"]
     if c >= 1 and m >= c + n - 1:

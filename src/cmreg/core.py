@@ -58,19 +58,27 @@ class ParseError(AlgebraError):
         self.col = col
 
 
+# Miller-Rabin to these prime bases decides every p below PRIME_LIMIT exactly
+# (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
+    """Deterministic Miller-Rabin; p >= PRIME_LIMIT is refused, not guessed."""
+    if p >= PRIME_LIMIT:
+        raise AlgebraError(f"characteristic {p} is too large: it must be below {PRIME_LIMIT}")
+    if p < 2 or any(p % a == 0 for a in PRIME_BASES):
+        return p in PRIME_BASES
+    if p < 43 * 43:  # a composite below 43^2 has a prime factor up to 41
         return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    # p is a strong probable prime to base a: a^d = 1 or a^(d 2^r) = -1, r < s
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+        for a in PRIME_BASES
+    )
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ then the grevlex variable fields (whatever the ring's order), then n-1-c in the
 low bits.  Under it a homogeneous element's lead term has the fewest factors
 x_v, so in(U + x_v F) = in(U) + x_v F, in(U : x_v) = in(U) : x_v and
 in(U : x_v^oo) = in(U) : x_v^oo, which position over term breaks.  Buchberger
-runs on it as it is; only its lead terms are read (`top_lead_terms`), by two
-readers: `invariants.regularity`'s walk and `modops.colon_with_irrelevant`,
-whose run gives up at the first lead term with x_v.  A completed lead-term set
-is memoised in the scope, below.
+runs on it as it is, always to completion; only its lead terms are read
+(`top_lead_terms`), by two readers: `invariants.regularity`'s walk and
+`modops.colon_with_irrelevant`.  The lead-term set is memoised in the scope,
+below, so the two share one run on the same module.
 
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree
@@ -51,14 +51,15 @@ Within one top-level call the same Groebner input recurs: the basis of a
 module's own columns is wanted by its Hilbert numerator, its torsion and its
 resolution.  `groebner` and `syzygies_of` therefore share one memo, keyed by
 the exact input (ring, row twists, packed generators) and holding the finished
-auto-reduced basis; `top_lead_terms` keeps its completed degree-first lead
-terms in the same memo, with the twists less their minimum in the key.  The
-memo lives only inside `memo_scope()`: `verify.audit`, `section_check`,
-`random_section_form` and `tower_check` each open one (or join the one
-already open).  Outside a scope nothing is memoised, and a scope
+auto-reduced basis; `top_lead_terms` keeps its degree-first lead terms in
+the same memo, with the twists less their minimum in the key.  Every result
+is stored.  The memo lives only inside `memo_scope()`: `verify.audit`,
+`section_check`, `random_section_form` and `tower_check` each open one (or
+join the one already open).  Outside a scope nothing is memoised, and a scope
 lives no longer than one instance: `cmreg random --audit` gets one per trial,
-through `audit`.  Sharing a basis is sound because callers only read it; its division
-cache, the one state that changes, stays valid since the basis never grows.
+through `audit`.  Sharing a basis is sound because callers only read it; its
+division cache, the one state that changes, stays valid since the basis never
+grows.
 """
 
 from __future__ import annotations
@@ -411,10 +412,8 @@ def buchberger(
     codec: Codec,
     row_twists: Sequence[int],
     p: int,
-    stop: int | None = None,
-) -> tuple[list[Packed], list[int]] | None:
-    """Raw Buchberger loop: returns (basis, lts) before auto-reduction, or None
-    as soon as a lead term involves the variable of index `stop`, if given.
+) -> tuple[list[Packed], list[int]]:
+    """Raw Buchberger loop: returns (basis, lts) before auto-reduction.
 
     Pair selection is by ascending module degree.  Each nonzero generator waits
     in the same queue at its module degree, ahead of that degree's pairs, and
@@ -486,8 +485,6 @@ def buchberger(
         rem, _ = normal_form(s, basis, lts, by_comp, codec, p, div_cache=div_cache)
         if rem:
             add_element(rem)
-            if stop is not None and lms[-1][stop]:
-                return None
 
     return basis, lts
 
@@ -562,17 +559,14 @@ def _memoised(
     packed: Sequence[Packed],
     build: Callable[[], T],
 ) -> T:
-    """build(), or inside a scope the result built earlier from the same input;
-    a None result is not stored."""
+    """build(), or inside a scope the result built earlier from the same input."""
     memo = _MEMO.get()
     if memo is None:
         return build()
     key = (kind, ring, tuple(row_twists), tuple(tuple(g.items()) for g in packed))
     got = memo.get(key)
     if got is None:
-        got = build()
-        if got is not None:
-            memo[key] = got
+        got = memo[key] = build()
     return got
 
 
@@ -604,22 +598,20 @@ def top_lead_terms(
     gens: Sequence[Element],
     ring: GradedRing,
     row_twists: Sequence[int],
-    stop: int | None = None,
-) -> tuple[Term, ...] | None:
+) -> tuple[Term, ...]:
     """The lead terms of a Groebner basis of the submodule generated by `gens`
-    under `Codec.top`, minimal generators of its lead-term module; None when
-    the run gave up at a lead term involving the variable of index `stop`.
+    under `Codec.top`, minimal generators of its lead-term module.
 
     Neither the packing nor the limit checks see a uniform shift of the
     twists, so the memo keys the twists less their minimum and a module and its
-    twist share one run.  A run that gave up is not memoised."""
+    twist share one run."""
     low = min(row_twists, default=0)
     codec = Codec.top(ring, row_twists)
     packed = [codec.encode(g, row_twists) for g in gens]
 
-    def build() -> tuple[Term, ...] | None:
-        run = buchberger(packed, codec, row_twists, ring.field.p, stop)
-        return None if run is None else tuple(map(codec.decode, run[1]))
+    def build() -> tuple[Term, ...]:
+        _, lts = buchberger(packed, codec, row_twists, ring.field.p)
+        return tuple(map(codec.decode, lts))
 
     shifted = tuple(t - low for t in row_twists)
     return _memoised("top_lead_terms", ring, shifted, packed, build)

@@ -104,17 +104,16 @@ def colon_with_irrelevant(
     """The colon U : m of the module U the columns generate by every variable:
     one saturation round, as U's reduced basis (position over term).
 
-    The round is first read off U's degree-first basis (`top_lead_terms`, whose
-    run gives up at the first lead term with x_v).  Under `Codec.top`
-    in(U : x_v) = in(U) : x_v, and the lead terms are minimal, so when none
-    involves x_v, x_v is a nonzerodivisor on F/U and U : m = U (Bayer-Stillman,
-    "A criterion for detecting m-regularity", 1987): the answer is U's own
-    memoised basis.  Otherwise, or when the degree-first run overflows, the
-    graph colon decides."""
+    The round is first read off U's degree-first basis (`top_lead_terms`, the
+    memoised run that `invariants.regularity` reads later on the same module).
+    Under `Codec.top` in(U : x_v) = in(U) : x_v, and the lead terms are
+    minimal, so when none involves x_v, x_v is a nonzerodivisor on F/U and
+    U : m = U (Bayer-Stillman, "A criterion for detecting m-regularity", 1987):
+    the answer is U's own memoised basis.  Otherwise, or when the degree-first
+    run overflows, the graph colon decides."""
     x = ring.nvars - 1
     try:
-        lts = top_lead_terms(columns, ring, row_twists, stop=x)
-        if lts is not None and not any(m[x] for _, m in lts):
+        if not any(m[x] for _, m in top_lead_terms(columns, ring, row_twists)):
             return groebner(columns, ring, row_twists)
     except DegreeOverflow:
         pass

@@ -66,8 +66,15 @@ from .bounds import (
 # true values are only computed when they stay cheap
 SYM_TARGET_GEN_LIMIT = 20
 FITT_TARGET_ROW_LIMIT = 4
-# symmetric powers l = 1..SYM_LIMIT are scored (cli.FORMULA_IDS names l1..l3)
+# symmetric powers l = 1..SYM_LIMIT are scored
 SYM_LIMIT = 3
+# every formula `audit` may score, in the order of the CSV columns
+FORMULA_IDS = (
+    *(f"sym_dim1_ring_l{l}" for l in range(1, SYM_LIMIT + 1)),
+    "fitt_dim1_ring",
+    *(f"sym_dim1_module_l{l}" for l in range(1, SYM_LIMIT + 1)),
+    "fitt_dim1_module", "uniform_dim1", "main", "complex",
+)
 # linear forms drawn before giving up on finite torsion
 FORM_ATTEMPTS = 20
 

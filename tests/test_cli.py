@@ -266,6 +266,16 @@ def test_bounds_ideal_cap_covers_the_ideals_degrees(tmp_path, capsys):
     assert "below the ideal's top degree 3" in capsys.readouterr().err
 
 
+def test_bounds_B_on_a_non_cyclic_module_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "two.pres"
+    path.write_text("char 101\nvars x y\ngens 0 0\nrels\nx, y\nend\n")
+    assert main(["bounds", str(path), "--B", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--B needs a cyclic module" in captured.err and "2 generators" in captured.err
+    assert main(["bounds", str(path)]) == 0
+
+
 def test_sym_fitt_complex_commands(pres2, capsys):
     assert main(["sym", pres2, "--l", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["regularity"] == 1

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmreg.core import (
+    AlgebraError,
     EmptyColumn,
     NEG_INF,
     NonHomogeneous,
     NonPrime,
+    PRIME_LIMIT,
     Polynomial,
     PrimeField,
     GradedRing,
@@ -31,6 +33,37 @@ x, y, z = R.gens()
 
 def test_is_prime_small():
     assert [q for q in range(20) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == by_trial_division(n) for n in range(10**5))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # to the bases 2..23
+        318665857834031151167461,  # to the bases 2..37
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_large_prime_field_is_decided():
+    assert PrimeField(10**18 + 3).p == 10**18 + 3
+    with pytest.raises(NonPrime):
+        PrimeField(10**18 + 1)
+
+
+def test_characteristic_beyond_the_certified_range_is_refused():
+    for p in (PRIME_LIMIT, 2**89 - 1):  # the limit is composite, 2^89 - 1 a prime
+        with pytest.raises(AlgebraError, match="too large"):
+            PrimeField(p)
 
 
 def test_nonprime_rejected():

@@ -53,7 +53,7 @@ from cmreg.invariants import (
     numerator_from_resolution,
     regularity,
 )
-from cmreg.modops import sym_power
+from cmreg.modops import h0_profile, sym_power
 from cmreg.verify import random_section_form, section_check
 from helpers import compose
 from test_invariants import _acceptance_box_module, _module_over_complete_intersection
@@ -589,13 +589,13 @@ def test_degree_overflow_is_refused(order):
 
 @pytest.fixture
 def buchberger_runs(monkeypatch):
-    """A list that grows by one per Buchberger run."""
+    """A list that grows by the codec of each Buchberger run."""
     runs = []
     original = groebner_module.buchberger
 
-    def counting(*args, **kwargs):
-        runs.append(1)
-        return original(*args, **kwargs)
+    def counting(gens, codec, *args):
+        runs.append(codec)
+        return original(gens, codec, *args)
 
     monkeypatch.setattr(groebner_module, "buchberger", counting)
     return runs
@@ -660,6 +660,17 @@ def test_nested_scope_reuses_the_outer_one(buchberger_runs):
     assert len(buchberger_runs) == 2
 
 
+def test_saturation_round_and_regularity_share_one_degree_first_run(buchberger_runs):
+    """S/(x^2, xy): the saturation round reads the degree-first lead terms
+    x^2, xy (xy involves x_v = y, so the graph colon decides the round), and
+    regularity's walk then reads the same memoised run."""
+    pres = validate_presentation(R2, (0,), [[u * u, u * v]], (2, 2))
+    with memo_scope():
+        h0_profile(pres)
+        regularity(pres)
+    assert buchberger_runs.count(Codec.top(R2, (0,))) == 1
+
+
 def test_memoised_bases_equal_fresh_ones_after_section_check(monkeypatch):
     """Every basis or lead-term set the memo hands out during section_check
     still equals a fresh computation from the same input: no caller mutated a
@@ -694,13 +705,7 @@ def test_memoised_bases_equal_fresh_ones_after_section_check(monkeypatch):
     for original, (args, kwargs), result in calls:
         fresh = original(*args, **kwargs)
         if original is top_lead_terms:
-            # the memo holds completed runs only: compare with a run that never stops
-            stop = kwargs.pop("stop", None)
-            whole = original(*args, **kwargs)
-            if result is None:
-                assert fresh is None and any(m[stop] for _, m in whole)
-            else:
-                assert result == whole
+            assert result == fresh
             continue
         assert fresh.row_twists == result.row_twists
         assert fresh.leads == result.leads

@@ -7,6 +7,7 @@ from cmreg.core import AlgebraError, GradedRing, PrimeField, ZeroModule, validat
 from cmreg.invariants import hilbert_data, regularity
 from cmreg.modops import minimal_presentation, quotient_by_linear
 from cmreg.verify import (
+    FORMULA_IDS,
     audit,
     audit_random,
     mayr_meyer,
@@ -18,6 +19,7 @@ from cmreg.verify import (
     tower_check,
 )
 from helpers import cyclic
+from test_invariants import _acceptance_box_module
 from test_modops import _criterion_4_modules
 
 F = PrimeField(101)
@@ -119,6 +121,14 @@ def test_audit_over_dim1_ring():
     names = {e["formula"] for e in report.bounds if e["applicable"]}
     assert {"sym_dim1_ring_l1", "fitt_dim1_ring", "uniform_dim1", "main"} <= names
     assert report.all_hold
+
+
+def test_formula_ids_name_every_formula_the_criterion_1_box_scores():
+    emitted = set()
+    for trial in range(200):
+        emitted |= {e["formula"] for e in audit(_acceptance_box_module(trial), check=False).bounds}
+    assert len(set(FORMULA_IDS)) == len(FORMULA_IDS)
+    assert emitted == set(FORMULA_IDS)
 
 
 def test_audit_rejects_zero_module():
