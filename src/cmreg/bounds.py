@@ -108,14 +108,16 @@ def dim1_module_fitt(a, b, reg_r: int, dim_r: int) -> int:
 def uniform_dim1_bound(a, b, reg_r: int, dim_r: int) -> int:
     """One bound covering every symmetric power of a dim <= 1 module at once.
 
-    Only meaningful for modules generated in nonpositive degrees: a positive
-    twist feeds l * max(a) into the l-th power and no l-free bound survives
-    (already over F_p[x], the shifted residue field k(-1) has reg Sym_l = l).
+    Only meaningful for modules generated in degree 0.  A positive twist feeds
+    l * max(a) into the l-th power and no l-free bound survives (already over
+    F_p[x], the shifted residue field k(-1) has reg Sym_l = l).  A negative
+    twist shifts M and Sym_l M by different amounts, so no one shift of the
+    value fits both: S(1)/(x^2, y^2) has reg 1 above a value of 0.
     """
     n = len(a)
     d = dim_r
-    if max(a) > 0:
-        raise AlgebraError("uniform bound assumes generators in nonpositive degrees")
+    if any(a):
+        raise AlgebraError("uniform bound assumes every generator in degree 0")
     if d <= 0 and n == 1:
         raise AlgebraError("uniform bound needs positive dimension or two generators")
     cap = degree_cap(a, b)
@@ -215,22 +217,29 @@ def main_bound(
     a, b, c: int, delta, reg_r: int, deg_r: int, ring_cm: bool = True
 ) -> int:
     """Regularity bound for any finitely presented module, doubly exponential
-    in its dimension."""
+    in its dimension.
+
+    The closed form is read for generators in nonnegative degrees.  With
+    s0 = min(min(a), 0), it is evaluated at a - s0 and b - s0, and s0 is
+    added back: those degrees present M shifted by -s0, whose regularity is
+    reg M - s0.  For a >= 0, s0 = 0 and nothing moves."""
     _check_codim(c)
     _warn_if_not_cm(ring_cm)
+    s0 = min(min(a, default=0), 0)
+    a, b = [t - s0 for t in a], [t - s0 for t in b]
     n = len(a)
     cap = degree_cap(a, b)
     if delta <= 1:
         if c > 0:
             d = int(max(delta, 0)) + c  # dimension of the base ring's support
-            return reg_r + (d + n - 1) * cap - d
-        return reg_r + cap - 1
+            return s0 + reg_r + (d + n - 1) * cap - d
+        return s0 + reg_r + cap - 1
     exp = 2 ** (int(delta) - 2)
     if c > 0:
         base = deg_r * (reg_r + (c + n) * cap - c) * comb(c + n - 1, c) * cap**c
     else:
         base = n * deg_r * (reg_r + cap)
-    return base**exp
+    return s0 + base**exp
 
 
 def refined_exact_bound(a, b, c: int, reg_r: int) -> tuple[int, bool]:

@@ -26,9 +26,10 @@ low bits.  Under it a homogeneous element's lead term has the fewest factors
 x_v, so in(U + x_v F) = in(U) + x_v F, in(U : x_v) = in(U) : x_v and
 in(U : x_v^oo) = in(U) : x_v^oo, which position over term breaks.  Buchberger
 runs on it as it is, always to completion; only its lead terms are read
-(`top_lead_terms`), by two readers: `invariants.regularity`'s walk and
-`modops.colon_with_irrelevant`.  The lead-term set is memoised in the scope,
-below, so the two share one run on the same module.
+(`top_lead_terms`), by three readers: `invariants.regularity`'s walk,
+`modops.colon_with_irrelevant` and `modops.torsion_hilbert` (on the columns
+in coordinates where the form is x_v).  The lead-term set is memoised in the
+scope, below, so readers of the same columns share one run.
 
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree

@@ -1,10 +1,19 @@
 """Module operations: linear quotients, colon kernels, section functors
 (saturation / degree profiles of the finite-length part), symmetric powers,
 Fitting ideals, presentation minimalization, and dense degreewise linear
-algebra used as an independent cross-check.  `colon` is the one colon routine:
-the torsion of a linear form and each saturation round call it.  Units are
-cancelled by `invariants.cancel_units`, which also minimalizes resolutions.
-The flagged zero module runs through each operation's general path.
+algebra used as an independent cross-check.  `colon` is the one graph-colon
+routine: `colon_kernel` and each saturation round that the degree-first basis
+does not settle call it.  Units are cancelled by `invariants.cancel_units`,
+which also minimalizes resolutions.  The flagged zero module runs through each
+operation's general path.
+
+The torsion K = (0 :_M l) of a linear form is read off lead terms
+(`torsion_hilbert`): in coordinates where l is the last variable, under
+`Codec.top`, in(U : x_v) = in(U) : x_v (Bayer-Stillman, "A criterion for
+detecting m-regularity", 1987), so one degree-first run gives K's whole
+series.  A run that raises `DegreeOverflow` falls back to the graph colon.
+`colon_kernel` presents K by the graph colon alone and is kept as the
+independent route.
 
 `h0_profile` runs a saturation round only when its outcome is open.  A module
 of finite length is its own H0 (its Hilbert numerator shows dimension 0), and
@@ -19,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from typing import Callable
 
 from .core import (
     AlgebraError,
@@ -44,10 +54,12 @@ from .groebner import (
     top_lead_terms,
 )
 from .invariants import (
+    HilbertData,
     cancel_units,
     hilbert_from_numerator,
     numerator_of_cokernel,
     numerator_of_gb,
+    numerator_of_last_variable_torsion,
     tp_sub,
 )
 
@@ -120,30 +132,86 @@ def colon_with_irrelevant(
     return colon(ring, row_twists, columns, ring.gens())
 
 
-def _torsion(
-    pres: GradedPresentation, l: Polynomial
-) -> tuple[list[Element], GroebnerBasis, int | None]:
-    """(columns of U, W = (U :_F l), length of K = W/U = (0 :_M l) or None when
-    infinite), with U the module of M's columns over S in F."""
+def _adapted_coordinates(l: Polynomial) -> Callable[[Element], Element]:
+    """A linear change of coordinates phi of S with phi(l) = x_v, applied to
+    elements of a free module.  For l = sum c_j x_j it sends x_k to
+    (x_v - sum_{j != k} c_j x_j) / c_k and fixes every other variable, with
+    k = v when c_v != 0; otherwise k is the last variable l involves, and x_v
+    goes to x_k."""
+    ring = l.ring
+    p, v = ring.field.p, ring.nvars - 1
+    coeff = [0] * ring.nvars
+    for m, c in l.terms.items():
+        coeff[m.index(1)] = c
+    k = v if coeff[v] else max(j for j, c in enumerate(coeff) if c)
+    inv = ring.field.inv(coeff[k])
+    units = [tuple(int(i == j) for i in range(ring.nvars)) for j in range(ring.nvars)]
+    image = Polynomial(
+        ring, {units[j]: -c * inv for j, c in enumerate(coeff) if j != k} | {units[v]: inv}
+    )
+    powers = [ring.one()]
+
+    def apply(elt: Element) -> Element:
+        out: Element = {}
+        for (c, m), val in elt.items():
+            fixed = list(m)
+            fixed[k], fixed[v] = m[v], 0
+            while len(powers) <= m[k]:
+                powers.append(powers[-1] * image)
+            for pm, pc in powers[m[k]].terms.items():
+                term = (c, mono_mul(fixed, pm))
+                out[term] = (out.get(term, 0) + val * pc) % p
+        return {t: c for t, c in out.items() if c}
+
+    return apply
+
+
+def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
+    """Hilbert data of K = (0 :_M l), read off one degree-first run; K itself
+    is not presented.
+
+    With U the module of M's columns over S in F (J's generators included
+    over S/J), K = W/U for W = (U :_F l).  A linear change of coordinates
+    (`_adapted_coordinates`) sends l to x_v and U to U'; it keeps every
+    Hilbert series, and under `Codec.top` in(U' : x_v) = in(U') : x_v
+    (Bayer-Stillman, "A criterion for detecting m-regularity", 1987).  So K's
+    numerator is N(in U') - N(in U' : x_v), from the lead terms of U' that
+    `top_lead_terms` memoises in the scope, for every l and with no
+    certificate.  When that run raises `DegreeOverflow`, W comes from the
+    graph colon, as in `colon_kernel`, and the answer is the same."""
+    _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
     cols = presentation_elements(pres)
-    w = colon(base, a, cols, (l,))
-    n_k = tp_sub(numerator_of_cokernel(base, a, cols), numerator_of_gb(w))
-    return cols, w, hilbert_from_numerator(n_k, base.nvars).length
+    phi = _adapted_coordinates(l)
+    try:
+        lts = top_lead_terms([phi(col) for col in cols], base, a)
+    except DegreeOverflow:
+        w = colon(base, a, cols, (l,))
+        n_k = tp_sub(numerator_of_cokernel(base, a, cols), numerator_of_gb(w))
+    else:
+        n_k = numerator_of_last_variable_torsion(lts, a, base.nvars)
+    return hilbert_from_numerator(n_k, base.nvars)
 
 
 def torsion_length(pres: GradedPresentation, l: Polynomial) -> int | None:
-    """Length of K = (0 :_M l), None when infinite; K itself is not presented."""
-    _check_linear(pres, l)
-    return _torsion(pres, l)[2]
+    """Length of K = (0 :_M l), None when infinite, from `torsion_hilbert`."""
+    return torsion_hilbert(pres, l).length
 
 
 def colon_kernel(
     pres: GradedPresentation, l: Polynomial
 ) -> tuple[GradedPresentation, int | None]:
-    """(presentation of K = (0 :_M l), its length or None when infinite)."""
+    """(presentation of K = (0 :_M l), its length or None when infinite), by
+    the graph colon: W = (U :_F l) from `colon`, K = W/U presented by the
+    relations of W's basis modulo U.  It builds none of the bases that
+    `torsion_hilbert`, the library's own route, reads, and serves as its
+    oracle."""
     _check_linear(pres, l)
-    cols, w, lam = _torsion(pres, l)
+    base, a = pres.ring.base, pres.row_twists
+    cols = presentation_elements(pres)
+    w = colon(base, a, cols, (l,))
+    n_k = tp_sub(numerator_of_cokernel(base, a, cols), numerator_of_gb(w))
+    lam = hilbert_from_numerator(n_k, base.nvars).length
     rels = syzygies_of(w.elements, w.ring, w.row_twists, tails=cols)
     matrix = elements_to_matrix(rels.elements, len(w.basis), w.ring)
     degrees = tuple(rels.element_degrees())

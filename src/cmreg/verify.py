@@ -45,12 +45,12 @@ from .invariants import (
     ring_invariants,
 )
 from .modops import (
-    colon_kernel,
     fitting_ideal_0,
     h0_profile,
     minimal_presentation,
     quotient_by_linear,
     sym_power,
+    torsion_hilbert,
     torsion_length,
 )
 from .complexes import complex_regularity_bound, complex_terms
@@ -267,7 +267,7 @@ def audit(
         for l in range(1, SYM_LIMIT + 1):
             entry(f"sym_dim1_module_l{l}", dim1_module_sym(a, b, reg_r, dim_r, l), l=l)
         entry("fitt_dim1_module", dim1_module_fitt(a, b, reg_r, dim_r))
-    if delta <= 1 and max(a) <= 0 and (dim_r > 0 or n > 1):
+    if delta <= 1 and not any(a) and (dim_r > 0 or n > 1):
         entry("uniform_dim1", uniform_dim1_bound(a, b, reg_r, dim_r))
     entry("main", main_bound(a, b, c, delta, reg_r, deg_r, cm_r))
     if delta <= 1:
@@ -401,6 +401,13 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
         mu* = max(b0(M) + h - 1, b1(M) - 1, reg(Mbar) + 1),   h = max gen degree of J
 
     bounds the regularity: reg M <= mu - 1 + h0(M)_mu at mu in {mu*, mu*+1}.
+
+    K's length and its degreewise series both come from
+    `modops.torsion_hilbert`: one degree-first run in coordinates where l is
+    the last variable, read by the Bayer-Stillman colon lemma, with the graph
+    colon as the fallback when that run raises `DegreeOverflow`.  K is never
+    presented.  The h0 columns come from saturations (`h0_profile`), a
+    separate route, so the per-degree identity compares the two.
     """
     if pres.is_zero_module:
         raise ZeroModule("section check needs a nonzero module")
@@ -409,10 +416,10 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     prof_bar, _ = h0_profile(mbar)
     mbar_prime = quotient_by_linear(mprime, l)
     prof_bar_prime, _ = h0_profile(mbar_prime)
-    kpres, lam = colon_kernel(pres, l)
-    if lam is None:
+    torsion = torsion_hilbert(pres, l)
+    if torsion.length is None:
         raise AlgebraError("the form has infinite torsion; pick a more generic one")
-    kvals = hilbert_data(kpres).q_polynomial
+    lam, kvals = torsion.length, torsion.q_polynomial
 
     hm, hb, hbp = prof_m.h0_by_degree, prof_bar.h0_by_degree, prof_bar_prime.h0_by_degree
     support = set(hm) | set(hb) | set(hbp) | set(kvals)

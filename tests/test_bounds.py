@@ -114,6 +114,9 @@ def test_uniform_bound():
     with pytest.raises(AlgebraError):
         # k(-1) over F_p[x]: reg Sym_l = l, so no l-free bound can accept this
         uniform_dim1_bound((1,), (2,), 0, 1)
+    with pytest.raises(AlgebraError):
+        # S(1)/(x^2, y^2): reg 1 above the value 0 a twist of -1 would give
+        uniform_dim1_bound((-1,), (1, 1), 0, 2)
 
 
 def test_main_bound_low_dimension():
@@ -126,6 +129,15 @@ def test_main_bound_growth_with_dimension():
     assert main_bound((0,), (2, 2), 1, 2, 0, 1) == 6
     assert main_bound((0,), (2, 2), 1, 3, 0, 1) == 36
     assert main_bound((0,), (2, 2), 1, 4, 0, 1) == 1296
+
+
+def test_main_bound_under_a_negative_twist():
+    # S(1)/(x^2, y^2) has reg 1: the closed form is read at S/(x^2, y^2), whose
+    # value 2 comes back down by the twist
+    assert main_bound((0,), (2, 2), 2, 0, 0, 1) == 2
+    assert main_bound((-1,), (1, 1), 2, 0, 0, 1) == 1
+    # a >= 0 is read as it stands
+    assert main_bound((1,), (3, 3), 2, 0, 0, 1) == 4
 
 
 def test_main_bound_codim_zero():

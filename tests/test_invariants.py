@@ -343,6 +343,47 @@ def _oracle_modules():
             yield pres
 
 
+def _random_coordinate_change(rng, ring):
+    """Images of the variables under a random invertible linear substitution."""
+    p, nv = ring.field.p, ring.nvars
+    while True:
+        rows = [[rng.randrange(p) for _ in range(nv)] for _ in range(nv)]
+        if dense_rank(rows, p) == nv:
+            break
+    gens = ring.gens()
+    return [sum((c * g for c, g in zip(row, gens)), ring.zero()) for row in rows]
+
+
+def _substituted(f, images):
+    """f(images[0], ..., images[v-1]), by Polynomial arithmetic."""
+    out = f.ring.zero()
+    for m, c in f.terms.items():
+        term = f.ring.constant(c)
+        for image, e in zip(images, m):
+            term = term * image**e
+        out = out + term
+    return out
+
+
+def test_invariants_survive_a_coordinate_change():
+    # a linear change of coordinates is a graded automorphism of S: reg, the
+    # Betti table and the Hilbert data stay, while every lead term moves
+    rng = random.Random(424)
+    moved = 0
+    for trial in range(200):
+        pres = _acceptance_box_module(trial)
+        images = _random_coordinate_change(rng, pres.ring)
+        matrix = [[_substituted(f, images) for f in row] for row in pres.matrix]
+        changed = validate_presentation(pres.ring, pres.row_twists, matrix, pres.column_degrees)
+        found = []
+        for module in (pres, changed):
+            with groebner.memo_scope():
+                found.append((regularity(module), betti_numbers(module), hilbert_data(module)))
+        assert found[0] == found[1], trial
+        moved += changed.matrix != pres.matrix
+    assert moved >= 190
+
+
 def test_betti_table_matches_minimal_resolution():
     # the alternating Betti sum cannot see a wrong block rank (it cancels between
     # neighbouring homological degrees), so compare the tables themselves

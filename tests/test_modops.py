@@ -10,6 +10,7 @@ from cmreg.core import (
     GradedPresentation,
     GradedRing,
     NEG_INF,
+    Polynomial,
     PrimeField,
     free_presentation,
     validate_presentation,
@@ -48,10 +49,12 @@ from cmreg.modops import (
     quotient_by_linear,
     span_vectors,
     sym_power,
+    torsion_hilbert,
     torsion_length,
 )
 from cmreg.verify import random_module, random_polynomial, random_section_form
 from helpers import cyclic
+from test_invariants import _module_over_complete_intersection, _oracle_modules
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
@@ -557,3 +560,85 @@ def test_colon_kernel_against_dense_torsion():
         dense = {d: _dense_torsion_dim(pres, l, d) for d in range(min(pres.row_twists), top + 1)}
         assert {d: v for d, v in by_degree.items() if v} == {d: v for d, v in dense.items() if v}
         assert lam == sum(dense.values())
+
+
+# -- torsion read off one degree-first run, against the graph colon -------------------
+
+
+def _torsion_routes_agree(pres, l):
+    """torsion_hilbert and colon_kernel + hilbert_data, each in its own scope,
+    give the same length and the same series; returns the length."""
+    with memo_scope():
+        got = torsion_hilbert(pres, l)
+    with memo_scope():
+        kpres, lam = colon_kernel(pres, l)
+        want = hilbert_data(kpres)
+    assert got.length == lam
+    assert got.q_polynomial == want.q_polynomial
+    return lam
+
+
+def _without_last_variable(rng, ring):
+    """A random nonzero linear form with no x_v term."""
+    last = ring.nvars - 1
+    l = random_polynomial(rng, ring.base, 1)
+    terms = {m: c for m, c in l.terms.items() if not m[last]}
+    return Polynomial(ring.base, terms or {(1,) + (0,) * last: 1})
+
+
+def test_torsion_routes_agree_on_the_section_box():
+    modules = _criterion_4_modules()
+    for seed in (2025, 7):
+        forms = random.Random(seed)
+        for pres in modules:
+            assert _torsion_routes_agree(pres, random_section_form(pres, forms)) is not None
+    forms = random.Random(11)
+    for pres in modules:
+        _torsion_routes_agree(pres, _without_last_variable(forms, pres.ring))
+
+
+def test_torsion_routes_agree_on_the_oracle_modules():
+    forms = random.Random(5)
+    checked = quotient = 0
+    for pres in _oracle_modules():
+        _torsion_routes_agree(pres, random_polynomial(forms, pres.ring.base, 1))
+        checked += 1
+        quotient += pres.ring.is_quotient
+    assert checked > 100 and quotient > 20
+
+
+def test_torsion_routes_agree_over_complete_intersections():
+    # a box apart from the oracle modules' trials 0..39; J's generators are
+    # among the substituted columns
+    forms = random.Random(13)
+    free_of_last = 0
+    for trial in range(40, 100):
+        pres = _module_over_complete_intersection(trial)
+        if pres.is_zero_module:
+            continue
+        _torsion_routes_agree(pres, random_polynomial(forms, pres.ring.base, 1))
+        l = _without_last_variable(forms, pres.ring)
+        free_of_last += pres.ring.nvars > 1
+        _torsion_routes_agree(pres, l)
+    assert free_of_last >= 20
+
+
+def test_torsion_routes_agree_on_hand_cases(monkeypatch):
+    # S/(xy): x kills (y), a line's worth of torsion, on both routes
+    pres = cyclic(R2, [u * v])
+    assert _torsion_routes_agree(pres, u) is None
+    # S/(x^2, xy, z) in x, y, z: neither form has a z term; K is spanned by x
+    pres = cyclic(R3, [x * x, x * y, z])
+    assert _torsion_routes_agree(pres, y) == 1
+    assert _torsion_routes_agree(pres, 3 * x + y) == 1
+
+    # a degree-first run that overflows leaves K to the graph colon
+    def overflowing(*args, **kwargs):
+        raise DegreeOverflow("degree-first run")
+
+    monkeypatch.setattr(modops, "top_lead_terms", overflowing)
+    pres = cyclic(R2, [u * u, u * v])
+    with memo_scope():
+        got = torsion_hilbert(pres, v)
+    assert (got.length, got.q_polynomial) == (1, {1: 1})
+    assert _torsion_routes_agree(pres, u + v) == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cmreg import invariants, modops, verify
+from cmreg import groebner, invariants, modops, verify
 from cmreg.core import AlgebraError, GradedRing, PrimeField, ZeroModule, validate_presentation
 from cmreg.invariants import hilbert_data, regularity
 from cmreg.modops import minimal_presentation, quotient_by_linear
@@ -131,6 +131,41 @@ def test_formula_ids_name_every_formula_the_criterion_1_box_scores():
     assert emitted == set(FORMULA_IDS)
 
 
+def _twisted(pres, s):
+    """M[s]: every twist and column degree raised by s, so reg M[s] = reg M + s."""
+    return validate_presentation(
+        pres.ring,
+        tuple(t + s for t in pres.row_twists),
+        [list(row) for row in pres.matrix],
+        tuple(d + s for d in pres.column_degrees),
+    )
+
+
+def test_audit_holds_on_every_twist_of_box_modules():
+    # negative twists used to fail `main` and `uniform_dim1` on valid input
+    # (4 + 4 of these 300 audits); the shift of reg is exact throughout
+    scored = 0
+    for trial in range(60):
+        pres = _acceptance_box_module(trial)
+        untwisted = set()
+        for s in range(-2, 3):
+            report = audit(_twisted(pres, s))
+            assert report.all_hold, (trial, s, report.verdicts)
+            untwisted.add(report.computed["regularity"] - s)
+            scored += any(v["formula"] == "main" for v in report.verdicts)
+        assert len(untwisted) == 1
+    assert scored == 300
+
+
+def test_audit_of_a_negatively_twisted_quotient():
+    # S(1)/(x^2, y^2): reg 1, generated in degree -1
+    report = audit(_twisted(cyclic(R2, [u * u, v * v]), -1))
+    assert report.computed["regularity"] == 1
+    by_name = {v["formula"]: v["bound"] for v in report.verdicts}
+    assert by_name["main"] == 1 and "uniform_dim1" not in by_name
+    assert report.all_hold
+
+
 def test_audit_rejects_zero_module():
     pres = cyclic(R2, [R2.one()])
     with pytest.raises(ZeroModule):
@@ -229,15 +264,29 @@ def test_tower_check_random_forms():
 
 
 def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
-    # picking forms and walking a tower need only len K: one colon per form,
-    # and no presentation of K
+    # picking forms and walking a tower need only len K: one degree-first run
+    # built per form (a memo hit would not count), no graph colon and no
+    # presentation of K
     modules = _criterion_4_modules()
-    counts = {"forms": 0, "colons": 0}
-    draw, syzygies = verify.random_linear_form, modops.syzygies_of
+    counts = {"forms": 0, "runs": 0, "colons": 0}
+    inside = []
+    draw, lead_terms, run = verify.random_linear_form, modops.top_lead_terms, groebner.buchberger
+    syzygies = modops.syzygies_of
 
     def counted_draw(*args):
         counts["forms"] += 1
         return draw(*args)
+
+    def torsion_lead_terms(*args):
+        inside.append(True)
+        try:
+            return lead_terms(*args)
+        finally:
+            inside.pop()
+
+    def counted_run(*args):
+        counts["runs"] += bool(inside)
+        return run(*args)
 
     def counted_syzygies(*args, **kwargs):
         counts["colons"] += 1
@@ -247,17 +296,21 @@ def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
         raise AssertionError("the torsion module was presented")
 
     monkeypatch.setattr(verify, "random_linear_form", counted_draw)
+    monkeypatch.setattr(modops, "top_lead_terms", torsion_lead_terms)
+    monkeypatch.setattr(groebner, "buchberger", counted_run)
     monkeypatch.setattr(modops, "syzygies_of", counted_syzygies)
     monkeypatch.setattr(modops, "minimal_presentation", no_presentation)
     rng = random.Random(2025)
     for pres in modules[:5]:
         random_section_form(pres, rng)
-    assert counts["colons"] == counts["forms"] >= 5
+    assert counts["runs"] == counts["forms"] >= 5
+    assert counts["colons"] == 0
     for pres in modules[25:30]:  # dimension 2: two levels
         forms = random_tower(pres, rng, levels=2)
-        counts["colons"] = 0
+        counts["runs"] = 0
         tower_check(pres, forms)
-        assert counts["colons"] == 2
+        assert counts["runs"] == 2
+    assert counts["colons"] == 0
 
 
 def test_section_and_tower_checks_resolve_each_module_once(monkeypatch):
