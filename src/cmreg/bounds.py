@@ -10,6 +10,17 @@ Naming: `dim1_ring_*` applies over base rings of dimension at most one,
 `uniform_dim1` is the single formula covering all symmetric powers at once,
 `main_bound` is the general-dimension bound, and `multiplicity_bound_*` are the
 three equivalent-degree estimates.
+
+Twists.  Raising every twist and column degree by s raises reg M by s,
+reg Sym^l M by l*s, and leaves reg R/Fitt_0 and the multiplicity alone.
+- `dim1_*` and `multiplicity_bound_*` (and `complexes.complex_regularity_bound`)
+  move that way as written.
+- `main_bound` and `refined_bracket_bound` are read for generators in degrees
+  >= 0: with s0 = min(min(a), 0) they are evaluated at a - s0 and b - s0, and
+  s0 is added back.  `sym_main_bound` is `main_bound` at Sym^l's degrees, so
+  its value moves by l*s0.
+- `refined_exact_bound` is written in a form that moves by s.
+- `uniform_dim1_bound` needs a = 0: no one shift fits every Sym^l at once.
 """
 
 from __future__ import annotations
@@ -205,28 +216,25 @@ def multiplicity_bound_binomial(a, b, c: int, deg_r: int) -> int:
 # -- the general bound and its refinements ------------------------------------------
 
 
-def _warn_if_not_cm(ring_cm: bool) -> None:
-    if not ring_cm:
-        warnings.warn(
-            "base ring is not Cohen-Macaulay: the bound is heuristic here",
-            stacklevel=3,
-        )
+def _lowered(a, b):
+    """(s0, a - s0, b - s0), s0 = min(min(a), 0): degrees >= 0 presenting M
+    shifted by -s0, whose regularity is reg M - s0."""
+    s0 = min(min(a, default=0), 0)
+    return s0, [t - s0 for t in a], [t - s0 for t in b]
 
 
 def main_bound(
     a, b, c: int, delta, reg_r: int, deg_r: int, ring_cm: bool = True
 ) -> int:
     """Regularity bound for any finitely presented module, doubly exponential
-    in its dimension.
-
-    The closed form is read for generators in nonnegative degrees.  With
-    s0 = min(min(a), 0), it is evaluated at a - s0 and b - s0, and s0 is
-    added back: those degrees present M shifted by -s0, whose regularity is
-    reg M - s0.  For a >= 0, s0 = 0 and nothing moves."""
+    in its dimension, read at `_lowered` degrees and shifted back by s0."""
     _check_codim(c)
-    _warn_if_not_cm(ring_cm)
-    s0 = min(min(a, default=0), 0)
-    a, b = [t - s0 for t in a], [t - s0 for t in b]
+    if not ring_cm:
+        warnings.warn(
+            "base ring is not Cohen-Macaulay: the bound is heuristic here",
+            stacklevel=2,
+        )
+    s0, a, b = _lowered(a, b)
     n = len(a)
     cap = degree_cap(a, b)
     if delta <= 1:
@@ -242,52 +250,47 @@ def main_bound(
     return s0 + base**exp
 
 
-def refined_exact_bound(a, b, c: int, reg_r: int) -> tuple[int, bool]:
-    """Sharper value available when the column count is exactly c + n - 1; the
-    second component records that exactness of the complex is assumed, not
-    checked."""
+def refined_exact_bound(a, b, c: int, reg_r: int) -> int:
+    """Sharper value when the column count is exactly c + n - 1, assuming (not
+    checking) that the complex is exact: reg_r + sum(b) - sum(a) - c * a_min
+    read at a - a_min, b - a_min and shifted back by a_min."""
     _check_codim(c)
     if len(b) != c + len(a) - 1:
         raise AlgebraError("exact form needs exactly c + n - 1 columns")
-    return reg_r + sum(b) - sum(a) - c * min(a), True
+    return reg_r + sum(b) - sum(a) - (c - 2) * min(a)
 
 
 def refined_bracket_bound(a, b, c: int, delta, reg_r: int, deg_r: int) -> int:
     """Variant of the general bound with the multiplicity estimate replacing
-    the binomial factor; needs c + n columns."""
+    the binomial factor; needs c + n columns.  Lowered as `main_bound` is."""
     _check_codim(c)
     n = len(a)
     if len(b) < c + n:
         raise AlgebraError("needs at least c + n columns")
     if delta < 2:
         raise AlgebraError("bracket form only applies in dimension >= 2")
+    s0, a, b = _lowered(a, b)
     b_top = sorted(b, reverse=True)[: c + n]
     bare_sum = multiplicity_bound_sum(a, b, c, 1)
     base = deg_r * (reg_r + sum(b_top) - c) * bare_sum
-    return base ** (2 ** (int(delta) - 2))
+    return s0 + base ** (2 ** (int(delta) - 2))
 
 
 def sym_main_bound(
     a, b, c: int, delta, reg_r: int, deg_r: int, l: int, ring_cm: bool = True
 ) -> int:
-    """General bound applied to a symmetric power: the power is presented by
-    C(n+l-1, l) generators with degree cap B + (l-1) max(a)."""
-    _check_codim(c)
+    """`main_bound` at the degrees of Sym^l's presentation, as
+    `modops.sym_power` builds it: a generator per degree-l monomial in the
+    generators, twisted by the sum of its l twists, and a relation per
+    (column j, degree-(l-1) monomial) in degree b_j plus that monomial's sum."""
     if delta < 2:
         raise AlgebraError("symmetric-power form only applies in dimension >= 2")
     if l < 1:
         raise AlgebraError("symmetric power index must be positive")
-    _warn_if_not_cm(ring_cm)
-    n = len(a)
-    amax = max(a)
-    cap = degree_cap(a, b) + (l - 1) * amax
-    n2 = comb(n + l - 1, l)
-    exp = 2 ** (int(delta) - 2)
-    if c > 0:
-        base = deg_r * (reg_r + (c + n2) * cap - c) * comb(c + n2 - 1, c) * cap**c
-    else:
-        base = n2 * deg_r * (reg_r + cap)
-    return base**exp
+    twists = [sum(g) for g in combinations_with_replacement(a, l)]
+    lower = [sum(g) for g in combinations_with_replacement(a, l - 1)]
+    degrees = [bj + t for bj in b for t in lower]
+    return main_bound(twists, degrees, c, delta, reg_r, deg_r, ring_cm)
 
 
 # -- bounds phrased for ideals in terms of the ambient variable count ----------------

@@ -455,7 +455,7 @@ def _cmd_bounds(pres, args):
     if c >= 1 and m >= c:
         values["mult_binomial"] = multiplicity_bound_binomial(a, b, c, deg_r)
     if c >= 1 and m == c + n - 1:
-        values["refined_exact"], _assumed = refined_exact_bound(a, b, c, reg_r)
+        values["refined_exact"] = refined_exact_bound(a, b, c, reg_r)
     if delta >= 2 and m >= c + n:
         values["refined_bracket"] = refined_bracket_bound(a, b, c, delta, reg_r, deg_r)
     payload = {"instance": report.instance, "computed": comp, "bounds": values}

@@ -193,11 +193,6 @@ def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
     return hilbert_from_numerator(n_k, base.nvars)
 
 
-def torsion_length(pres: GradedPresentation, l: Polynomial) -> int | None:
-    """Length of K = (0 :_M l), None when infinite, from `torsion_hilbert`."""
-    return torsion_hilbert(pres, l).length
-
-
 def colon_kernel(
     pres: GradedPresentation, l: Polynomial
 ) -> tuple[GradedPresentation, int | None]:

@@ -51,7 +51,6 @@ from .modops import (
     quotient_by_linear,
     sym_power,
     torsion_hilbert,
-    torsion_length,
 )
 from .complexes import complex_regularity_bound, complex_terms
 from .bounds import (
@@ -489,7 +488,7 @@ def random_section_form(pres: GradedPresentation, rng: random.Random) -> Polynom
     """A linear form whose torsion on M is finite (resampled until it is)."""
     for _ in range(FORM_ATTEMPTS):
         l = random_linear_form(rng, pres.ring)
-        if torsion_length(pres, l) is not None:
+        if torsion_hilbert(pres, l).length is not None:
             return l
     raise AlgebraError("no linear form with finite torsion found")
 
@@ -539,7 +538,7 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
     cur = pres
     for i, form in enumerate(forms):
         reg_i = mi.regularity if i == 0 else regularity(cur)
-        lam = torsion_length(cur, form)
+        lam = torsion_hilbert(cur, form).length
         if lam is None:
             raise AlgebraError(f"form {i + 1} has infinite torsion on level {i}")
         regs.append(reg_i)

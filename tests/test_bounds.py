@@ -189,8 +189,7 @@ def test_multiplicity_bounds_two_generators():
 
 
 def test_refined_exact_form():
-    value, assumed = refined_exact_bound((0,), (2, 2), 2, 0)
-    assert value == 4 and assumed is True
+    assert refined_exact_bound((0,), (2, 2), 2, 0) == 4
     with pytest.raises(AlgebraError):
         refined_exact_bound((0,), (2, 2, 2), 2, 0)
 
@@ -207,6 +206,35 @@ def test_sym_main_bound_example():
     assert sym_main_bound((0,), (2, 2), 1, 2, 0, 1, 3) == 6
     with pytest.raises(AlgebraError):
         sym_main_bound((0,), (2, 2), 1, 1, 0, 1, 2)
+
+
+def test_refined_forms_move_with_a_twist():
+    # S(-1)/(x^2) over x, y, z: reg 2, one above S/(x^2), and so is the form
+    assert regularity(validate_presentation(R3, (1,), [[x * x]])) == 2
+    assert refined_exact_bound((1,), (3,), 1, 0) == 3
+    # S(3)/(xy, xz): reg -2; the bracket is read at a = 0, b = (2, 2) and moved by -3
+    assert regularity(validate_presentation(R3, (-3,), [[x * y, x * z]])) == -2
+    assert refined_bracket_bound((-3,), (-1, -1), 1, 2, 0, 1) == 3
+    for s in range(-3, 4):
+        a, b = (s, s + 1), (s + 2, s + 2, s + 3)
+        assert refined_exact_bound(a, b, 2, 0) == refined_exact_bound((0, 1), (2, 2, 3), 2, 0) + s
+
+
+def test_sym_main_bound_is_main_at_the_degrees_of_sym_l():
+    # Sym^2 of generators in degrees 0, 1 with columns in 2, 3: twists 0, 1, 2
+    # and columns 2, 3, 3, 4; B = 4 over three generators, 15 * 3 * 4
+    assert sym_main_bound((0, 1), (2, 3), 1, 2, 0, 1, 2) == 180
+    # a negative twist: the value at the lowered twists, moved by l * s
+    for l in (1, 2, 3):
+        assert sym_main_bound((-2, 0), (1, 2), 1, 3, 1, 2, l) == (
+            sym_main_bound((0, 2), (3, 4), 1, 3, 1, 2, l) - 2 * l
+        )
+
+
+def test_sym_main_bound_warns_once_on_non_cm_ring():
+    with pytest.warns(UserWarning, match="not Cohen-Macaulay") as caught:
+        sym_main_bound((0,), (2, 2), 1, 2, 0, 1, 2, ring_cm=False)
+    assert len(caught) == 1
 
 
 def test_ideal_bounds_three_vars():

@@ -1,11 +1,14 @@
+import argparse
 import random
+from math import comb
 
 import pytest
 
-from cmreg import groebner, invariants, modops, verify
+from cmreg import cli, groebner, invariants, modops, verify
+from cmreg.bounds import sym_main_bound
 from cmreg.core import AlgebraError, GradedRing, PrimeField, ZeroModule, validate_presentation
 from cmreg.invariants import hilbert_data, regularity
-from cmreg.modops import minimal_presentation, quotient_by_linear
+from cmreg.modops import minimal_presentation, quotient_by_linear, sym_power
 from cmreg.verify import (
     FORMULA_IDS,
     audit,
@@ -155,6 +158,43 @@ def test_audit_holds_on_every_twist_of_box_modules():
             scored += any(v["formula"] == "main" for v in report.verdicts)
         assert len(untwisted) == 1
     assert scored == 300
+
+
+def test_printed_only_formulas_hold_on_twists_of_the_box():
+    # `cmreg bounds` prints refined_* and mult_* unscored, and sym_main_bound
+    # has no caller in the library: score them on M[-3], M and M[3] with the
+    # CLI's own hypotheses, against reg M, e(M) and reg Sym^l M
+    failures, scored = [], {}
+
+    def score(name, value, target):
+        scored[name] = scored.get(name, 0) + 1
+        if value < target:
+            failures.append((trial, s, name, value, target))
+
+    for trial in range(200):
+        pres = _acceptance_box_module(trial)
+        for s in (-3, 0, 3):
+            twisted = _twisted(pres, s)
+            payload, _, _ = cli._cmd_bounds(twisted, argparse.Namespace(B=None))
+            comp, ring = payload["computed"], payload["computed"]["ring"]
+            for name, value in payload["bounds"].items():
+                if name.startswith("refined_"):
+                    score(name, value, comp["regularity"])
+                elif name.startswith("mult_"):
+                    score(name, value, comp["multiplicity"])
+            a, b = payload["instance"]["row_twists"], payload["instance"]["column_degrees"]
+            for l in (2, 3):
+                if comp["dimension"] >= 2 and comb(len(a) + l - 1, l) <= verify.SYM_TARGET_GEN_LIMIT:
+                    value = sym_main_bound(
+                        a, b, comp["codimension"], comp["dimension"],
+                        ring["regularity"], ring["degree"], l, ring["is_cm"],
+                    )
+                    score("sym_main", value, regularity(sym_power(minimal_presentation(twisted), l)))
+    assert not failures, failures
+    assert scored == {
+        "mult_sum": 429, "mult_series": 429, "mult_binomial": 429,
+        "refined_exact": 195, "refined_bracket": 33, "sym_main": 318,
+    }
 
 
 def test_audit_of_a_negatively_twisted_quotient():
