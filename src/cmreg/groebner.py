@@ -20,16 +20,18 @@ wrap, so an element whose module degree is more than MAX_DEGREE above the
 smallest level-0 twist raises `DegreeOverflow`; that is checked on input and
 for every S-pair.
 
-`Codec.top` is a second level-0 layout: module degree minus the smallest twist,
-then the grevlex variable fields (whatever the ring's order), then n-1-c in the
-low bits.  Under it a homogeneous element's lead term has the fewest factors
-x_v, so in(U + x_v F) = in(U) + x_v F, in(U : x_v) = in(U) : x_v and
-in(U : x_v^oo) = in(U) : x_v^oo, which position over term breaks.  Buchberger
-runs on it as it is, always to completion; only its lead terms are read
-(`top_lead_terms`), by three readers: `invariants.regularity`'s walk,
-`modops.colon_with_irrelevant` and `modops.torsion_hilbert` (on the columns
-in coordinates where the form is x_v).  The lead-term set is memoised in the
-scope, below, so readers of the same columns share one run.
+`Codec.top` is a Schreyer level over the rank-one grevlex module R(-low), low
+the smallest twist, whose e_c maps to the term of degree twist_c and monomial 1:
+module degree minus low, then the grevlex variable fields (whatever the ring's
+order), then n-1-c in the low bits.  Under it a homogeneous element's lead term
+has the fewest factors x_v, so in(U + x_v F) = in(U) + x_v F,
+in(U : x_v) = in(U) : x_v and in(U : x_v^oo) = in(U) : x_v^oo, which position
+over term breaks.  Buchberger runs on it as it is, always to completion; only
+its lead terms are read (`top_lead_terms`), by three readers:
+`invariants.regularity`'s walk, `modops.colon_with_irrelevant` and
+`modops.torsion_hilbert` (on the columns in coordinates where the form is
+x_v).  The lead-term set is memoised in the scope, below, so readers of the
+same columns share one run.
 
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree
@@ -134,8 +136,8 @@ class Codec(NamedTuple):
     mask of their guard bits, and read turns sign * shift into the exponent
     tuple.  bases[c] is the term e_c.  The component field is
     (t >> cshift) & cmask and holds len(bases)-1-c; ib is the width of a
-    Schreyer index field (0 at level 0).  limit is the largest module degree
-    an element may have.
+    Schreyer level's index field (0 from `pot`; `top` is a Schreyer level).
+    limit is the largest module degree an element may have.
     """
 
     weights: tuple[int, ...]
@@ -171,28 +173,12 @@ class Codec(NamedTuple):
     @classmethod
     def top(cls, ring: GradedRing, row_twists: Sequence[int]) -> "Codec":
         """Degree first on a free module with the given twists, for any ring
-        order: module degree minus the smallest twist, then the grevlex
-        variable fields, then n-1-c in the low bits."""
-        weights, guard, fill, _, _ = _pot_layout(ring.nvars, False)
-        n = len(row_twists)
+        order: the Schreyer level over the rank-one grevlex module R(-low),
+        low the smallest twist, whose e_c maps to degree twist_c, monomial 1."""
         low = min(row_twists, default=0)
-        cb = n.bit_length()
-        deg_at = FIELD * ring.nvars + cb
-        return cls(
-            weights=tuple(w << cb for w in weights),
-            sign=-1,
-            guard=guard << cb,
-            bases=tuple(
-                ((t - low) << deg_at) + (fill << cb) + n - 1 - c
-                for c, t in enumerate(row_twists)
-            ),
-            cshift=0,
-            cmask=(1 << cb) - 1,
-            ib=0,
-            off=cb,
-            limit=MAX_DEGREE + low,
-            read=_reader(ring.nvars, False, cb),
-        )
+        line = cls.pot(GradedRing(ring.field, ring.variables), (low,))
+        deg_at = FIELD * ring.nvars
+        return line.schreyer([line.bases[0] + ((t - low) << deg_at) for t in row_twists])
 
     def schreyer(self, leads: Sequence[int]) -> "Codec":
         """The Schreyer level whose e_i maps to the term leads[i] of this one."""
@@ -681,19 +667,16 @@ def schreyer_syzygies(gb: GroebnerBasis):
 # -- conversions ---------------------------------------------------------------
 
 
-def column_element(pres: GradedPresentation, j: int) -> Element:
-    out: Element = {}
-    for i in range(pres.n):
-        for m, c in pres.matrix[i][j].terms.items():
-            out[(i, m)] = c
-    return out
+def column_element(matrix: Sequence[Sequence[Polynomial]], j: int) -> Element:
+    """Column j of a matrix of polynomials, as an element of the free module."""
+    return {(i, m): c for i, row in enumerate(matrix) for m, c in row[j].terms.items()}
 
 
 def presentation_elements(pres: GradedPresentation) -> list[Element]:
     """The columns over S of the presented module's relations: the columns of
     phi, then q*e_i for each row i and each quotient generator q, so that the
     cokernel over the ambient ring is the module over S/J."""
-    cols = [column_element(pres, j) for j in range(pres.m)]
+    cols = [column_element(pres.matrix, j) for j in range(pres.m)]
     for i in range(pres.n):
         for q in pres.ring.quotient_gens:
             cols.append({(i, m): c for m, c in q.terms.items()})
@@ -755,10 +738,7 @@ class FreeResolution:
         for k, mat in enumerate(differentials):
             codec = Codec.pot(ring, twists[k])
             columns = [
-                codec.encode(
-                    {(i, m): c for i, row in enumerate(mat) for m, c in row[j].terms.items()},
-                    twists[k],
-                )
+                codec.encode(column_element(mat, j), twists[k])
                 for j in range(len(twists[k + 1]))
             ]
             levels.append((codec, columns))

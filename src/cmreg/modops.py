@@ -166,6 +166,20 @@ def _adapted_coordinates(l: Polynomial) -> Callable[[Element], Element]:
     return apply
 
 
+def _graph_colon_torsion(base: GradedRing, a, cols: list[Element], l: Polynomial):
+    """(W, K's Hilbert numerator): W = (U :_F l) by the graph colon, K = W/U."""
+    w = colon(base, a, cols, (l,))
+    return w, tp_sub(numerator_of_cokernel(base, a, cols), numerator_of_gb(w))
+
+
+def _presented(ring: GradedRing, twists, elements: list[Element]) -> GradedPresentation:
+    """The minimal presentation of the cokernel of these nonzero homogeneous
+    elements of the free module with the given twists."""
+    matrix = elements_to_matrix(elements, len(twists), ring.base)
+    degrees = tuple(int(elt_degree(v, twists)) for v in elements)
+    return minimal_presentation(GradedPresentation(ring, twists, matrix, degrees))
+
+
 def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
     """Hilbert data of K = (0 :_M l), read off one degree-first run; K itself
     is not presented.
@@ -186,8 +200,7 @@ def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
     try:
         lts = top_lead_terms([phi(col) for col in cols], base, a)
     except DegreeOverflow:
-        w = colon(base, a, cols, (l,))
-        n_k = tp_sub(numerator_of_cokernel(base, a, cols), numerator_of_gb(w))
+        _, n_k = _graph_colon_torsion(base, a, cols, l)
     else:
         n_k = numerator_of_last_variable_torsion(lts, a, base.nvars)
     return hilbert_from_numerator(n_k, base.nvars)
@@ -204,14 +217,10 @@ def colon_kernel(
     _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
     cols = presentation_elements(pres)
-    w = colon(base, a, cols, (l,))
-    n_k = tp_sub(numerator_of_cokernel(base, a, cols), numerator_of_gb(w))
+    w, n_k = _graph_colon_torsion(base, a, cols, l)
     lam = hilbert_from_numerator(n_k, base.nvars).length
     rels = syzygies_of(w.elements, w.ring, w.row_twists, tails=cols)
-    matrix = elements_to_matrix(rels.elements, len(w.basis), w.ring)
-    degrees = tuple(rels.element_degrees())
-    kpres = GradedPresentation(pres.ring, rels.row_twists, matrix, degrees)
-    return minimal_presentation(kpres), lam
+    return _presented(pres.ring, rels.row_twists, rels.elements), lam
 
 
 def _has_free_variable(gb: GroebnerBasis) -> bool:
@@ -277,10 +286,7 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
     else:
         a0, indeg, span = NEG_INF, None, 0
 
-    degrees = tuple(int(elt_degree(w, a)) for w in cur)
-    matrix = elements_to_matrix(cur, pres.n, base)
-    mprime = minimal_presentation(GradedPresentation(pres.ring, a, matrix, degrees))
-    return H0Profile(h0, a0, indeg, span), mprime
+    return H0Profile(h0, a0, indeg, span), _presented(pres.ring, a, cur)
 
 
 # -- symmetric powers and Fitting ideals -------------------------------------------

@@ -229,7 +229,7 @@ def test_elements_matrix_roundtrip():
     elts = presentation_elements(pres)
     mat = elements_to_matrix(elts, 2, R3)
     assert mat == pres.matrix
-    assert column_element(pres, 0) == elts[0]
+    assert column_element(pres.matrix, 0) == elts[0]
 
 
 # -- Schreyer syzygies against the all-pairs reference ----------------------------
@@ -582,6 +582,24 @@ def test_degree_overflow_is_refused(order):
     assert time.perf_counter() - t0 < 10
     # the limit itself is fine
     assert regularity(validate_presentation(ring, (0,), ((at_limit,),))) == MAX_DEGREE - 1
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("low", [-4, 3])
+def test_top_limit_is_max_degree_above_the_smallest_twist(order, low):
+    """The degree-first layout holds module degrees up to MAX_DEGREE above the
+    smallest twist, whichever its sign, and refuses one degree more."""
+    ring = GradedRing(F, ("x", "y"), order)
+    twists = (low + 3, low)
+    codec = Codec.top(ring, twists)
+    codec.check(MAX_DEGREE + low)
+    with pytest.raises(DegreeOverflow):
+        codec.check(MAX_DEGREE + low + 1)
+    # an entry on e_0, twisted 3 above the smallest, at the limit and past it
+    at_limit = {(0, (MAX_DEGREE - 5, 2)): 1}
+    assert top_lead_terms([at_limit], ring, twists) == tuple(at_limit)
+    with pytest.raises(DegreeOverflow):
+        top_lead_terms([{(0, (MAX_DEGREE - 4, 2)): 1}], ring, twists)
 
 
 # -- scoped memo ---------------------------------------------------------------
