@@ -337,37 +337,38 @@ def _minimalize_monos(monos) -> frozenset:
 @lru_cache(maxsize=CACHE_SIZE)
 def _numerator_of_lead_terms(monos: frozenset) -> tuple[tuple[int, int], ...]:
     """Numerator of Hilb(S/L) * (1-t)^v for the monomial ideal L, by splitting
-    along the most frequent variable: N(L) = N(L + x) + t * N(L : x)."""
+    on a power of the most frequent variable: N(L) = N(L + x^k) + t^k N(L : x^k),
+    k the least positive exponent of x among the mixed generators (Bigatti,
+    "Computation of Hilbert-Poincare series", 1997), so the recursion depth
+    does not grow with the exponents."""
     if not monos:
         return ((0, 1),)
     if any(not any(m) for m in monos):
         return ()
     nvars = len(next(iter(monos)))
-    if all(sum(1 for e in m if e) == 1 for m in monos):
+    mixed = [m for m in monos if sum(1 for e in m if e) >= 2]
+    if not mixed:
         # pure powers of distinct variables: product formula
         out = {0: 1}
         for m in monos:
             out = tp_sub(out, tp_shift(out, sum(m)))
         return tuple(sorted(out.items()))
-    # pivot: most frequent variable among the mixed (non-pure-power) generators,
+    # pivot: most frequent variable among the mixed (non-pure-power) generators;
+    # a mixed generator with x^k exactly leaves L + x^k and loses x^k in L : x^k,
     # so both branches strictly shrink
-    counts = [0] * nvars
-    for m in monos:
-        if sum(1 for e in m if e) >= 2:
-            for v, e in enumerate(m):
-                if e:
-                    counts[v] += 1
+    counts = [sum(1 for m in mixed if m[v]) for v in range(nvars)]
     pivot = max(range(nvars), key=lambda v: counts[v])
+    k = min(m[pivot] for m in mixed if m[pivot])
     plus = _minimalize_monos(
-        [m for m in monos if m[pivot] == 0]
-        + [tuple(1 if v == pivot else 0 for v in range(nvars))]
+        [m for m in monos if m[pivot] < k]
+        + [tuple(k if v == pivot else 0 for v in range(nvars))]
     )
     colon = _minimalize_monos(
-        tuple(e - 1 if v == pivot and e else e for v, e in enumerate(m)) for m in monos
+        tuple(max(e - k, 0) if v == pivot else e for v, e in enumerate(m)) for m in monos
     )
     total = tp_add(
         dict(_numerator_of_lead_terms(plus)),
-        tp_shift(dict(_numerator_of_lead_terms(colon)), 1),
+        tp_shift(dict(_numerator_of_lead_terms(colon)), k),
     )
     return tuple(sorted(total.items()))
 

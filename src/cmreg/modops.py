@@ -11,7 +11,7 @@ The torsion K = (0 :_M l) of a linear form is read off lead terms
 (`torsion_hilbert`): in coordinates where l is the last variable, under
 `Codec.top`, in(U : x_v) = in(U) : x_v (Bayer-Stillman, "A criterion for
 detecting m-regularity", 1987), so one degree-first run gives K's whole
-series.  A run that raises `DegreeOverflow` falls back to the graph colon.
+series.  A `DegreeOverflow` from that run is final, as it is in `regularity`.
 `colon_kernel` presents K by the graph colon alone and is kept as the
 independent route.
 
@@ -32,7 +32,6 @@ from typing import Callable
 
 from .core import (
     AlgebraError,
-    DegreeOverflow,
     GradedPresentation,
     GradedRing,
     Mono,
@@ -121,14 +120,10 @@ def colon_with_irrelevant(
     Under `Codec.top` in(U : x_v) = in(U) : x_v, and the lead terms are
     minimal, so when none involves x_v, x_v is a nonzerodivisor on F/U and
     U : m = U (Bayer-Stillman, "A criterion for detecting m-regularity", 1987):
-    the answer is U's own memoised basis.  Otherwise, or when the degree-first
-    run overflows, the graph colon decides."""
+    the answer is U's own memoised basis.  Otherwise the graph colon decides."""
     x = ring.nvars - 1
-    try:
-        if not any(m[x] for _, m in top_lead_terms(columns, ring, row_twists)):
-            return groebner(columns, ring, row_twists)
-    except DegreeOverflow:
-        pass
+    if not any(m[x] for _, m in top_lead_terms(columns, ring, row_twists)):
+        return groebner(columns, ring, row_twists)
     return colon(ring, row_twists, columns, ring.gens())
 
 
@@ -166,15 +161,10 @@ def _adapted_coordinates(l: Polynomial) -> Callable[[Element], Element]:
     return apply
 
 
-def _graph_colon_torsion(base: GradedRing, a, cols: list[Element], l: Polynomial):
-    """(W, K's Hilbert numerator): W = (U :_F l) by the graph colon, K = W/U."""
-    w = colon(base, a, cols, (l,))
-    return w, tp_sub(numerator_of_cokernel(base, a, cols), numerator_of_gb(w))
-
-
 def _presented(ring: GradedRing, twists, elements: list[Element]) -> GradedPresentation:
-    """The minimal presentation of the cokernel of these nonzero homogeneous
-    elements of the free module with the given twists."""
+    """The minimal presentation of the cokernel of these homogeneous elements
+    of the free module with the given twists; zero elements are dropped."""
+    elements = [v for v in elements if v]
     matrix = elements_to_matrix(elements, len(twists), ring.base)
     degrees = tuple(int(elt_degree(v, twists)) for v in elements)
     return minimal_presentation(GradedPresentation(ring, twists, matrix, degrees))
@@ -191,18 +181,12 @@ def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
     (Bayer-Stillman, "A criterion for detecting m-regularity", 1987).  So K's
     numerator is N(in U') - N(in U' : x_v), from the lead terms of U' that
     `top_lead_terms` memoises in the scope, for every l and with no
-    certificate.  When that run raises `DegreeOverflow`, W comes from the
-    graph colon, as in `colon_kernel`, and the answer is the same."""
+    certificate."""
     _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
-    cols = presentation_elements(pres)
     phi = _adapted_coordinates(l)
-    try:
-        lts = top_lead_terms([phi(col) for col in cols], base, a)
-    except DegreeOverflow:
-        _, n_k = _graph_colon_torsion(base, a, cols, l)
-    else:
-        n_k = numerator_of_last_variable_torsion(lts, a, base.nvars)
+    lts = top_lead_terms([phi(col) for col in presentation_elements(pres)], base, a)
+    n_k = numerator_of_last_variable_torsion(lts, a, base.nvars)
     return hilbert_from_numerator(n_k, base.nvars)
 
 
@@ -217,7 +201,8 @@ def colon_kernel(
     _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
     cols = presentation_elements(pres)
-    w, n_k = _graph_colon_torsion(base, a, cols, l)
+    w = colon(base, a, cols, (l,))
+    n_k = tp_sub(numerator_of_cokernel(base, a, cols), numerator_of_gb(w))
     lam = hilbert_from_numerator(n_k, base.nvars).length
     rels = syzygies_of(w.elements, w.ring, w.row_twists, tails=cols)
     return _presented(pres.ring, rels.row_twists, rels.elements), lam

@@ -403,8 +403,7 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
 
     K's length and its degreewise series both come from
     `modops.torsion_hilbert`: one degree-first run in coordinates where l is
-    the last variable, read by the Bayer-Stillman colon lemma, with the graph
-    colon as the fallback when that run raises `DegreeOverflow`.  K is never
+    the last variable, read by the Bayer-Stillman colon lemma.  K is never
     presented.  The h0 columns come from saturations (`h0_profile`), a
     separate route, so the per-degree identity compares the two.
     """

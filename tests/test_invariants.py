@@ -104,6 +104,29 @@ def test_hilbert_numerator_two_paths_agree():
         assert hilbert_numerator(pres) == numerator_from_resolution(res)
 
 
+def test_numerator_split_matches_dense_hilbert_values():
+    # N(L) = N(L + x^k) + t^k N(L : x^k) on seeded monomial ideals: the
+    # numerator determines dim (S/L)_d, checked by dense ranks up to its degree
+    rng = random.Random(1997)
+    for _ in range(60):
+        ring = [R2, R3][rng.randint(0, 1)]
+        nv = ring.nvars
+        monos = {tuple(rng.randint(0, 4) for _ in range(nv)) for _ in range(rng.randint(1, 4))}
+        monos = [m for m in monos if any(m)] or [(1,) * nv]
+        num = dict(invariants._numerator_of_lead_terms(invariants._minimalize_monos(monos)))
+        elements = [{(0, m): 1} for m in monos]
+        for d in range(max(num) + 1):
+            want = sum(c * comb(d - e + nv - 1, nv - 1) for e, c in num.items() if e <= d)
+            assert want == hilbert_value_dense(ring, (0,), elements, d)
+
+
+def test_high_exponent_lead_terms_need_no_deep_recursion():
+    # S/(x^990 y, y^2): the numerator splits on x^990 at once, not one x at a time
+    pres = cyclic(R2, [u**990 * v, v * v])
+    assert hilbert_numerator(pres) == {0: 1, 2: -1, 991: -1, 992: 1}
+    assert regularity(pres) == 990 == regularity_from_betti(betti_numbers(pres))
+
+
 def test_hilbert_data_finite_length():
     hd = hilbert_data(cyclic(R2, [u * u, u * v, v * v]))
     assert hd.numerator == {0: 1, 2: -3, 3: 2}

@@ -51,7 +51,7 @@ from cmreg.modops import (
     sym_power,
     torsion_hilbert,
 )
-from cmreg.verify import random_module, random_polynomial, random_section_form
+from cmreg.verify import random_module, random_polynomial, random_section_form, section_check
 from helpers import cyclic
 from test_invariants import _module_over_complete_intersection, _oracle_modules
 
@@ -333,6 +333,15 @@ def _criterion_4_modules():
     return out
 
 
+@pytest.mark.parametrize("cols", [[u * v], [u * u, u * v]], ids=["xy", "x2-xy"])
+def test_zero_column_changes_no_section_data(cols):
+    # a zero column, its degree pinned down, presents the same module
+    plain = validate_presentation(R2, (0,), [cols])
+    padded = validate_presentation(R2, (0,), [[R2.zero(), *cols]], [2] * (len(cols) + 1))
+    assert h0_profile(padded) == h0_profile(plain)
+    assert section_check(padded, u + v) == section_check(plain, u + v)
+
+
 def test_h0_profile_needs_no_rebasing(monkeypatch):
     modules = _criterion_4_modules()
     got = [h0_profile(pres) for pres in modules]
@@ -490,15 +499,18 @@ def test_saturation_round_hand_cases(monkeypatch):
     got, route = _round_and_route(monkeypatch, R2, (0, 0), cols)
     assert route == "degree-first" and _same_round(got, _graph_round(R2, (0, 0), cols))
 
-    # the overflow fallback: a degree-first run that overflows leaves the
-    # answer to the graph colon
+    # a degree-first run that overflows is final: the round raises its
+    # DegreeOverflow and builds no graph colon
     def overflowing(*args, **kwargs):
         raise DegreeOverflow("degree-first run")
 
+    graph_calls = []
     with monkeypatch.context() as patch:
         patch.setattr(modops, "top_lead_terms", overflowing)
-        got, route = _round_and_route(monkeypatch, R2, (0, 0), cols)
-    assert route == "graph colon" and _same_round(got, _graph_round(R2, (0, 0), cols))
+        patch.setattr(modops, "colon", lambda *args: graph_calls.append(1))
+        with pytest.raises(DegreeOverflow, match="degree-first run"):
+            modops.colon_with_irrelevant(R2, (0, 0), cols)
+    assert not graph_calls
 
 
 def _generic_2x2(e):
@@ -511,8 +523,7 @@ def _generic_2x2(e):
     "rows, route",
     [
         # the degree-first run completes (two leads x^e in two components), but
-        # 2e is past the limit: U's own basis overflows, and so does the graph
-        # colon, which then decides
+        # 2e is past the limit: U's own basis overflows, and that is final
         (_generic_2x2(MAX_DEGREE), None),
         (_generic_2x2(MAX_DEGREE // 2), "degree-first"),
         # y divides the one lead term: the graph colon answers, or overflows
@@ -522,12 +533,16 @@ def _generic_2x2(e):
 )
 def test_saturation_round_near_max_degree(monkeypatch, rows, route):
     """An entry of degree near MAX_DEGREE gives the graph colon's basis, or
-    the same DegreeOverflow."""
+    the DegreeOverflow of the basis the round builds: U's own when no
+    degree-first lead term involves y, the graph colon's otherwise."""
     pres = validate_presentation(R2, (0,) * len(rows), rows)
     a, cols = pres.row_twists, presentation_elements(pres)
     if route is None:
         with pytest.raises(DegreeOverflow) as want:
-            _graph_round(R2, a, cols)
+            if any(m[1] for _, m in top_lead_terms(cols, R2, a)):
+                _graph_round(R2, a, cols)
+            else:
+                groebner(cols, R2, a)
         with pytest.raises(DegreeOverflow) as got:
             modops.colon_with_irrelevant(R2, a, cols)
         assert str(got.value) == str(want.value)
@@ -631,13 +646,22 @@ def test_torsion_routes_agree_on_hand_cases(monkeypatch):
     assert _torsion_routes_agree(pres, y) == 1
     assert _torsion_routes_agree(pres, 3 * x + y) == 1
 
-    # a degree-first run that overflows leaves K to the graph colon
+    # a degree-first run that overflows is final: torsion_hilbert raises its
+    # DegreeOverflow, and only colon_kernel, the oracle, builds a graph colon
     def overflowing(*args, **kwargs):
         raise DegreeOverflow("degree-first run")
 
+    graph_calls = []
+
+    def counted(*args):
+        graph_calls.append(1)
+        return colon(*args)
+
     monkeypatch.setattr(modops, "top_lead_terms", overflowing)
+    monkeypatch.setattr(modops, "colon", counted)
     pres = cyclic(R2, [u * u, u * v])
-    with memo_scope():
-        got = torsion_hilbert(pres, v)
-    assert (got.length, got.q_polynomial) == (1, {1: 1})
-    assert _torsion_routes_agree(pres, u + v) == 1
+    for l in (v, u + v):
+        with memo_scope(), pytest.raises(DegreeOverflow, match="degree-first run"):
+            torsion_hilbert(pres, l)
+    assert not graph_calls
+    assert colon_kernel(pres, u + v)[1] == 1 and graph_calls

@@ -7,15 +7,24 @@ import pytest
 from cmreg import cli, groebner, invariants, modops, verify
 from cmreg.bounds import sym_main_bound
 from cmreg.core import AlgebraError, GradedRing, PrimeField, ZeroModule, validate_presentation
-from cmreg.invariants import hilbert_data, regularity
-from cmreg.modops import minimal_presentation, quotient_by_linear, sym_power
+from cmreg.invariants import betti_numbers, hilbert_data, regularity
+from cmreg.modops import (
+    colon_kernel,
+    fitting_ideal_0,
+    h0_profile,
+    minimal_presentation,
+    quotient_by_linear,
+    sym_power,
+)
 from cmreg.verify import (
     FORMULA_IDS,
     audit,
     audit_random,
     mayr_meyer,
     random_complete_intersection,
+    random_linear_form,
     random_module,
+    random_polynomial,
     random_section_form,
     random_tower,
     section_check,
@@ -402,3 +411,69 @@ def test_mayr_meyer_scales_with_level_and_exponent():
     assert pres.ring.nvars == 31
     assert pres.m == 4 + 16
     assert sorted(pres.column_degrees) == [2] * 8 + [5] * 12
+
+
+# -- degenerate inputs ---------------------------------------------------------------
+
+
+def _degenerate_input(seed):
+    """A small seeded presentation with what the random boxes avoid: zero
+    columns, negative twists, unit entries, lex orders, characteristics 2 and
+    3 and quotient rings; plus two linear forms."""
+    rng = random.Random(seed)
+    field = PrimeField(rng.choice((2, 3, 101)))
+    names = ("x", "y", "z")[: rng.randint(1, 3)]
+    order = rng.choice(("grevlex", "lex"))
+    base = GradedRing(field, names, order)
+    quotient = (random_polynomial(rng, base, rng.randint(1, 3)),) if rng.random() < 0.4 else ()
+    ring = GradedRing(field, names, order, quotient)
+    twists = [rng.randint(-2, 2) for _ in range(rng.randint(1, 2))]
+    rows, degrees = [[] for _ in twists], []
+    for _ in range(rng.randint(0, 3)):
+        d = rng.randint(min(twists), max(twists) + 3)
+        zero = rng.random() < 0.3
+        for row, a in zip(rows, twists):
+            keep = not zero and d >= a and rng.random() < 0.7
+            row.append(random_polynomial(rng, base, d - a) if keep else base.zero())
+        degrees.append(d)
+    pres = validate_presentation(ring, twists, rows, degrees)
+    return pres, random_linear_form(rng, ring), random_linear_form(rng, ring)
+
+
+ENTRY_POINTS = {
+    "regularity": lambda pres, l, l2: regularity(pres),
+    "betti_numbers": lambda pres, l, l2: betti_numbers(pres),
+    "hilbert_data": lambda pres, l, l2: hilbert_data(pres),
+    "minimal_presentation": lambda pres, l, l2: minimal_presentation(pres),
+    "h0_profile": lambda pres, l, l2: h0_profile(pres),
+    "colon_kernel": lambda pres, l, l2: colon_kernel(pres, l),
+    "section_check": lambda pres, l, l2: section_check(pres, l),
+    "tower_check": lambda pres, l, l2: tower_check(pres, [l, l2]),
+    "audit": lambda pres, l, l2: audit(pres),
+    "sym2_regularity": lambda pres, l, l2: regularity(sym_power(pres, 2)),
+    "fitting_ideal_0": lambda pres, l, l2: fitting_ideal_0(pres),
+}
+
+
+def test_degenerate_inputs_return_or_raise_algebra_errors():
+    """Each public entry point returns, or raises an AlgebraError subclass,
+    on every degenerate input: no other exception escapes."""
+    returned = dict.fromkeys(ENTRY_POINTS, 0)
+    seen = {"zero column": 0, "negative twist": 0, "lex": 0, "char 2": 0, "char 3": 0, "quotient": 0}
+    for seed in range(200):
+        pres, l, l2 = _degenerate_input(seed)
+        ring = pres.ring
+        seen["zero column"] += any(all(row[j].is_zero() for row in pres.matrix) for j in range(pres.m))
+        seen["negative twist"] += min(pres.row_twists) < 0
+        seen["lex"] += ring.order == "lex"
+        seen["char 2"] += ring.field.p == 2
+        seen["char 3"] += ring.field.p == 3
+        seen["quotient"] += ring.is_quotient
+        for name, call in ENTRY_POINTS.items():
+            try:
+                call(pres, l, l2)
+            except AlgebraError:
+                continue
+            returned[name] += 1
+    assert min(seen.values()) >= 20, seen
+    assert min(returned.values()) >= 20, returned
