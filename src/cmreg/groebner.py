@@ -23,8 +23,12 @@ for every S-pair.
 `Codec.top` is a Schreyer level over the rank-one grevlex module R(-low), low
 the smallest twist, whose e_c maps to the term of degree twist_c and monomial 1:
 module degree minus low, then the grevlex variable fields (whatever the ring's
-order), then n-1-c in the low bits.  Under it a homogeneous element's lead term
-has the fewest factors x_v, so in(U + x_v F) = in(U) + x_v F,
+order), then n-1-c in the low bits.  The layout depends on the number of
+variables and the twists alone, never on the ring's order or field, so it is
+built once per such shape and kept in a bounded process-wide cache
+(`_top_layout`), as the position-over-term fields are (`_pot_layout`): each
+entry is immutable and keyed by ints.  Under it a homogeneous element's lead
+term has the fewest factors x_v, so in(U + x_v F) = in(U) + x_v F,
 in(U : x_v) = in(U) : x_v and in(U : x_v^oo) = in(U) : x_v^oo, which position
 over term breaks.  Buchberger runs on it as it is, always to completion; only
 its lead terms are read (`top_lead_terms`), by three readers:
@@ -154,31 +158,16 @@ class Codec(NamedTuple):
     @classmethod
     def pot(cls, ring: GradedRing, row_twists: Sequence[int]) -> "Codec":
         """Position over term on a free module with the given twists."""
-        lex = ring.order == "lex"
-        weights, guard, fill, comp_at, read = _pot_layout(ring.nvars, lex)
-        n = len(row_twists)
-        return cls(
-            weights=weights,
-            sign=1 if lex else -1,
-            guard=guard,
-            bases=tuple(((n - 1 - c) << comp_at) + fill for c in range(n)),
-            cshift=comp_at,
-            cmask=-1,
-            ib=0,
-            off=0,
-            limit=MAX_DEGREE + min(row_twists, default=0),
-            read=read,
-        )
+        return _pot(ring.nvars, ring.order == "lex", row_twists)
 
     @classmethod
     def top(cls, ring: GradedRing, row_twists: Sequence[int]) -> "Codec":
         """Degree first on a free module with the given twists, for any ring
         order: the Schreyer level over the rank-one grevlex module R(-low),
-        low the smallest twist, whose e_c maps to degree twist_c, monomial 1."""
-        low = min(row_twists, default=0)
-        line = cls.pot(GradedRing(ring.field, ring.variables), (low,))
-        deg_at = FIELD * ring.nvars
-        return line.schreyer([line.bases[0] + ((t - low) << deg_at) for t in row_twists])
+        low the smallest twist, whose e_c maps to degree twist_c, monomial 1.
+        The layout depends on the number of variables and the twists alone,
+        so it is built once per such shape (`_top_layout`)."""
+        return _top_layout(ring.nvars, tuple(row_twists))
 
     def schreyer(self, leads: Sequence[int]) -> "Codec":
         """The Schreyer level whose e_i maps to the term leads[i] of this one."""
@@ -240,6 +229,36 @@ class Codec(NamedTuple):
             c = last - ((t >> cs) & cm)
             out[c, read(sign * (t - bases[c]))] = val
         return out
+
+
+def _pot(nvars: int, lex: bool, row_twists: Sequence[int]) -> Codec:
+    """`Codec.pot` for this many variables, lex or grevlex."""
+    weights, guard, fill, comp_at, read = _pot_layout(nvars, lex)
+    n = len(row_twists)
+    return Codec(
+        weights=weights,
+        sign=1 if lex else -1,
+        guard=guard,
+        bases=tuple(((n - 1 - c) << comp_at) + fill for c in range(n)),
+        cshift=comp_at,
+        cmask=-1,
+        ib=0,
+        off=0,
+        limit=MAX_DEGREE + min(row_twists, default=0),
+        read=read,
+    )
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _top_layout(nvars: int, row_twists: tuple[int, ...]) -> Codec:
+    """`Codec.top` for this many variables and these twists, whatever the
+    ring's order or field: `pot` of the rank-one grevlex module R(-low), then
+    its Schreyer level.  A `Codec` is an immutable NamedTuple, so the cache
+    hands the same layout to every caller."""
+    low = min(row_twists, default=0)
+    line = _pot(nvars, False, (low,))
+    deg_at = FIELD * nvars
+    return line.schreyer([line.bases[0] + ((t - low) << deg_at) for t in row_twists])
 
 
 def elt_add_scaled(target: Element, src: Element, mono: Mono, coeff: int, p: int) -> None:

@@ -226,7 +226,8 @@ def regularity(pres: GradedPresentation) -> int:
     if walk is None:
         return regularity_from_betti(betti_numbers(pres))
     reg, depth = walk
-    # Auslander-Buchsbaum: pd = v - depth
+    # Auslander-Buchsbaum: pd = v - depth; the layout is the cached one the
+    # run above used, so no second codec is built
     Codec.top(ring, twists).check(reg + ring.nvars - depth)
     return reg
 

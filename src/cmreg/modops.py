@@ -38,9 +38,9 @@ from .core import (
     NEG_INF,
     Polynomial,
     dense_rank,
+    free_presentation,
     mono_mul,
     monomials_of_degree,
-    validate_presentation,
 )
 from .groebner import (
     Element,
@@ -71,18 +71,20 @@ def _check_linear(pres: GradedPresentation, l: Polynomial) -> None:
 
 
 def quotient_by_linear(pres: GradedPresentation, l: Polynomial) -> GradedPresentation:
-    """M / l*M, presented by appending the columns l*e_i."""
+    """M / l*M, presented by appending the columns l*e_i.  Graded by
+    construction from a valid presentation and a checked linear form: the old
+    columns are copied and the column l*e_i has degree a_i + 1, so the result
+    is assembled without being validated again."""
     _check_linear(pres, l)
     if pres.is_zero_module:
         return pres
-    matrix = [list(row) for row in pres.matrix]
-    degrees = list(pres.column_degrees)
     zero = pres.ring.base.zero()
-    for i in range(pres.n):
-        for r in range(pres.n):
-            matrix[r].append(l if r == i else zero)
-        degrees.append(pres.row_twists[i] + 1)
-    return validate_presentation(pres.ring, pres.row_twists, matrix, degrees)
+    matrix = tuple(
+        (*row, *(l if r == i else zero for i in range(pres.n)))
+        for r, row in enumerate(pres.matrix)
+    )
+    degrees = (*pres.column_degrees, *(a + 1 for a in pres.row_twists))
+    return GradedPresentation(pres.ring, pres.row_twists, matrix, degrees)
 
 
 def colon(
@@ -280,12 +282,14 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
 def sym_power(pres: GradedPresentation, l: int) -> GradedPresentation:
     """The l-th symmetric power of coker(phi): generators are the degree-l
     monomials in the module generators, one relation per (column of phi,
-    degree-(l-1) monomial)."""
+    degree-(l-1) monomial).  Graded by construction from a valid presentation:
+    every entry is copied from phi, and the column of (j, gamma) has degree
+    b_j + a_gamma, so the result is assembled without being validated again."""
     if l < 0:
         raise AlgebraError("negative symmetric power")
     ring = pres.ring
     if l == 0:
-        return validate_presentation(ring, (0,), [[]], [])
+        return free_presentation(ring, (0,))
     if pres.is_zero_module:
         return pres  # Sym^l(0) = 0
     gens = list(combinations_with_replacement(range(pres.n), l))
@@ -307,7 +311,7 @@ def sym_power(pres: GradedPresentation, l: int) -> GradedPresentation:
             degrees.append(
                 pres.column_degrees[j] + sum(pres.row_twists[i] for i in gamma)
             )
-    return validate_presentation(ring, twists, matrix, degrees)
+    return GradedPresentation(ring, twists, tuple(map(tuple, matrix)), tuple(degrees))
 
 
 def minor_function(matrix, ring: GradedRing):
@@ -406,9 +410,3 @@ def hilbert_value_dense(
     """dim of (free/submodule) in degree d, by brute-force rank."""
     total = len(degree_basis(ring, twists, d))
     return total - dense_rank(span_vectors(ring, twists, elements, d), ring.field.p)
-
-
-def hilbert_series_dense(pres: GradedPresentation, d: int) -> int:
-    return hilbert_value_dense(
-        pres.ring.base, pres.row_twists, presentation_elements(pres), d
-    )

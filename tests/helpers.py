@@ -8,6 +8,16 @@ def cyclic(ring, polys):
     return validate_presentation(ring, (0,), [list(polys)])
 
 
+def twisted(pres, s):
+    """M[s]: every twist and column degree raised by s, so reg M[s] = reg M + s."""
+    return validate_presentation(
+        pres.ring,
+        tuple(t + s for t in pres.row_twists),
+        [list(row) for row in pres.matrix],
+        tuple(d + s for d in pres.column_degrees),
+    )
+
+
 def compose(mat_big, mat_small, ring):
     """Matrix product d_k * d_{k+1}: entry (i, l) = sum_j big[i][j] * small[j][l]."""
     rows = len(mat_big)

@@ -10,6 +10,7 @@ from cmreg import groebner as groebner_module
 from cmreg import invariants as invariants_module
 from cmreg import modops as modops_module
 from cmreg.core import (
+    CACHE_SIZE,
     DegreeOverflow,
     GradedRing,
     Polynomial,
@@ -23,6 +24,7 @@ from cmreg.core import (
     validate_presentation,
 )
 from cmreg.groebner import (
+    FIELD,
     MAX_DEGREE,
     Codec,
     GroebnerBasis,
@@ -600,6 +602,28 @@ def test_top_limit_is_max_degree_above_the_smallest_twist(order, low):
     assert top_lead_terms([at_limit], ring, twists) == tuple(at_limit)
     with pytest.raises(DegreeOverflow):
         top_lead_terms([{(0, (MAX_DEGREE - 4, 2)): 1}], ring, twists)
+
+
+def test_top_layout_is_built_once_per_shape():
+    """`Codec.top` is cached by (number of variables, twists): it equals the
+    layout built here, `pot` of the grevlex line and then its Schreyer level,
+    for every shape, and rings that share the variable count share it."""
+    shapes = [(0,), (0, 0), (2, 2, -1), (-3, 0, -3, 1), (1, 0, 1, 1, -2), (4, 0)]
+    for nvars in range(1, 5):
+        names = tuple(f"x{j}" for j in range(nvars))
+        grevlex, lex = GradedRing(F, names), GradedRing(PrimeField(7), names, "lex")
+        for twists in shapes:
+            low = min(twists)
+            line = Codec.pot(grevlex, (low,))
+            want = line.schreyer(
+                [line.bases[0] + ((t - low) << (FIELD * nvars)) for t in twists]
+            )
+            got = Codec.top(grevlex, twists)
+            for name in Codec._fields:
+                assert getattr(got, name) == getattr(want, name), (nvars, twists, name)
+            assert Codec.top(grevlex, list(twists)) is got
+            assert Codec.top(lex, twists) is got
+    assert groebner_module._top_layout.cache_info().maxsize == CACHE_SIZE
 
 
 # -- scoped memo ---------------------------------------------------------------

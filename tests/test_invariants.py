@@ -40,6 +40,7 @@ from cmreg.invariants import (
     regularity,
     regularity_from_betti,
     ring_invariants,
+    tp_add,
     tp_divide_one_minus_t,
 )
 from cmreg.modops import (
@@ -405,6 +406,40 @@ def test_invariants_survive_a_coordinate_change():
         assert found[0] == found[1], trial
         moved += changed.matrix != pres.matrix
     assert moved >= 190
+
+
+def _direct_sum(m, n):
+    """M (+) N over their common ring, presented block-diagonally."""
+    zero = m.ring.base.zero()
+    rows = [[*row, *[zero] * n.m] for row in m.matrix]
+    rows += [[*[zero] * m.m, *row] for row in n.matrix]
+    return validate_presentation(
+        m.ring, m.row_twists + n.row_twists, rows, m.column_degrees + n.column_degrees
+    )
+
+
+def test_invariants_add_over_a_direct_sum():
+    # reg(M (+) N) = max(reg M, reg N), and the Betti tables and the Hilbert
+    # numerators add; M and N are box modules over one ring, each module
+    # computed in its own scope
+    box = [_acceptance_box_module(trial) for trial in range(200)]
+    by_ring = {}
+    for pres in box:
+        by_ring.setdefault(pres.ring, []).append(pres)
+    rng = random.Random(6006)
+    differ = 0
+    for _ in range(60):
+        m, n = rng.sample(by_ring[rng.choice(box).ring], 2)
+        found = []
+        for module in (m, n, _direct_sum(m, n)):
+            with groebner.memo_scope():
+                found.append((regularity(module), betti_numbers(module), hilbert_numerator(module)))
+        (reg_m, betti_m, num_m), (reg_n, betti_n, num_n), (reg_s, betti_s, num_s) = found
+        assert reg_s == max(reg_m, reg_n)
+        assert betti_s == {k: betti_m.get(k, 0) + betti_n.get(k, 0) for k in betti_m | betti_n}
+        assert num_s == tp_add(num_m, num_n)
+        differ += reg_m != reg_n
+    assert differ >= 40, differ  # the max is not read off equal values
 
 
 def test_betti_table_matches_minimal_resolution():

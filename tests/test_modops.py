@@ -44,16 +44,26 @@ from cmreg.modops import (
     dense_rank,
     fitting_ideal_0,
     h0_profile,
-    hilbert_series_dense,
+    hilbert_value_dense,
     minimal_presentation,
     quotient_by_linear,
     span_vectors,
     sym_power,
     torsion_hilbert,
 )
-from cmreg.verify import random_module, random_polynomial, random_section_form, section_check
-from helpers import cyclic
-from test_invariants import _module_over_complete_intersection, _oracle_modules
+from cmreg.verify import (
+    random_linear_form,
+    random_module,
+    random_polynomial,
+    random_section_form,
+    section_check,
+)
+from helpers import cyclic, twisted
+from test_invariants import (
+    _acceptance_box_module,
+    _module_over_complete_intersection,
+    _oracle_modules,
+)
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
@@ -186,6 +196,35 @@ def test_sym_power_shape_two_generators():
     assert cols == {(u, v, zero), (zero, u, v)}
 
 
+def _assembled_inputs():
+    """Criterion 1's box at twists -2, 0 and 2, modules over complete
+    intersections, modules over lex rings, and a zero column."""
+    for trial in range(200):
+        pres = _acceptance_box_module(trial)
+        for s in (-2, 0, 2):
+            yield twisted(pres, s)
+    for trial in range(40):
+        pres = _module_over_complete_intersection(trial)
+        if not pres.is_zero_module:
+            yield pres
+    for seed in range(20):
+        yield random_module(seed, p_vars=3, order="lex")
+    yield validate_presentation(R2, (0, 1), [[R2.zero(), u * v], [R2.zero(), u]], [2, 2])
+
+
+def test_assembled_presentations_validate_to_themselves():
+    """sym_power and quotient_by_linear assemble their output from a valid
+    presentation without validating it again: validating it must give it back."""
+    rng = random.Random(4242)
+    checked = 0
+    for pres in _assembled_inputs():
+        form = random_linear_form(rng, pres.ring)
+        for p in (*(sym_power(pres, l) for l in range(4)), quotient_by_linear(pres, form)):
+            assert validate_presentation(p.ring, p.row_twists, p.matrix, p.column_degrees) == p
+            checked += 1
+    assert checked == 5 * (600 + 40 + 20 + 1)
+
+
 def test_fitting_ideal_maximal_minors():
     pres = validate_presentation(R2, (0, 0), [[u, R2.zero()], [R2.zero(), v]])
     fitt = fitting_ideal_0(pres)
@@ -250,11 +289,11 @@ def test_dense_rank_small():
 
 
 def test_dense_hilbert_matches_known_values():
-    pres = cyclic(R2, [u * u, u * v])
-    values = [hilbert_series_dense(pres, d) for d in range(5)]
+    cols = [poly_element(f) for f in (u * u, u * v)]
+    values = [hilbert_value_dense(R2, (0,), cols, d) for d in range(5)]
     assert values == [1, 2, 1, 1, 1]
-    fin = cyclic(R2, [u * u, u * v, v * v])
-    assert [hilbert_series_dense(fin, d) for d in range(4)] == [1, 2, 0, 0]
+    cols.append(poly_element(v * v))
+    assert [hilbert_value_dense(R2, (0,), cols, d) for d in range(4)] == [1, 2, 0, 0]
 
 
 def test_syzygy_rank_equals_dense_nullity():

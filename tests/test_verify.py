@@ -30,7 +30,7 @@ from cmreg.verify import (
     section_check,
     tower_check,
 )
-from helpers import cyclic
+from helpers import cyclic, twisted
 from test_invariants import _acceptance_box_module
 from test_modops import _criterion_4_modules
 
@@ -143,16 +143,6 @@ def test_formula_ids_name_every_formula_the_criterion_1_box_scores():
     assert emitted == set(FORMULA_IDS)
 
 
-def _twisted(pres, s):
-    """M[s]: every twist and column degree raised by s, so reg M[s] = reg M + s."""
-    return validate_presentation(
-        pres.ring,
-        tuple(t + s for t in pres.row_twists),
-        [list(row) for row in pres.matrix],
-        tuple(d + s for d in pres.column_degrees),
-    )
-
-
 def test_audit_holds_on_every_twist_of_box_modules():
     # negative twists used to fail `main` and `uniform_dim1` on valid input
     # (4 + 4 of these 300 audits); the shift of reg is exact throughout
@@ -161,7 +151,7 @@ def test_audit_holds_on_every_twist_of_box_modules():
         pres = _acceptance_box_module(trial)
         untwisted = set()
         for s in range(-2, 3):
-            report = audit(_twisted(pres, s))
+            report = audit(twisted(pres, s))
             assert report.all_hold, (trial, s, report.verdicts)
             untwisted.add(report.computed["regularity"] - s)
             scored += any(v["formula"] == "main" for v in report.verdicts)
@@ -183,8 +173,8 @@ def test_printed_only_formulas_hold_on_twists_of_the_box():
     for trial in range(200):
         pres = _acceptance_box_module(trial)
         for s in (-3, 0, 3):
-            twisted = _twisted(pres, s)
-            payload, _, _ = cli._cmd_bounds(twisted, argparse.Namespace(B=None))
+            pres_s = twisted(pres, s)
+            payload, _, _ = cli._cmd_bounds(pres_s, argparse.Namespace(B=None))
             comp, ring = payload["computed"], payload["computed"]["ring"]
             for name, value in payload["bounds"].items():
                 if name.startswith("refined_"):
@@ -198,7 +188,7 @@ def test_printed_only_formulas_hold_on_twists_of_the_box():
                         a, b, comp["codimension"], comp["dimension"],
                         ring["regularity"], ring["degree"], l, ring["is_cm"],
                     )
-                    score("sym_main", value, regularity(sym_power(minimal_presentation(twisted), l)))
+                    score("sym_main", value, regularity(sym_power(minimal_presentation(pres_s), l)))
     assert not failures, failures
     assert scored == {
         "mult_sum": 429, "mult_series": 429, "mult_binomial": 429,
@@ -208,7 +198,7 @@ def test_printed_only_formulas_hold_on_twists_of_the_box():
 
 def test_audit_of_a_negatively_twisted_quotient():
     # S(1)/(x^2, y^2): reg 1, generated in degree -1
-    report = audit(_twisted(cyclic(R2, [u * u, v * v]), -1))
+    report = audit(twisted(cyclic(R2, [u * u, v * v]), -1))
     assert report.computed["regularity"] == 1
     by_name = {v["formula"]: v["bound"] for v in report.verdicts}
     assert by_name["main"] == 1 and "uniform_dim1" not in by_name
