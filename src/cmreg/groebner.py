@@ -30,12 +30,20 @@ built once per such shape and kept in a bounded process-wide cache
 entry is immutable and keyed by ints.  Under it a homogeneous element's lead
 term has the fewest factors x_v, so in(U + x_v F) = in(U) + x_v F,
 in(U : x_v) = in(U) : x_v and in(U : x_v^oo) = in(U) : x_v^oo, which position
-over term breaks.  Buchberger runs on it as it is, always to completion; only
-its lead terms are read (`top_lead_terms`), by three readers:
-`invariants.regularity`'s walk, `modops.colon_with_irrelevant` and
-`modops.torsion_hilbert` (on the columns in coordinates where the form is
-x_v).  The lead-term set is memoised in the scope, below, so readers of the
-same columns share one run.
+over term breaks.
+
+One basis per module.  `groebner` is the only builder of a module's basis: one
+Buchberger run under `Codec.top`, handed out as it stands, with minimal lead
+terms and no tail reduction.  Every reader of the module takes that run:
+the Hilbert numerator, `invariants.regularity`'s walk,
+`modops.colon_with_irrelevant` (one saturation round), `modops.torsion_hilbert`
+(on the columns in coordinates where the form is x_v) and
+`schreyer_resolution`, which alone finishes it (`autoreduce`: tail reduction and
+the tower order) before resolving it.  Position over term in the ring's own
+order stays where the order is part of the answer: `quotient_groebner` builds
+and finishes J's basis that way, so that a normal form mod J, and every entry a
+presentation prints, is the one the ring's order gives, lex rings included;
+and the graph colon (`syzygies_of`) needs its row block ahead of the e-block.
 
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree
@@ -47,7 +55,8 @@ divides another in its component.
 Schreyer syzygies reduce only the pairs whose predicted lead term is minimal
 (see `schreyer_syzygies`) and keep those relations as they come: their lead
 terms are already the minimal generators of the syzygies' lead-term module, so
-they form a Groebner basis, and no level of a resolution is tail-reduced.
+they form a Groebner basis, and no level of a resolution past the first is
+tail-reduced.
 
 Syzygies of arbitrary generators, and module colons {r : sum_k r_k h_k in
 <tails>}, are one Groebner basis of the graph module (see `syzygies_of`).  No
@@ -55,12 +64,12 @@ basis records how its elements arise from the generators; only a single normal
 form can return its quotients, which Schreyer syzygies read off.
 
 Within one top-level call the same Groebner input recurs: the basis of a
-module's own columns is wanted by its Hilbert numerator, its torsion and its
-resolution.  `groebner` and `syzygies_of` therefore share one memo, keyed by
-the exact input (ring, row twists, packed generators) and holding the finished
-auto-reduced basis; `top_lead_terms` keeps its degree-first lead terms in
-the same memo, with the twists less their minimum in the key.  Every result
-is stored.  The memo lives only inside `memo_scope()`: `verify.audit`,
+module's own columns is wanted by its Hilbert numerator, its saturation
+rounds, its regularity and its resolution.  `groebner` and
+`syzygies_of` therefore share one memo, keyed by the exact input (ring, row
+twists, packed generators) and holding the finished basis; `groebner` keys the
+twists less their minimum, so a module and its twist share one run.  Every
+result is stored.  The memo lives only inside `memo_scope()`: `verify.audit`,
 `section_check`, `random_section_form` and `tower_check` each open one (or
 join the one already open).  Outside a scope nothing is memoised, and a scope
 lives no longer than one instance: `cmreg random --audit` gets one per trial,
@@ -498,22 +507,18 @@ def buchberger(
 def autoreduce(
     basis: list[Packed], lts: list[int], codec: Codec, p: int
 ) -> tuple[list[Packed], list[int]]:
-    """Drop lead-redundant elements, tail-reduce the rest, then sort them as
-    `_tower_order` does."""
-    keep: list[int] = []
-    kept_by_comp: dict[int, list[int]] = {}
-    for i in sorted(range(len(basis)), key=lts.__getitem__):
-        t = lts[i]
-        group = kept_by_comp.setdefault((t >> codec.cshift) & codec.cmask, [])
-        if not any(codec.divides(lt, t) for lt in group):
-            group.append(t)
-            keep.append(i)
+    """Tail-reduce each element against the others, then sort them as
+    `_tower_order` does.
 
-    # No kept lead term divides another, and a lead term divides no smaller
-    # term, so reducing each element against the whole kept set, its own lead
-    # term marked irreducible, is reducing its tail against the others.
-    current = [basis[i] for i in keep]
-    leads = [lts[i] for i in keep]
+    Every caller hands in `buchberger`'s elements or a subset of them, whose
+    lead terms are minimal (see `buchberger`): none divides another in its
+    component, so no element is lead-redundant and all of them stay."""
+    # A lead term divides no smaller term, so reducing each element against
+    # the whole set, its own lead term marked irreducible, is reducing its tail
+    # against the others; by ascending lead terms, those are already reduced.
+    order = sorted(range(len(basis)), key=lts.__getitem__)
+    current = [basis[i] for i in order]
+    leads = [lts[i] for i in order]
     by_comp = _index(codec, leads)
     div_cache = dict(zip(leads, range(len(leads))))
     for pos, lt in enumerate(leads):
@@ -581,46 +586,28 @@ def groebner(
     ring: GradedRing,
     row_twists: Sequence[int],
 ) -> GroebnerBasis:
-    """Fully auto-reduced Groebner basis of the submodule generated by `gens`,
-    position over term."""
-    p = ring.field.p
-    codec = Codec.pot(ring, row_twists)
-    packed = [codec.encode(g, row_twists) for g in gens]
-
-    def build() -> GroebnerBasis:
-        basis, lts = autoreduce(*buchberger(packed, codec, row_twists, p), codec, p)
-        return GroebnerBasis(
-            ring=ring,
-            row_twists=tuple(row_twists),
-            codec=codec,
-            basis=basis,
-            leads=lts,
-        )
-
-    return _memoised("groebner", ring, row_twists, packed, build)
-
-
-def top_lead_terms(
-    gens: Sequence[Element],
-    ring: GradedRing,
-    row_twists: Sequence[int],
-) -> tuple[Term, ...]:
-    """The lead terms of a Groebner basis of the submodule generated by `gens`
-    under `Codec.top`, minimal generators of its lead-term module.
+    """Groebner basis under `Codec.top` of the submodule generated by `gens`:
+    `buchberger`'s basis as it stands, neither tail-reduced nor sorted.  No
+    element is redundant: each joined the basis as its normal form, in
+    nondecreasing degree, so no lead term divides another in its component
+    (see `buchberger`).  `schreyer_resolution` finishes it with `autoreduce`.
 
     Neither the packing nor the limit checks see a uniform shift of the
-    twists, so the memo keys the twists less their minimum and a module and its
-    twist share one run."""
+    twists, so the memo keys the twists less their minimum: a module and its
+    twist share one run, and each caller gets the basis with its own twists."""
+    row_twists = tuple(row_twists)
     low = min(row_twists, default=0)
     codec = Codec.top(ring, row_twists)
     packed = [codec.encode(g, row_twists) for g in gens]
 
-    def build() -> tuple[Term, ...]:
-        _, lts = buchberger(packed, codec, row_twists, ring.field.p)
-        return tuple(map(codec.decode, lts))
+    def build() -> GroebnerBasis:
+        basis, lts = buchberger(packed, codec, row_twists, ring.field.p)
+        return GroebnerBasis(ring=ring, row_twists=row_twists, codec=codec, basis=basis, leads=lts)
 
-    shifted = tuple(t - low for t in row_twists)
-    return _memoised("top_lead_terms", ring, shifted, packed, build)
+    gb = _memoised("groebner", ring, tuple(t - low for t in row_twists), packed, build)
+    if gb.row_twists != row_twists:
+        gb = GroebnerBasis(ring=ring, row_twists=row_twists, codec=codec, basis=gb.basis, leads=gb.leads)
+    return gb
 
 
 def schreyer_syzygies(gb: GroebnerBasis):
@@ -777,12 +764,18 @@ class FreeResolution:
 
 def schreyer_resolution(pres: GradedPresentation) -> FreeResolution:
     """Free resolution over the ambient ring S, via iterated Schreyer
-    syzygies, of the module's columns over S (see `presentation_elements`)."""
+    syzygies, of the module's columns over S (see `presentation_elements`).
+    Level 0 is the module's degree-first `groebner` basis, which this
+    function alone finishes (`autoreduce`) before resolving it."""
     ring = pres.ring.base
     twists: list[tuple[int, ...]] = [pres.row_twists]
     levels: list[tuple[Codec, list[Packed]]] = []
 
-    current = groebner(presentation_elements(pres), ring, pres.row_twists)
+    gb = groebner(presentation_elements(pres), ring, pres.row_twists)
+    basis, leads = autoreduce(gb.basis, gb.leads, gb.codec, ring.field.p)
+    current = GroebnerBasis(
+        ring=ring, row_twists=gb.row_twists, codec=gb.codec, basis=basis, leads=leads
+    )
     while current.basis:
         if len(levels) > ring.nvars + 1:
             raise AlgebraError("resolution failed to terminate")
@@ -860,9 +853,13 @@ def element_poly(v: Element, ring: GradedRing) -> Polynomial:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def quotient_groebner(ring: GradedRing) -> GroebnerBasis:
-    """Groebner basis of the defining ideal of a quotient ring (empty if none)."""
-    base = ring.base
-    return groebner([poly_element(q) for q in ring.quotient_gens], base, (0,))
+    """Reduced Groebner basis of the defining ideal of a quotient ring (empty
+    if none), in the ring's own order, position over term."""
+    base, p = ring.base, ring.field.p
+    codec = Codec.pot(base, (0,))
+    gens = [codec.encode(poly_element(q), (0,)) for q in ring.quotient_gens]
+    basis, leads = autoreduce(*buchberger(gens, codec, (0,), p), codec, p)
+    return GroebnerBasis(ring=base, row_twists=(0,), codec=codec, basis=basis, leads=leads)
 
 
 def reduce_poly(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

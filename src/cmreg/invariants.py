@@ -6,10 +6,10 @@ generator q of J (`groebner.presentation_elements`).  Regularity, Betti numbers
 and Hilbert data all come from that S-side picture.
 
 `regularity` needs no resolution: it walks the last variables over the lead
-terms of one Groebner basis under `Codec.top` (see `_filter_regular_walk`), and
-falls back to the Betti table only when a step is not certified.
-`module_invariants` keeps the Schreyer resolution, so its `regularity` is the
-Betti-derived one, an independent second path.
+terms of the module's one Groebner basis, the degree-first `groebner` run (see
+`_filter_regular_walk`), and falls back to the Betti table only when a step is
+not certified.  `module_invariants` keeps the Schreyer resolution, so its
+`regularity` is the Betti-derived one, a second path from the same basis.
 
 `hilbert_from_numerator` alone divides a numerator by (1-t): every finite series
 and length (the walk's H^0, `modops.h0_profile`'s H0, the torsion (0 :_M l) and
@@ -35,7 +35,6 @@ from .core import (
     mono_mul,
 )
 from .groebner import (
-    Codec,
     Element,
     FreeResolution,
     GroebnerBasis,
@@ -44,7 +43,6 @@ from .groebner import (
     quotient_groebner,
     reduce_poly,
     schreyer_resolution,
-    top_lead_terms,
 )
 
 
@@ -210,25 +208,23 @@ def regularity_from_betti(table: dict[tuple[int, int], int]) -> int:
 
 
 def regularity(pres: GradedPresentation) -> int:
-    """reg M from the lead terms of one Groebner basis of M's columns over S
-    under `Codec.top`, by the filter-regular walk (see `_filter_regular_walk`);
-    from the Betti table when the walk cannot certify a step.  The lead terms
-    come from `top_lead_terms`, which the scope shares with `modops`'
-    saturation rounds and across modules whose columns agree and whose twists
-    differ by a shift.
+    """reg M from the lead terms of the Groebner basis of M's columns over S,
+    by the filter-regular walk (see `_filter_regular_walk`); from the Betti
+    table when the walk cannot certify a step.  The basis is the module's one
+    degree-first run (`groebner`, under `Codec.top`), which the scope shares
+    with its Hilbert numerator, its saturation rounds and its resolution, and
+    across modules whose columns agree and whose twists differ by a shift.
 
     Refuses with `DegreeOverflow` when reg + pd, the degree a minimal
     resolution may reach, is past the packed terms' limit.
     """
     ring, twists = pres.ring.base, pres.row_twists
-    lts = top_lead_terms(presentation_elements(pres), ring, twists)
-    walk = _filter_regular_walk(_lead_ideals(lts, len(twists)), twists, ring.nvars)
+    gb = groebner(presentation_elements(pres), ring, twists)
+    walk = _filter_regular_walk(_lead_ideals(gb.lts, len(twists)), twists, ring.nvars)
     if walk is None:
         return regularity_from_betti(betti_numbers(pres))
     reg, depth = walk
-    # Auslander-Buchsbaum: pd = v - depth; the layout is the cached one the
-    # run above used, so no second codec is built
-    Codec.top(ring, twists).check(reg + ring.nvars - depth)
+    gb.codec.check(reg + ring.nvars - depth)  # Auslander-Buchsbaum: pd = v - depth
     return reg
 
 
@@ -391,7 +387,7 @@ def numerator_of_gb(gb: GroebnerBasis) -> dict[int, int]:
 
 def numerator_of_last_variable_torsion(lts, twists, nvars: int) -> dict[int, int]:
     """Hilbert numerator of (U :_F x_v) / U from the lead terms of U's basis
-    under `Codec.top`, given as minimal generators (`top_lead_terms`).  That
+    under `Codec.top`, given as minimal generators (`groebner`'s).  That
     order has in(U : x_v) = in(U) : x_v (Bayer-Stillman, "A criterion for
     detecting m-regularity", 1987), so the numerator is N(in U) - N(in U : x_v),
     the colon taking one x_v out of each lead monomial that has one."""
@@ -541,9 +537,10 @@ def quotient_ideal_gen_degrees(ring: GradedRing) -> list[int]:
 @dataclass
 class ModuleInvariants:
     """Invariants of a nonzero module.  `resolution` is the Schreyer
-    resolution over S of its columns over S, neither minimal nor tail-reduced:
-    read Betti numbers from `betti`, not from its twists.  Its levels stay
-    packed; `resolution.differentials` decodes them on first access."""
+    resolution over S of its columns over S, resolved from their degree-first
+    basis and not minimal: read Betti numbers from `betti`, not from its
+    twists.  Its levels stay packed; `resolution.differentials` decodes them
+    on first access."""
 
     presentation: GradedPresentation
     resolution: FreeResolution

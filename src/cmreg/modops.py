@@ -15,13 +15,12 @@ series.  A `DegreeOverflow` from that run is final, as it is in `regularity`.
 `colon_kernel` presents K by the graph colon alone and is kept as the
 independent route.
 
-`h0_profile` runs a saturation round only when its outcome is open.  A module
-of finite length is its own H0 (its Hilbert numerator shows dimension 0), and
-a variable that divides no lead term of the column module's reduced basis is
-a nonzerodivisor on the module, so H0 vanishes and the columns are saturated.
-A round that does run is read off the degree-first basis (`Codec.top`) when
-no lead term there involves x_v: x_v is then a nonzerodivisor too, and the
-round confirms U without a graph colon (see `colon_with_irrelevant`).
+`h0_profile` settles a module of finite length without a saturation round:
+it is its own H0 (its Hilbert numerator shows dimension 0).  Every other
+module runs rounds, and the one nonzerodivisor certificate lives in the round
+(`colon_with_irrelevant`): a variable that divides no lead term of U's
+degree-first basis, the module's one `groebner` run, is a nonzerodivisor on
+F/U, so the round confirms U without a graph colon.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .groebner import (
     groebner,
     presentation_elements,
     syzygies_of,
-    top_lead_terms,
 )
 from .invariants import (
     HilbertData,
@@ -111,21 +109,28 @@ def colon(
     return syzygies_of(heads, ring, tuple(a - d for a in row_twists) * k, tails=tails)
 
 
+def _has_free_variable(gb: GroebnerBasis) -> bool:
+    """Whether some variable divides no lead term of gb."""
+    return any(not any(m[x] for _, m in gb.lts) for x in range(gb.ring.nvars))
+
+
 def colon_with_irrelevant(
     ring: GradedRing, row_twists, columns: list[Element]
 ) -> GroebnerBasis:
     """The colon U : m of the module U the columns generate by every variable:
-    one saturation round, as U's reduced basis (position over term).
+    one saturation round, as a Groebner basis of U : m.
 
-    The round is first read off U's degree-first basis (`top_lead_terms`, the
-    memoised run that `invariants.regularity` reads later on the same module).
-    Under `Codec.top` in(U : x_v) = in(U) : x_v, and the lead terms are
-    minimal, so when none involves x_v, x_v is a nonzerodivisor on F/U and
-    U : m = U (Bayer-Stillman, "A criterion for detecting m-regularity", 1987):
-    the answer is U's own memoised basis.  Otherwise the graph colon decides."""
-    x = ring.nvars - 1
-    if not any(m[x] for _, m in top_lead_terms(columns, ring, row_twists)):
-        return groebner(columns, ring, row_twists)
+    The round holds the one nonzerodivisor certificate.  It first reads U's
+    own basis, the degree-first run that the scope shares with the module's
+    Hilbert numerator and `invariants.regularity`.  When some variable x
+    divides no lead term there, x f in U with f in normal form would give
+    x lt(f) = lt(x f) in in(U), so lt(f) in in(U): x is a nonzerodivisor on
+    F/U and U : m = U (Eisenbud, "The Geometry of Syzygies", ch. 4), and the
+    answer is that basis.  Otherwise the graph colon decides, position over
+    term."""
+    gb = groebner(columns, ring, row_twists)
+    if _has_free_variable(gb):
+        return gb
     return colon(ring, row_twists, columns, ring.gens())
 
 
@@ -182,13 +187,12 @@ def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
     Hilbert series, and under `Codec.top` in(U' : x_v) = in(U') : x_v
     (Bayer-Stillman, "A criterion for detecting m-regularity", 1987).  So K's
     numerator is N(in U') - N(in U' : x_v), from the lead terms of U' that
-    `top_lead_terms` memoises in the scope, for every l and with no
-    certificate."""
+    `groebner` memoises in the scope, for every l and with no certificate."""
     _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
     phi = _adapted_coordinates(l)
-    lts = top_lead_terms([phi(col) for col in presentation_elements(pres)], base, a)
-    n_k = numerator_of_last_variable_torsion(lts, a, base.nvars)
+    gb = groebner([phi(col) for col in presentation_elements(pres)], base, a)
+    n_k = numerator_of_last_variable_torsion(gb.lts, a, base.nvars)
     return hilbert_from_numerator(n_k, base.nvars)
 
 
@@ -210,11 +214,6 @@ def colon_kernel(
     return _presented(pres.ring, rels.row_twists, rels.elements), lam
 
 
-def _has_free_variable(gb: GroebnerBasis) -> bool:
-    """Whether some variable divides no lead term of gb."""
-    return any(not any(m[x] for _, m in gb.lts) for x in range(gb.ring.nvars))
-
-
 @dataclass
 class H0Profile:
     """Degreewise sizes of the finite-length part (sections supported at the
@@ -232,17 +231,12 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
     ideal m.
 
     A round replaces U by (U :_F m) until the Hilbert numerator stops changing.
-    Two cases are decided without one:
-    - M has finite length (its numerator has dimension 0): H0 = M, so
-      U^sat = F, whose reduced basis is the unit vectors e_i.
-    - Some variable x divides no lead term of U's reduced basis (U's own, or
-      the last round's result): x f in U with f in normal form would give
-      x lt(f) = lt(x f) in in(U), so lt(f) in in(U); x is a nonzerodivisor on
-      F/U, H0 = 0 and U is saturated (Eisenbud, "The Geometry of Syzygies",
-      ch. 4).  lt(x f) = x lt(f) holds for every monomial order.
-    A round itself is settled from U's degree-first basis when no lead term
-    there involves x_v, and by the graph colon otherwise; the rounds run and
-    their answers are the same either way (`colon_with_irrelevant`).
+    When M has finite length (its numerator has dimension 0), H0 = M and
+    U^sat = F, whose reduced basis is the unit vectors e_i: no round runs.
+    Otherwise every round runs, and the round itself settles the case it can
+    certify (`colon_with_irrelevant`): a variable free of U's degree-first
+    lead terms confirms U without a graph colon, so a saturated U costs one
+    round and no colon.
 
     H0's series is read and checked by `invariants.hilbert_from_numerator`.
     """
@@ -254,7 +248,7 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
         unit = (0,) * base.nvars
         cur, cur_n = [{(i, unit): 1} for i in range(pres.n)], {}
     else:
-        while not _has_free_variable(gb):
+        while True:
             gb = colon_with_irrelevant(base, a, cur)
             n_big = numerator_of_gb(gb)
             if n_big == cur_n:

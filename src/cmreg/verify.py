@@ -377,8 +377,10 @@ class SectionReport:
 def _generator_data(pres: GradedPresentation):
     """(invariants of M, top generator degree b0, first-syzygy degrees over R,
     h = top generator degree of J but at least 1): the degree data that the
-    section and tower estimates start from."""
-    mi = module_invariants(pres)
+    section and tower estimates start from.  M is resolved from its minimal
+    presentation, as `audit` resolves it: over S/J, b1 counts the relations
+    of the presentation it is given, so isomorphic inputs must share one."""
+    mi = module_invariants(minimal_presentation(pres))
     b0 = max(j for (i, j) in mi.betti if i == 0)
     b1 = b1_degrees(mi)
     h = max(max(quotient_ideal_gen_degrees(pres.ring), default=1), 1)

@@ -47,7 +47,6 @@ from cmreg.groebner import (
     _MEMO,
     memo_scope,
     syzygies_of,
-    top_lead_terms,
 )
 from cmreg.invariants import (
     betti_numbers,
@@ -259,8 +258,15 @@ def all_pairs_syzygies(gb):
             for mono, c in q.items():
                 elt_add_scaled(rel, {(k, mono): 1}, (0,) * len(mono), -c, p)
         syz.append(nxt.encode(rel, degs))
-    lts = [max(s) for s in syz]
-    basis, lts = autoreduce(syz, lts, nxt, p)
+    # keep the relations whose lead term no kept one divides: minimal leads,
+    # as autoreduce expects
+    keep, kept = [], []
+    for s in sorted(syz, key=max):
+        t = max(s)
+        if not any(nxt.component(k) == nxt.component(t) and nxt.divides(k, t) for k in kept):
+            keep.append(s)
+            kept.append(t)
+    basis, lts = autoreduce(keep, kept, nxt, p)
     return basis, lts, lead_degrees(gb, nxt, lts), len(syz)
 
 
@@ -284,8 +290,13 @@ def assert_matches_all_pairs(gb):
 
 
 def resolution_levels(pres):
-    """The Groebner bases schreyer_resolution takes syzygies of, level by level."""
-    current = groebner(presentation_elements(pres), pres.ring, pres.row_twists)
+    """The Groebner bases schreyer_resolution takes syzygies of, level by level:
+    level 0 is the degree-first basis, tail-reduced and sorted."""
+    gb = groebner(presentation_elements(pres), pres.ring, pres.row_twists)
+    basis, leads = autoreduce(gb.basis, gb.leads, gb.codec, gb.ring.field.p)
+    current = GroebnerBasis(
+        ring=gb.ring, row_twists=gb.row_twists, codec=gb.codec, basis=basis, leads=leads
+    )
     while current.basis:
         yield current
         syz, leads, codec = schreyer_syzygies(current)
@@ -547,16 +558,21 @@ def _over_order(pres, order):
 
 
 def test_lex_resolutions_have_the_grevlex_betti_tables():
-    # Betti numbers do not depend on the monomial order; the lex layout of the
-    # packed terms is exercised by every level of these resolutions
+    # Betti numbers do not depend on the monomial order.  Resolutions run
+    # degree first whatever the ring's order; the graph colon keeps the ring's
+    # order, so the lex layout of the packed terms is exercised there
     differ = 0
     for trial in range(40):
         pres = _acceptance_box_module(trial)
         lex = _over_order(pres, "lex")
         assert lex.ring.order == "lex"
         assert betti_numbers(lex) == betti_numbers(pres)
-        differ += schreyer_resolution(lex).twists != schreyer_resolution(pres).twists
-    assert differ  # the two orders do resolve differently
+        cols, lex_cols = presentation_elements(pres), presentation_elements(lex)
+        syz = syzygies_of(cols, pres.ring, pres.row_twists)
+        lex_syz = syzygies_of(lex_cols, lex.ring, lex.row_twists)
+        assert lex_syz.codec.sign == 1 and syz.codec.sign == -1
+        differ += lex_syz.elements != syz.elements
+    assert differ  # the two orders do give different reduced bases
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
@@ -599,9 +615,9 @@ def test_top_limit_is_max_degree_above_the_smallest_twist(order, low):
         codec.check(MAX_DEGREE + low + 1)
     # an entry on e_0, twisted 3 above the smallest, at the limit and past it
     at_limit = {(0, (MAX_DEGREE - 5, 2)): 1}
-    assert top_lead_terms([at_limit], ring, twists) == tuple(at_limit)
+    assert groebner([at_limit], ring, twists).lts == list(at_limit)
     with pytest.raises(DegreeOverflow):
-        top_lead_terms([{(0, (MAX_DEGREE - 4, 2)): 1}], ring, twists)
+        groebner([{(0, (MAX_DEGREE - 4, 2)): 1}], ring, twists)
 
 
 def test_top_layout_is_built_once_per_shape():
@@ -702,15 +718,33 @@ def test_nested_scope_reuses_the_outer_one(buchberger_runs):
     assert len(buchberger_runs) == 2
 
 
-def test_saturation_round_and_regularity_share_one_degree_first_run(buchberger_runs):
-    """S/(x^2, xy): the saturation round reads the degree-first lead terms
-    x^2, xy (xy involves x_v = y, so the graph colon decides the round), and
-    regularity's walk then reads the same memoised run."""
+def test_saturation_round_and_regularity_share_one_degree_first_run(monkeypatch):
+    """S/(x^2, xy) in one scope: the Hilbert numerator, the saturation rounds,
+    regularity's walk and the Betti table read one Buchberger run on U's
+    columns.  Besides it run only the first round's graph colon (x and y both
+    divide a lead term of U) and the degree-first run on U : m = (x), whose
+    free variable y confirms the second round."""
+    runs = []
+    original = groebner_module.buchberger
+
+    def recording(gens, codec, *args):
+        runs.append((codec, [codec.decode_element(g) for g in gens]))
+        return original(gens, codec, *args)
+
+    monkeypatch.setattr(groebner_module, "buchberger", recording)
     pres = validate_presentation(R2, (0,), [[u * u, u * v]], (2, 2))
+    cols = presentation_elements(pres)
     with memo_scope():
+        hilbert_numerator(pres)
         h0_profile(pres)
         regularity(pres)
-    assert buchberger_runs.count(Codec.top(R2, (0,))) == 1
+        betti_numbers(pres)
+    top = Codec.top(R2, (0,))
+    assert [gens for _, gens in runs].count(cols) == 1
+    assert runs[0] == (top, cols)
+    assert runs[1][0] != top  # the graph colon, position over term
+    assert runs[2] == (top, [{(0, (1, 0)): 1}])
+    assert len(runs) == 3
 
 
 def test_memoised_bases_equal_fresh_ones_after_section_check(monkeypatch):
@@ -718,7 +752,7 @@ def test_memoised_bases_equal_fresh_ones_after_section_check(monkeypatch):
     still equals a fresh computation from the same input: no caller mutated a
     shared result."""
     calls = []
-    for name in ("groebner", "syzygies_of", "top_lead_terms"):
+    for name in ("groebner", "syzygies_of"):
         original = getattr(groebner_module, name)
 
         def recording(*args, _original=original, **kwargs):
@@ -740,15 +774,12 @@ def test_memoised_bases_equal_fresh_ones_after_section_check(monkeypatch):
             keys.update(_MEMO.get())
     assert len(calls) > len(memoised) > 0  # the memo was hit
     kinds = {key[0] for key in keys}
-    assert kinds == {"groebner", "syzygies_of", "top_lead_terms"}
+    assert kinds == {"groebner", "syzygies_of"}
 
     handed_out = {id(result) for _, _, result in calls}
     assert set(memoised) <= handed_out
     for original, (args, kwargs), result in calls:
         fresh = original(*args, **kwargs)
-        if original is top_lead_terms:
-            assert result == fresh
-            continue
         assert fresh.row_twists == result.row_twists
         assert fresh.leads == result.leads
         assert fresh.basis == result.basis

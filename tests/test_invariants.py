@@ -36,6 +36,7 @@ from cmreg.invariants import (
     minimalize_resolution,
     module_invariants,
     numerator_from_resolution,
+    numerator_of_gb,
     quotient_ideal_gen_degrees,
     regularity,
     regularity_from_betti,
@@ -57,7 +58,7 @@ from cmreg.verify import (
     random_complete_intersection,
     random_module,
 )
-from helpers import compose, cyclic
+from helpers import compose, cyclic, reduced_basis
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
@@ -103,6 +104,30 @@ def test_hilbert_numerator_two_paths_agree():
     for pres in examples:
         res = minimalize_resolution(schreyer_resolution(pres))
         assert hilbert_numerator(pres) == numerator_from_resolution(res)
+
+
+def test_hilbert_numerator_against_a_position_over_term_run():
+    # every reader takes M's numerator from the degree-first basis; a second
+    # Buchberger run under position over term in the ring's own order (any
+    # order's lead terms give the series) and the resolution's alternating
+    # twist sum check it on criterion 1's box, the quotient box and the
+    # sections box
+    from test_modops import _criterion_4_modules
+
+    modules = [_acceptance_box_module(trial) for trial in range(200)]
+    modules += [_module_over_complete_intersection(trial) for trial in range(200)]
+    modules += _criterion_4_modules()
+    checked = 0
+    for pres in modules:
+        if pres.is_zero_module:
+            continue
+        base = pres.ring.base
+        pot = reduced_basis(presentation_elements(pres), base, pres.row_twists)
+        num = numerator_of_gb(pot)
+        assert hilbert_numerator(pres) == num
+        assert numerator_from_resolution(schreyer_resolution(pres)) == num
+        checked += 1
+    assert checked >= 400
 
 
 def test_numerator_split_matches_dense_hilbert_values():

@@ -31,7 +31,7 @@ from cmreg.verify import (
     tower_check,
 )
 from helpers import cyclic, twisted
-from test_invariants import _acceptance_box_module
+from test_invariants import _acceptance_box_module, _module_over_complete_intersection
 from test_modops import _criterion_4_modules
 
 F = PrimeField(101)
@@ -265,6 +265,33 @@ def test_section_check_on_non_minimal_presentation():
     assert report == reference
 
 
+def test_section_and_tower_checks_read_b1_off_the_minimal_presentation():
+    """Over S/J, b1 is a count of the relations of the presentation it is
+    read from, so a cancelled unit relation must not reach it: the padded
+    S/(x^2) and its minimal twin, and seeded unit-entry paddings of modules
+    over complete intersections, give the same reports."""
+    quotient = "char 101\nvars x y\nquotient\nx^2\nend\n"
+    padded = cli.parse_file(quotient + "gens 0 5\nrels\ny^5, -1\nend\n")
+    twin = cli.parse_file(quotient + "gens 0\nrels\nend\n")
+    s, t = padded.ring.base.gens()
+    assert section_check(padded, s + t).mu_star == section_check(twin, s + t).mu_star == 2
+    assert tower_check(padded, [s + t]).q_values == tower_check(twin, [s + t]).q_values == [2]
+
+    rng = random.Random(8128)
+    checked = 0
+    for trial in range(16):
+        pres = _module_over_complete_intersection(trial)
+        if pres.is_zero_module:
+            continue
+        f = random_polynomial(rng, pres.ring.base, rng.randint(3, 5))
+        padded = with_cancelled_generator(pres, f)
+        l = random_section_form(pres, rng)
+        assert section_check(padded, l) == section_check(pres, l), trial
+        assert tower_check(padded, [l]) == tower_check(pres, [l]), trial
+        checked += 1
+    assert checked >= 10
+
+
 def test_random_section_form_finds_finite_torsion():
     pres = cyclic(R2, [u * u, u * v])
     rng = random.Random(3)
@@ -309,17 +336,17 @@ def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
     modules = _criterion_4_modules()
     counts = {"forms": 0, "runs": 0, "colons": 0}
     inside = []
-    draw, lead_terms, run = verify.random_linear_form, modops.top_lead_terms, groebner.buchberger
+    draw, basis, run = verify.random_linear_form, modops.groebner, groebner.buchberger
     syzygies = modops.syzygies_of
 
     def counted_draw(*args):
         counts["forms"] += 1
         return draw(*args)
 
-    def torsion_lead_terms(*args):
+    def torsion_basis(*args):
         inside.append(True)
         try:
-            return lead_terms(*args)
+            return basis(*args)
         finally:
             inside.pop()
 
@@ -335,7 +362,7 @@ def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
         raise AssertionError("the torsion module was presented")
 
     monkeypatch.setattr(verify, "random_linear_form", counted_draw)
-    monkeypatch.setattr(modops, "top_lead_terms", torsion_lead_terms)
+    monkeypatch.setattr(modops, "groebner", torsion_basis)
     monkeypatch.setattr(groebner, "buchberger", counted_run)
     monkeypatch.setattr(modops, "syzygies_of", counted_syzygies)
     monkeypatch.setattr(modops, "minimal_presentation", no_presentation)
