@@ -35,15 +35,15 @@ over term breaks.
 One basis per module.  `groebner` is the only builder of a module's basis: one
 Buchberger run under `Codec.top`, handed out as it stands, with minimal lead
 terms and no tail reduction.  Every reader of the module takes that run:
-the Hilbert numerator, `invariants.regularity`'s walk,
-`modops.colon_with_irrelevant` (one saturation round), `modops.torsion_hilbert`
-(on the columns in coordinates where the form is x_v) and
-`schreyer_resolution`, which alone finishes it (`autoreduce`: tail reduction and
-the tower order) before resolving it.  Position over term in the ring's own
-order stays where the order is part of the answer: `quotient_groebner` builds
-and finishes J's basis that way, so that a normal form mod J, and every entry a
-presentation prints, is the one the ring's order gives, lex rings included;
-and the graph colon (`syzygies_of`) needs its row block ahead of the e-block.
+the Hilbert numerator (which `modops.torsion_hilbert` reads for M and M/lM),
+`invariants.regularity`'s walk, `modops.colon_with_irrelevant` (one saturation
+round) and `schreyer_resolution`, which alone finishes it (`autoreduce`: tail
+reduction and the tower order) before resolving it.  Position over term in the
+ring's own order stays where the order is part of the answer:
+`quotient_groebner` builds and finishes J's basis that way, so that a normal
+form mod J, and every entry a presentation prints, is the one the ring's order
+gives, lex rings included; and the graph colon (`syzygies_of`) needs its row
+block ahead of the e-block.
 
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree
@@ -70,12 +70,12 @@ rounds, its regularity and its resolution.  `groebner` and
 twists, packed generators) and holding the finished basis; `groebner` keys the
 twists less their minimum, so a module and its twist share one run.  Every
 result is stored.  The memo lives only inside `memo_scope()`: `verify.audit`,
-`section_check`, `random_section_form` and `tower_check` each open one (or
-join the one already open).  Outside a scope nothing is memoised, and a scope
-lives no longer than one instance: `cmreg random --audit` gets one per trial,
-through `audit`.  Sharing a basis is sound because callers only read it; its
-division cache, the one state that changes, stays valid since the basis never
-grows.
+`section_check`, `random_section_form`, `random_tower` and `tower_check` each
+open one (or join the one already open).  Outside a scope nothing is memoised,
+and a scope lives no longer than one instance: `cmreg random --audit` gets one
+per trial, through `audit`.  Sharing a basis is sound because callers only
+read it; its division cache, the one state that changes, stays valid since the
+basis never grows.
 """
 
 from __future__ import annotations

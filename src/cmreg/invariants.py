@@ -385,20 +385,6 @@ def numerator_of_gb(gb: GroebnerBasis) -> dict[int, int]:
     return _numerator_of_components(_lead_ideals(gb.lts, len(gb.row_twists)), gb.row_twists)
 
 
-def numerator_of_last_variable_torsion(lts, twists, nvars: int) -> dict[int, int]:
-    """Hilbert numerator of (U :_F x_v) / U from the lead terms of U's basis
-    under `Codec.top`, given as minimal generators (`groebner`'s).  That
-    order has in(U : x_v) = in(U) : x_v (Bayer-Stillman, "A criterion for
-    detecting m-regularity", 1987), so the numerator is N(in U) - N(in U : x_v),
-    the colon taking one x_v out of each lead monomial that has one."""
-    x = nvars - 1
-    ideals = _lead_ideals(lts, len(twists))
-    colon = [_minimalize_monos(m[:x] + (max(m[x] - 1, 0),) for m in monos) for monos in ideals]
-    return tp_sub(
-        _numerator_of_components(ideals, twists), _numerator_of_components(colon, twists)
-    )
-
-
 def _numerator_of_components(ideals, twists) -> dict[int, int]:
     """Hilbert numerator of (+)_c S(-twists[c]) / L_c for minimal monomial
     ideals L_c."""

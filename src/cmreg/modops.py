@@ -7,13 +7,12 @@ does not settle call it.  Units are cancelled by `invariants.cancel_units`,
 which also minimalizes resolutions.  The flagged zero module runs through each
 operation's general path.
 
-The torsion K = (0 :_M l) of a linear form is read off lead terms
-(`torsion_hilbert`): in coordinates where l is the last variable, under
-`Codec.top`, in(U : x_v) = in(U) : x_v (Bayer-Stillman, "A criterion for
-detecting m-regularity", 1987), so one degree-first run gives K's whole
-series.  A `DegreeOverflow` from that run is final, as it is in `regularity`.
-`colon_kernel` presents K by the graph colon alone and is kept as the
-independent route.
+The torsion K = (0 :_M l) of a linear form is read off the exact sequence
+0 -> K(-1) -> M(-1) -> M -> M/lM -> 0 (`torsion_hilbert`): K's whole series
+comes from the Hilbert numerators of M and M/lM, the modules' degree-first
+runs, for every l.  A `DegreeOverflow` from either run is final, as it is in
+`regularity`.  `colon_kernel` presents K by the graph colon and is kept as
+the independent route.
 
 `h0_profile` settles a module of finite length without a saturation round:
 it is its own H0 (its Hilbert numerator shows dimension 0).  Every other
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Callable
 
 from .core import (
     AlgebraError,
@@ -56,7 +54,7 @@ from .invariants import (
     hilbert_from_numerator,
     numerator_of_cokernel,
     numerator_of_gb,
-    numerator_of_last_variable_torsion,
+    tp_shift,
     tp_sub,
 )
 
@@ -134,40 +132,6 @@ def colon_with_irrelevant(
     return colon(ring, row_twists, columns, ring.gens())
 
 
-def _adapted_coordinates(l: Polynomial) -> Callable[[Element], Element]:
-    """A linear change of coordinates phi of S with phi(l) = x_v, applied to
-    elements of a free module.  For l = sum c_j x_j it sends x_k to
-    (x_v - sum_{j != k} c_j x_j) / c_k and fixes every other variable, with
-    k = v when c_v != 0; otherwise k is the last variable l involves, and x_v
-    goes to x_k."""
-    ring = l.ring
-    p, v = ring.field.p, ring.nvars - 1
-    coeff = [0] * ring.nvars
-    for m, c in l.terms.items():
-        coeff[m.index(1)] = c
-    k = v if coeff[v] else max(j for j, c in enumerate(coeff) if c)
-    inv = ring.field.inv(coeff[k])
-    units = [tuple(int(i == j) for i in range(ring.nvars)) for j in range(ring.nvars)]
-    image = Polynomial(
-        ring, {units[j]: -c * inv for j, c in enumerate(coeff) if j != k} | {units[v]: inv}
-    )
-    powers = [ring.one()]
-
-    def apply(elt: Element) -> Element:
-        out: Element = {}
-        for (c, m), val in elt.items():
-            fixed = list(m)
-            fixed[k], fixed[v] = m[v], 0
-            while len(powers) <= m[k]:
-                powers.append(powers[-1] * image)
-            for pm, pc in powers[m[k]].terms.items():
-                term = (c, mono_mul(fixed, pm))
-                out[term] = (out.get(term, 0) + val * pc) % p
-        return {t: c for t, c in out.items() if c}
-
-    return apply
-
-
 def _presented(ring: GradedRing, twists, elements: list[Element]) -> GradedPresentation:
     """The minimal presentation of the cokernel of these homogeneous elements
     of the free module with the given twists; zero elements are dropped."""
@@ -178,21 +142,22 @@ def _presented(ring: GradedRing, twists, elements: list[Element]) -> GradedPrese
 
 
 def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
-    """Hilbert data of K = (0 :_M l), read off one degree-first run; K itself
-    is not presented.
+    """Hilbert data of K = (0 :_M l), read off the numerators of M and M/lM;
+    K itself is not presented.
 
-    With U the module of M's columns over S in F (J's generators included
-    over S/J), K = W/U for W = (U :_F l).  A linear change of coordinates
-    (`_adapted_coordinates`) sends l to x_v and U to U'; it keeps every
-    Hilbert series, and under `Codec.top` in(U' : x_v) = in(U') : x_v
-    (Bayer-Stillman, "A criterion for detecting m-regularity", 1987).  So K's
-    numerator is N(in U') - N(in U' : x_v), from the lead terms of U' that
-    `groebner` memoises in the scope, for every l and with no certificate."""
+    Multiplication by l gives the exact sequence
+    0 -> K(-1) -> M(-1) -> M -> M/lM -> 0, so t N(K) = N(M/lM) - (1 - t) N(M)
+    for every linear form l, with no certificate.  Both numerators come from
+    the modules' degree-first `groebner` runs, over S with J's generators among
+    the columns, which the scope shares with `h0_profile`, `regularity` and
+    the next level of a tower.  A `DegreeOverflow` from either run is final."""
     _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
-    phi = _adapted_coordinates(l)
-    gb = groebner([phi(col) for col in presentation_elements(pres)], base, a)
-    n_k = numerator_of_last_variable_torsion(gb.lts, a, base.nvars)
+    n_m, n_bar = (
+        numerator_of_gb(groebner(presentation_elements(p), base, a))
+        for p in (pres, quotient_by_linear(pres, l))
+    )
+    n_k = tp_shift(tp_sub(n_bar, tp_sub(n_m, tp_shift(n_m, 1))), -1)
     return hilbert_from_numerator(n_k, base.nvars)
 
 
@@ -201,9 +166,10 @@ def colon_kernel(
 ) -> tuple[GradedPresentation, int | None]:
     """(presentation of K = (0 :_M l), its length or None when infinite), by
     the graph colon: W = (U :_F l) from `colon`, K = W/U presented by the
-    relations of W's basis modulo U.  It builds none of the bases that
-    `torsion_hilbert`, the library's own route, reads, and serves as its
-    oracle."""
+    relations of W's basis modulo U.  Its length shares U's numerator, the
+    basis of M's columns, with `torsion_hilbert`, the library's own route;
+    W, the presentation of K and K's series are built apart from it, so it
+    serves as its oracle."""
     _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
     cols = presentation_elements(pres)

@@ -11,9 +11,11 @@ reproducible instances; `mayr_meyer` builds the classical worst-case family
 (only its shape is ever inspected -- resolving it is the whole point of not
 trusting single examples).
 
-`audit`, `section_check`, `random_section_form` and `tower_check` each run in
-one `groebner.memo_scope()`, so a Groebner basis wanted twice by one call is
-built once (see the `groebner` module docstring).
+`audit`, `section_check`, `random_section_form`, `random_tower` and
+`tower_check` each run in one `groebner.memo_scope()`, so a Groebner basis
+wanted twice by one call is built once (see the `groebner` module docstring):
+the torsion of a form reads the bases of M and M/lM (`modops.torsion_hilbert`),
+so along a tower the basis of one level's quotient serves the next level.
 """
 
 from dataclasses import dataclass, field
@@ -404,10 +406,11 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     bounds the regularity: reg M <= mu - 1 + h0(M)_mu at mu in {mu*, mu*+1}.
 
     K's length and its degreewise series both come from
-    `modops.torsion_hilbert`: one degree-first run in coordinates where l is
-    the last variable, read by the Bayer-Stillman colon lemma.  K is never
-    presented.  The h0 columns come from saturations (`h0_profile`), a
-    separate route, so the per-degree identity compares the two.
+    `modops.torsion_hilbert`, the exact sequence on the Hilbert numerators of
+    M and M/lM.  K is never presented.  The h0 columns come from the
+    saturation rounds of M, M/lM and M'/lM' (`h0_profile`), so the per-degree
+    identity compares those rounds with the two numerators; K's series is
+    checked against the graph colon in the tier-1 tests.
     """
     if pres.is_zero_module:
         raise ZeroModule("section check needs a nonzero module")
@@ -545,8 +548,7 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
         regs.append(reg_i)
         lengths.append(lam)
         qs.append(1 + max(reg_i, lam, floor))
-        if i + 1 < len(forms):
-            cur = quotient_by_linear(cur, form)
+        cur = quotient_by_linear(cur, form)
 
     s = len(forms) - 1
     chain = [qs[i] <= qs[i + 1] ** 2 for i in range(s)]
@@ -562,6 +564,7 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
     )
 
 
+@memo_scope()
 def random_tower(
     pres: GradedPresentation, rng: random.Random, levels: int
 ) -> list[Polynomial]:

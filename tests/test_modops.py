@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cmreg import modops
+from cmreg import groebner as groebner_module, modops
 from cmreg.core import (
     AlgebraError,
     DegreeOverflow,
@@ -631,6 +631,28 @@ def _torsion_routes_agree(pres, l):
     assert got.length == lam
     assert got.q_polynomial == want.q_polynomial
     return lam
+
+
+def test_torsion_reads_the_bases_its_scope_already_holds(monkeypatch):
+    # K's numerator is read off N(M) and N(M/lM): once the scope holds both
+    # bases, as section_check's does, torsion_hilbert builds none
+    forms = random.Random(2025)  # criterion 4's forms, in its order
+    modules = [(pres, random_section_form(pres, forms)) for pres in _criterion_4_modules()]
+    runs = []
+    run = groebner_module.buchberger
+
+    def counted(*args):
+        runs.append(1)
+        return run(*args)
+
+    monkeypatch.setattr(groebner_module, "buchberger", counted)
+    for pres, l in modules:
+        with memo_scope():
+            hilbert_numerator(pres)
+            h0_profile(quotient_by_linear(pres, l))
+            runs.clear()
+            assert torsion_hilbert(pres, l).length is not None
+            assert not runs
 
 
 def _without_last_variable(rng, ring):

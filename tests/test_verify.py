@@ -6,7 +6,7 @@ import pytest
 
 from cmreg import cli, groebner, invariants, modops, verify
 from cmreg.bounds import sym_main_bound
-from cmreg.core import AlgebraError, GradedRing, PrimeField, ZeroModule, validate_presentation
+from cmreg.core import AlgebraError, DegreeOverflow, GradedRing, PrimeField, ZeroModule, validate_presentation
 from cmreg.invariants import betti_numbers, hilbert_data, regularity
 from cmreg.modops import (
     colon_kernel,
@@ -15,6 +15,7 @@ from cmreg.modops import (
     minimal_presentation,
     quotient_by_linear,
     sym_power,
+    torsion_hilbert,
 )
 from cmreg.verify import (
     FORMULA_IDS,
@@ -330,8 +331,9 @@ def test_tower_check_random_forms():
 
 
 def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
-    # picking forms and walking a tower need only len K: one degree-first run
-    # built per form (a memo hit would not count), no graph colon and no
+    # picking forms and walking a tower need only len K, from the numerators
+    # of M and M/lM: one degree-first run for M per call plus one for M/lM
+    # per drawn form (a memo hit would not count), no graph colon and no
     # presentation of K
     modules = _criterion_4_modules()
     counts = {"forms": 0, "runs": 0, "colons": 0}
@@ -369,7 +371,7 @@ def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
     rng = random.Random(2025)
     for pres in modules[:5]:
         random_section_form(pres, rng)
-    assert counts["runs"] == counts["forms"] >= 5
+    assert counts["runs"] == counts["forms"] + 5 and counts["forms"] >= 5
     assert counts["colons"] == 0
     for pres in modules[25:30]:  # dimension 2: two levels
         forms = random_tower(pres, rng, levels=2)
@@ -377,6 +379,29 @@ def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
         tower_check(pres, forms)
         assert counts["runs"] == 2
     assert counts["colons"] == 0
+
+
+def test_torsion_at_the_packing_limit():
+    # M = S/(x) + S(-t): M/yM has a column of degree t + 1, so at t = 32767
+    # (MAX_DEGREE above the smallest twist) every route through N(M/yM)
+    # raises, as regularity and section_check do; at t = 32766 the torsion,
+    # the form draw and the tower answer
+    ring = GradedRing(PrimeField(101), ("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    below = validate_presentation(ring, (0, 32766), [[x], [ring.zero()]])
+    assert torsion_hilbert(below, y).length == 0
+    assert torsion_hilbert(below, random_section_form(below, random.Random(1))).length == 0
+    assert tower_check(below, [y]).q_values == [32767]
+    at = validate_presentation(ring, (0, 32767), [[x], [ring.zero()]])
+    for route in (
+        lambda: torsion_hilbert(at, y),
+        lambda: random_section_form(at, random.Random(1)),
+        lambda: tower_check(at, [y]),
+        lambda: section_check(at, y),
+        lambda: regularity(at),
+    ):
+        with pytest.raises(DegreeOverflow, match="module degree 32768"):
+            route()
 
 
 def test_section_and_tower_checks_resolve_each_module_once(monkeypatch):
