@@ -42,8 +42,9 @@ reduction and the tower order) before resolving it.  Position over term in the
 ring's own order stays where the order is part of the answer:
 `quotient_groebner` builds and finishes J's basis that way, so that a normal
 form mod J, and every entry a presentation prints, is the one the ring's order
-gives, lex rings included; and the graph colon (`syzygies_of`) needs its row
-block ahead of the e-block.
+gives, lex rings included; the graph colon (`syzygies_of`) needs its row
+block ahead of the e-block; and a saturation round that the degree-first run
+certifies hands back the same reduced basis the graph colon would.
 
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree
@@ -67,11 +68,13 @@ Within one top-level call the same Groebner input recurs: the basis of a
 module's own columns is wanted by its Hilbert numerator, its saturation
 rounds, its regularity and its resolution.  `groebner` and
 `syzygies_of` therefore share one memo, keyed by the exact input (ring, row
-twists, packed generators) and holding the finished basis; `groebner` keys the
-twists less their minimum, so a module and its twist share one run.  Every
-result is stored.  The memo lives only inside `memo_scope()`: `verify.audit`,
-`section_check`, `random_section_form`, `random_tower` and `tower_check` each
-open one (or join the one already open).  Outside a scope nothing is memoised,
+twists, generators) and holding the finished basis.  `groebner` keys its
+input elements as given and the twists less their minimum, so a module and
+its twist share one run, and it packs the elements only when it builds;
+`syzygies_of` keys its packed graph generators.  Every result is stored.
+The memo lives only inside `memo_scope()`: `verify.audit`, `section_check`,
+`random_section_form`, `random_tower` and `tower_check` each open one (or
+join the one already open).  Outside a scope nothing is memoised,
 and a scope lives no longer than one instance: `cmreg random --audit` gets one
 per trial, through `audit`.  Sharing a basis is sound because callers only
 read it; its division cache, the one state that changes, stays valid since the
@@ -567,14 +570,14 @@ def _memoised(
     kind: str,
     ring: GradedRing,
     row_twists: Sequence[int],
-    packed: Sequence[Packed],
+    gens: Sequence[Element] | Sequence[Packed],
     build: Callable[[], T],
 ) -> T:
     """build(), or inside a scope the result built earlier from the same input."""
     memo = _MEMO.get()
     if memo is None:
         return build()
-    key = (kind, ring, tuple(row_twists), tuple(tuple(g.items()) for g in packed))
+    key = (kind, ring, tuple(row_twists), tuple(tuple(g.items()) for g in gens))
     got = memo.get(key)
     if got is None:
         got = memo[key] = build()
@@ -594,20 +597,34 @@ def groebner(
 
     Neither the packing nor the limit checks see a uniform shift of the
     twists, so the memo keys the twists less their minimum: a module and its
-    twist share one run, and each caller gets the basis with its own twists."""
+    twist share one run, and each caller gets the basis with its own twists.
+    The memo is keyed by the input elements themselves, and they are packed
+    only when the run is built: a hit neither encodes nor re-checks the
+    limit, which is relative to the smallest twist and so the same."""
     row_twists = tuple(row_twists)
     low = min(row_twists, default=0)
     codec = Codec.top(ring, row_twists)
-    packed = [codec.encode(g, row_twists) for g in gens]
 
     def build() -> GroebnerBasis:
+        packed = [codec.encode(g, row_twists) for g in gens]
         basis, lts = buchberger(packed, codec, row_twists, ring.field.p)
         return GroebnerBasis(ring=ring, row_twists=row_twists, codec=codec, basis=basis, leads=lts)
 
-    gb = _memoised("groebner", ring, tuple(t - low for t in row_twists), packed, build)
+    gb = _memoised("groebner", ring, tuple(t - low for t in row_twists), gens, build)
     if gb.row_twists != row_twists:
         gb = GroebnerBasis(ring=ring, row_twists=row_twists, codec=codec, basis=gb.basis, leads=gb.leads)
     return gb
+
+
+def reduced_groebner(
+    gens: Sequence[Packed], codec: Codec, ring: GradedRing, row_twists: Sequence[int]
+) -> GroebnerBasis:
+    """The reduced Groebner basis under codec of the submodule the packed
+    generators span: `buchberger`, then `autoreduce`.  It depends on the
+    submodule alone, not on the generators chosen."""
+    p = ring.field.p
+    basis, leads = autoreduce(*buchberger(gens, codec, row_twists, p), codec, p)
+    return GroebnerBasis(ring=ring, row_twists=tuple(row_twists), codec=codec, basis=basis, leads=leads)
 
 
 def schreyer_syzygies(gb: GroebnerBasis):
@@ -855,11 +872,10 @@ def element_poly(v: Element, ring: GradedRing) -> Polynomial:
 def quotient_groebner(ring: GradedRing) -> GroebnerBasis:
     """Reduced Groebner basis of the defining ideal of a quotient ring (empty
     if none), in the ring's own order, position over term."""
-    base, p = ring.base, ring.field.p
+    base = ring.base
     codec = Codec.pot(base, (0,))
     gens = [codec.encode(poly_element(q), (0,)) for q in ring.quotient_gens]
-    basis, leads = autoreduce(*buchberger(gens, codec, (0,), p), codec, p)
-    return GroebnerBasis(ring=base, row_twists=(0,), codec=codec, basis=basis, leads=leads)
+    return reduced_groebner(gens, codec, base, (0,))
 
 
 def reduce_poly(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

@@ -220,7 +220,7 @@ def regularity(pres: GradedPresentation) -> int:
     """
     ring, twists = pres.ring.base, pres.row_twists
     gb = groebner(presentation_elements(pres), ring, twists)
-    walk = _filter_regular_walk(_lead_ideals(gb.lts, len(twists)), twists, ring.nvars)
+    walk = _filter_regular_walk(lead_ideals(gb.lts, len(twists)), twists, ring.nvars)
     if walk is None:
         return regularity_from_betti(betti_numbers(pres))
     reg, depth = walk
@@ -256,17 +256,10 @@ def _filter_regular_walk(
         x = nvars - 1 - i
         # no lead term involves x: J_i : x^oo = J_i and H^0_m(N_i) = 0
         if x < 0 or any(m[x] for monos in ideals for m in monos):
-            saturated = [
-                _minimalize_monos(m[:x] + (0,) + m[x + 1 :] for m in monos) if x >= 0 else {unit}
-                for monos in ideals
-            ]
-            finite = all(unit in monos for monos in saturated)  # N_i = H^0_m(N_i)
-            num = _numerator_of_components(ideals, twists)
-            if not finite:
-                num = tp_sub(num, _numerator_of_components(saturated, twists))
-            hd = hilbert_from_numerator(num, nvars)
+            saturated, hd = lead_torsion(ideals, twists, x, nvars)
             if hd.length is None:
                 return None
+            finite = all(unit in monos for monos in saturated)  # N_i = H^0_m(N_i)
             h0 = hd.q_polynomial
             if h0:
                 reg = max(reg, max(h0))
@@ -275,6 +268,28 @@ def _filter_regular_walk(
                 return int(reg), depth
         var = tuple(int(j == x) for j in range(nvars))
         ideals = [frozenset([var, *(m for m in monos if not m[x])]) for monos in ideals]
+
+
+def lead_torsion(
+    ideals: list[frozenset], twists, x: int, nvars: int
+) -> tuple[list[frozenset], HilbertData]:
+    """(J : x^oo, the Hilbert data of (J : x^oo) / J) for the monomial module
+    J of F, given per component by its minimal generators; x < 0 stands for
+    the unit ideal, whose saturation is F.
+
+    When J = in(U) under `Codec.top` and x = x_v, the last variable, the
+    first is in(U : x_v^oo) and the second is the data of (U : x_v^oo) / U
+    (Bayer-Stillman 1987).  When that has finite length, U : x_v^oo is the
+    saturation of U by m, and the quotient is H^0_m(F/U)."""
+    unit = (0,) * nvars
+    saturated = [
+        _minimalize_monos(m[:x] + (0,) + m[x + 1 :] for m in monos) if x >= 0 else frozenset([unit])
+        for monos in ideals
+    ]
+    num = _numerator_of_components(ideals, twists)
+    if not all(unit in monos for monos in saturated):  # else N(J : x^oo) = 0
+        num = tp_sub(num, _numerator_of_components(saturated, twists))
+    return saturated, hilbert_from_numerator(num, nvars)
 
 
 # -- integer polynomials in one variable t (dict exponent -> coefficient) --------
@@ -370,7 +385,7 @@ def _numerator_of_lead_terms(monos: frozenset) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(total.items()))
 
 
-def _lead_ideals(lts, n: int) -> list[frozenset]:
+def lead_ideals(lts, n: int) -> list[frozenset]:
     """Per component of a rank-n free module, the monomial ideal of the lead
     terms (c, m) in it, as given: `buchberger`'s leads are already minimal."""
     ideals: list[list[Mono]] = [[] for _ in range(n)]
@@ -382,7 +397,7 @@ def _lead_ideals(lts, n: int) -> list[frozenset]:
 def numerator_of_gb(gb: GroebnerBasis) -> dict[int, int]:
     """Hilbert numerator of the cokernel presented by an already computed
     Groebner basis, from its lead terms alone."""
-    return _numerator_of_components(_lead_ideals(gb.lts, len(gb.row_twists)), gb.row_twists)
+    return _numerator_of_components(lead_ideals(gb.lts, len(gb.row_twists)), gb.row_twists)
 
 
 def _numerator_of_components(ideals, twists) -> dict[int, int]:

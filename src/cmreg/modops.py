@@ -3,7 +3,7 @@
 Fitting ideals, presentation minimalization, and dense degreewise linear
 algebra used as an independent cross-check.  `colon` is the one graph-colon
 routine: `colon_kernel` and each saturation round that the degree-first basis
-does not settle call it.  Units are cancelled by `invariants.cancel_units`,
+does not certify call it.  Units are cancelled by `invariants.cancel_units`,
 which also minimalizes resolutions.  The flagged zero module runs through each
 operation's general path.
 
@@ -16,10 +16,13 @@ the independent route.
 
 `h0_profile` settles a module of finite length without a saturation round:
 it is its own H0 (its Hilbert numerator shows dimension 0).  Every other
-module runs rounds, and the one nonzerodivisor certificate lives in the round
-(`colon_with_irrelevant`): a variable that divides no lead term of U's
-degree-first basis, the module's one `groebner` run, is a nonzerodivisor on
-F/U, so the round confirms U without a graph colon.
+module runs rounds, and both certificates live in the round
+(`colon_with_irrelevant`), read off the lead terms of U's degree-first basis,
+the module's one `groebner` run.  A variable that divides no lead term is a
+nonzerodivisor on F/U, so the round confirms U.  Otherwise, when
+(U : x_v^oo) / U has finite length, U : x_v^oo is U^sat, and the round
+divides the basis by the powers of x_v in its lead terms.  Only a round that
+neither certifies builds a graph colon.
 """
 
 from __future__ import annotations
@@ -40,18 +43,22 @@ from .core import (
     monomials_of_degree,
 )
 from .groebner import (
+    Codec,
     Element,
     GroebnerBasis,
     elements_to_matrix,
     elt_degree,
     groebner,
     presentation_elements,
+    reduced_groebner,
     syzygies_of,
 )
 from .invariants import (
     HilbertData,
     cancel_units,
     hilbert_from_numerator,
+    lead_ideals,
+    lead_torsion,
     numerator_of_cokernel,
     numerator_of_gb,
     tp_shift,
@@ -112,23 +119,55 @@ def _has_free_variable(gb: GroebnerBasis) -> bool:
     return any(not any(m[x] for _, m in gb.lts) for x in range(gb.ring.nvars))
 
 
+def _saturate_by_last_variable(gb: GroebnerBasis, saturated: list[frozenset]) -> GroebnerBasis:
+    """The reduced Groebner basis, position over term, of U : x_v^oo from U's
+    degree-first basis gb, given in(U) : x_v^oo per component.
+
+    Under `Codec.top` a homogeneous g with x_v^k | lt(g) is divisible by x_v^k,
+    so the quotients g / x_v^k, k the x_v exponent of lt(g), are a Groebner
+    basis of U : x_v^oo (Bayer-Stillman 1987).  Dividing moves every packed
+    term by -k times x_v's weight.  Only the quotients whose lead terms are
+    minimal generators of in(U) : x_v^oo are kept; they are still a Groebner
+    basis.  A reduced basis is unique, so this is the one the graph colon
+    gives for the same module."""
+    ring, twists, codec = gb.ring, gb.row_twists, gb.codec
+    weight, last = codec.weights[-1], ring.nvars - 1
+    pot = Codec.pot(ring, twists)
+    gens = []
+    for g, (c, m) in zip(gb.basis, gb.lts):
+        if m[:last] + (0,) in saturated[c]:
+            shift = m[last] * weight
+            quotient = codec.decode_element({t - shift: val for t, val in g.items()})
+            gens.append(pot.encode(quotient, twists))
+    return reduced_groebner(gens, pot, ring, twists)
+
+
 def colon_with_irrelevant(
     ring: GradedRing, row_twists, columns: list[Element]
 ) -> GroebnerBasis:
-    """The colon U : m of the module U the columns generate by every variable:
-    one saturation round, as a Groebner basis of U : m.
+    """One saturation round on the module U the columns generate: a Groebner
+    basis of some W with U : m <= W <= U^sat, m the irrelevant ideal.
 
-    The round holds the one nonzerodivisor certificate.  It first reads U's
-    own basis, the degree-first run that the scope shares with the module's
-    Hilbert numerator and `invariants.regularity`.  When some variable x
-    divides no lead term there, x f in U with f in normal form would give
-    x lt(f) = lt(x f) in in(U), so lt(f) in in(U): x is a nonzerodivisor on
-    F/U and U : m = U (Eisenbud, "The Geometry of Syzygies", ch. 4), and the
-    answer is that basis.  Otherwise the graph colon decides, position over
-    term."""
+    The round reads U's own basis first, the degree-first run that the scope
+    shares with the module's Hilbert numerator and `invariants.regularity`,
+    and holds two certificates.
+    - When some variable x divides no lead term there, x f in U with f in
+      normal form would give x lt(f) = lt(x f) in in(U), so lt(f) in in(U):
+      x is a nonzerodivisor on F/U and U : m = U (Eisenbud, "The Geometry of
+      Syzygies", ch. 4).  The answer is that basis.
+    - Otherwise, when (U : x_v^oo) / U has finite length, read off the lead
+      terms (`invariants.lead_torsion`), it is H^0_m(F/U) and U : x_v^oo is
+      U^sat (Bermejo-Gimenez, "Saturation and Castelnuovo-Mumford
+      regularity", 2006).  The answer is its reduced basis, position over
+      term (`_saturate_by_last_variable`), with no graph colon.
+    Otherwise the graph colon gives U : m, position over term."""
     gb = groebner(columns, ring, row_twists)
     if _has_free_variable(gb):
         return gb
+    ideals = lead_ideals(gb.lts, len(gb.row_twists))
+    saturated, torsion = lead_torsion(ideals, gb.row_twists, ring.nvars - 1, ring.nvars)
+    if torsion.length is not None:
+        return _saturate_by_last_variable(gb, saturated)
     return colon(ring, row_twists, columns, ring.gens())
 
 
@@ -196,13 +235,17 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
     obtained by saturating U, the column module over S, with the irrelevant
     ideal m.
 
-    A round replaces U by (U :_F m) until the Hilbert numerator stops changing.
-    When M has finite length (its numerator has dimension 0), H0 = M and
-    U^sat = F, whose reduced basis is the unit vectors e_i: no round runs.
-    Otherwise every round runs, and the round itself settles the case it can
-    certify (`colon_with_irrelevant`): a variable free of U's degree-first
-    lead terms confirms U without a graph colon, so a saturated U costs one
-    round and no colon.
+    A round replaces U by some W with U :_F m <= W <= U^sat until the
+    Hilbert numerator stops changing, which ends at U^sat.  When M has finite
+    length (its numerator has dimension 0), H0 = M and U^sat = F, whose
+    reduced basis is the unit vectors e_i: no round runs.  Otherwise every
+    round runs, and the round itself settles the cases it can certify
+    (`colon_with_irrelevant`), with no graph colon.  A variable free of U's
+    degree-first lead terms confirms U, so a saturated U costs one round.
+    When (U : x_v^oo) / U has finite length, the round answers U^sat at once,
+    and the next round confirms it.  Either way the presentation of M' is
+    built from the reduced basis of U^sat, position over term, or from U's
+    own columns when U is saturated, as the graph colon's rounds give it.
 
     H0's series is read and checked by `invariants.hilbert_from_numerator`.
     """

@@ -409,7 +409,10 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     `modops.torsion_hilbert`, the exact sequence on the Hilbert numerators of
     M and M/lM.  K is never presented.  The h0 columns come from the
     saturation rounds of M, M/lM and M'/lM' (`h0_profile`), so the per-degree
-    identity compares those rounds with the two numerators; K's series is
+    identity compares those rounds with the two numerators.  A round mostly
+    reads its answer off the module's degree-first basis (a free variable, or
+    a saturation by the last variable of finite colength) and builds a graph
+    colon only when neither certificate holds; K's series and every round are
     checked against the graph colon in the tier-1 tests.
     """
     if pres.is_zero_module:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cmreg import modops
 from cmreg.cli import (
     main,
     parse_file,
@@ -325,6 +326,24 @@ def test_section_check_command(pres2, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["colon_length"] == 1
     assert data["identity_cumulative"] and data["tail_bound"]
+
+
+def test_section_check_reads_every_h0_without_a_graph_colon(pres2, capsys, monkeypatch):
+    # S/(x^2, xy): (U : y^oo) / U has finite length on U's degree-first basis,
+    # so each saturation round is read off a degree-first run
+    graph_colons = []
+    colon = modops.colon
+
+    def counted(*args):
+        graph_colons.append(args)
+        return colon(*args)
+
+    monkeypatch.setattr(modops, "colon", counted)
+    assert main(["section-check", pres2, "--linear", "x+y"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "identity (cumulative): pass" in lines
+    assert "identity (per degree): pass" in lines
+    assert not graph_colons
 
 
 def test_tower_command(pres3, capsys):

@@ -393,25 +393,46 @@ def test_h0_profile_needs_no_rebasing(monkeypatch):
         assert h0_profile(pres) == (profile, mprime)
 
 
+def _last_variable_multiples():
+    """S/(x_v I) for 20 seeded ideals I in 2-3 variables: x_v divides every
+    lead term, and (U : x_v^oo) / U contains I / x_v I, of infinite length, so
+    the degree-first basis certifies no round and the graph colon decides.
+    Most draws have H0 != 0."""
+    rng = random.Random(3737)
+    out = []
+    for _ in range(20):
+        ring = rng.choice((R2, R3))
+        last = ring.gens()[-1]
+        ideal = [random_polynomial(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        out.append(cyclic(ring, [last * f for f in ideal]))
+    return out
+
+
 def _graph_round(ring, row_twists, columns):
     """One saturation round by the graph colon alone, with no shortcut."""
     return colon(ring, row_twists, columns, ring.gens())
 
 
+def _rounds(ring, row_twists, cur, cur_n, colon_round=_graph_round):
+    """Colon the columns cur, of numerator cur_n, with every variable until the
+    Hilbert numerator stops changing, deciding no case in advance: the
+    saturated columns and their numerator."""
+    while True:
+        gb = colon_round(ring, row_twists, cur)
+        n_big = numerator_of_gb(gb)
+        if n_big == cur_n:
+            return cur, cur_n
+        cur, cur_n = gb.elements, n_big
+
+
 def _h0_by_rounds(pres, colon_round=_graph_round):
-    """h0_profile as plain rounds: colon the columns with every variable until
-    the Hilbert numerator stops changing, deciding no case in advance."""
+    """h0_profile as plain rounds (`_rounds`)."""
     if pres.is_zero_module:
         return H0Profile({}, NEG_INF, None, 0), pres
     base, a = pres.ring.base, pres.row_twists
     cur = presentation_elements(pres)
-    n_u = cur_n = numerator_of_cokernel(base, a, cur)
-    while True:
-        gb = colon_round(base, a, cur)
-        n_big = numerator_of_gb(gb)
-        if n_big == cur_n:
-            break
-        cur, cur_n = gb.elements, n_big
+    n_u = numerator_of_cokernel(base, a, cur)
+    cur, cur_n = _rounds(base, a, cur, n_u, colon_round)
     diff = tp_sub(n_u, cur_n)
     for _ in range(base.nvars):
         diff = tp_divide_one_minus_t(diff)
@@ -425,7 +446,8 @@ def _h0_by_rounds(pres, colon_round=_graph_round):
 
 def _h0_modules():
     """Criterion 4's 50 modules, each followed by its M/lM and M'/lM', then the
-    oracle modules (quotient rings, lex orders, negative twists)."""
+    oracle modules (quotient rings, lex orders, negative twists), then the
+    S/(x_v I) family, which keeps the graph colon in the rounds."""
     from test_invariants import _oracle_modules
 
     forms = random.Random(2025)  # criterion 4's forms, in its order
@@ -434,59 +456,73 @@ def _h0_modules():
         l = random_section_form(pres, forms)
         _, mprime = _h0_by_rounds(pres)
         modules += [pres, quotient_by_linear(pres, l), quotient_by_linear(mprime, l)]
-    return modules + list(_oracle_modules())
+    return modules + list(_oracle_modules()) + _last_variable_multiples()
 
 
 def test_h0_profile_decided_cases_match_the_rounds(monkeypatch):
     # the oracle's rounds are graph colons: they share no shortcut with h0_profile
-    rounds = []
+    rounds, certified = [], []
 
-    def counting(colon_round):
+    def counting(colon_round, calls=rounds):
         def counted(*args):
-            rounds.append(1)
+            calls.append(1)
             return colon_round(*args)
 
         return counted
 
     # h0_profile's graph colons; `_graph_round` calls this module's own `colon`
     monkeypatch.setattr(modops, "colon", counting(modops.colon))
+    monkeypatch.setattr(
+        modops,
+        "_saturate_by_last_variable",
+        counting(modops._saturate_by_last_variable, certified),
+    )
     oracle_round = counting(_graph_round)
     modules = _h0_modules()
-    paths = {"finite length": 0, "free variable": 0, "rounds": 0}
+    paths = {"finite length": 0, "free variable": 0, "last variable": 0, "rounds": 0}
     for pres in modules:
         rounds.clear()
         expected = _h0_by_rounds(pres, oracle_round)
         old = len(rounds)
         rounds.clear()
+        certified.clear()
         assert h0_profile(pres) == expected
         if pres.is_zero_module:
             continue
         if hilbert_data(pres).dimension == 0:
-            assert not rounds
+            assert not rounds and not certified
             paths["finite length"] += 1
-        elif not rounds:  # a free variable on U's own basis: H0 = 0 at once
-            paths["free variable"] += 1
-        else:
+        elif rounds:
             # the same rounds as the oracle's, some settled without a graph colon
             assert len(rounds) <= old
             paths["rounds"] += 1
+        elif certified:  # U : x_v^oo = U^sat, read off U's degree-first basis
+            paths["last variable"] += 1
+        else:  # a free variable on U's own basis: H0 = 0 at once
+            paths["free variable"] += 1
     print(f"h0_profile paths over {len(modules)} modules: {paths}")
     assert min(paths.values()) >= 10, paths
 
 
 def _round_and_route(monkeypatch, ring, row_twists, columns):
-    """(colon_with_irrelevant's answer, "graph colon" when it called colon
-    else "degree-first")."""
-    graph_calls = []
+    """(colon_with_irrelevant's answer, "graph colon" when it called colon,
+    "last variable" when it saturated U by x_v, else "degree-first": a free
+    variable confirmed U)."""
+    calls = []
+    saturate = modops._saturate_by_last_variable
 
-    def counted(*args):
-        graph_calls.append(1)
-        return colon(*args)
+    def counted(route, original):
+        def call(*args):
+            calls.append(route)
+            return original(*args)
+
+        return call
 
     with monkeypatch.context() as patch:
-        patch.setattr(modops, "colon", counted)
+        patch.setattr(modops, "colon", counted("graph colon", colon))
+        patch.setattr(modops, "_saturate_by_last_variable", counted("last variable", saturate))
         got = modops.colon_with_irrelevant(ring, row_twists, columns)
-    return got, "graph colon" if graph_calls else "degree-first"
+    return got, calls[0] if calls else "degree-first"
 
 
 def test_saturation_round_routes_agree_with_the_graph_colon(monkeypatch):
@@ -502,18 +538,26 @@ def test_saturation_round_routes_agree_with_the_graph_colon(monkeypatch):
         for pres in _h0_modules():
             h0_profile(pres)
 
-    routes = {"degree-first": 0, "graph colon": 0}
+    routes = {"degree-first": 0, "last variable": 0, "graph colon": 0}
     for ring, a, cols in inputs:
         want = _graph_round(ring, a, cols)
         got, route = _round_and_route(monkeypatch, ring, a, cols)
         routes[route] += 1
-        assert same_module(got, want)
+        if route == "last variable":
+            # U^sat at once: the oracle's saturation, which contains U : m
+            saturated, _ = _rounds(ring, a, cols, numerator_of_cokernel(ring, a, cols))
+            assert same_module(got, groebner(saturated, ring, a))
+            # a reduced basis is unique: the last graph colon's, element for element
+            assert got.elements == saturated
+            assert not any(got.normal_form(w)[0] for w in want.elements)
+        else:
+            assert same_module(got, want)
         # in a scope where regularity already walked U, the round reads the
         # completed run from the memo, whatever its lead terms
         with memo_scope():
             groebner(cols, ring, a)
             hit, hit_route = _round_and_route(monkeypatch, ring, a, cols)
-        assert hit_route == route and same_module(hit, want)
+        assert hit_route == route and same_module(hit, got)
     print(f"saturation rounds over {len(inputs)} inputs: {routes}")
     assert min(routes.values()) >= 10, routes
 
