@@ -23,12 +23,21 @@ nonzerodivisor on F/U, so the round confirms U.  Otherwise, when
 (U : x_v^oo) / U has finite length, U : x_v^oo is U^sat, and the round
 divides the basis by the powers of x_v in its lead terms.  Only a round that
 neither certifies builds a graph colon.
+
+`verify.section_check` reads the columns it compares with H0(M) off one more
+degree-first run, of M in coordinates where l = x_v (`_section_columns`):
+K, H0(M/lM), H0(M'/lM') and reg(M/lM), with M' = M/H0(M), all come from its
+lead terms.  K needs no certificate.  Each of the others is a step of the
+regularity walk, and a step that is not certified falls back to `h0_profile`
+or `regularity` of that quotient.  H0(M) itself stays on `h0_profile`'s
+rounds, in the original coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from typing import Callable, NamedTuple
 
 from .core import (
     AlgebraError,
@@ -55,6 +64,8 @@ from .groebner import (
 )
 from .invariants import (
     HilbertData,
+    _filter_regular_walk,
+    _numerator_of_components,
     cancel_units,
     hilbert_from_numerator,
     lead_ideals,
@@ -196,8 +207,14 @@ def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
         numerator_of_gb(groebner(presentation_elements(p), base, a))
         for p in (pres, quotient_by_linear(pres, l))
     )
+    return _torsion_from_numerators(n_m, n_bar, base.nvars)
+
+
+def _torsion_from_numerators(n_m: dict[int, int], n_bar: dict[int, int], nvars: int) -> HilbertData:
+    """Hilbert data of K = (0 :_M l) from N(M) and N(M/lM):
+    t N(K) = N(M/lM) - (1 - t) N(M)."""
     n_k = tp_shift(tp_sub(n_bar, tp_sub(n_m, tp_shift(n_m, 1))), -1)
-    return hilbert_from_numerator(n_k, base.nvars)
+    return hilbert_from_numerator(n_k, nvars)
 
 
 def colon_kernel(
@@ -277,6 +294,107 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
         a0, indeg, span = NEG_INF, None, 0
 
     return H0Profile(h0, a0, indeg, span), _presented(pres.ring, a, cur)
+
+
+# -- section columns in adapted coordinates ----------------------------------------
+
+
+def _adapted_coordinates(l: Polynomial) -> Callable[[Element], Element]:
+    """A linear change of coordinates phi of S with phi(l) = x_v, applied to
+    elements of a free module.  For l = sum c_j x_j it sends x_k to
+    (x_v - sum_{j != k} c_j x_j) / c_k and fixes every other variable, with
+    k = v when c_v != 0; otherwise k is the last variable l involves, and x_v
+    goes to x_k."""
+    ring = l.ring
+    p, v = ring.field.p, ring.nvars - 1
+    coeff = [0] * ring.nvars
+    for m, c in l.terms.items():
+        coeff[m.index(1)] = c
+    k = v if coeff[v] else max(j for j, c in enumerate(coeff) if c)
+    inv = ring.field.inv(coeff[k])
+    units = [tuple(int(i == j) for i in range(ring.nvars)) for j in range(ring.nvars)]
+    image = Polynomial(
+        ring, {units[j]: -c * inv for j, c in enumerate(coeff) if j != k} | {units[v]: inv}
+    )
+    powers = [ring.one()]
+
+    def apply(elt: Element) -> Element:
+        out: Element = {}
+        for (c, m), val in elt.items():
+            fixed = list(m)
+            fixed[k], fixed[v] = m[v], 0
+            while len(powers) <= m[k]:
+                powers.append(powers[-1] * image)
+            for pm, pc in powers[m[k]].terms.items():
+                term = (c, mono_mul(fixed, pm))
+                out[term] = (out.get(term, 0) + val * pc) % p
+        return {t: c for t, c in out.items() if c}
+
+    return apply
+
+
+class _SectionColumns(NamedTuple):
+    """What `_section_columns` reads off one run; a column is None where its
+    step is not certified, and every column but K is None when K has infinite
+    length."""
+
+    torsion: HilbertData
+    h0_bar: dict[int, int] | None
+    h0_bar_prime: dict[int, int] | None
+    reg_bar: int | None
+
+
+def _section_columns(pres: GradedPresentation, l: Polynomial) -> _SectionColumns:
+    """K = (0 :_M l), H0(M/lM), H0(M'/lM') and reg(M/lM), M' = M/H0(M), from
+    the lead terms of one degree-first run in coordinates where l = x_v.
+
+    `_adapted_coordinates` sends l to x_v and M's columns over S (J's
+    generators among them) to U'; a graded automorphism of S keeps every
+    Hilbert series, H0 and regularity.  Let L = in(U') under `Codec.top`.
+    There in(W + x_v F) = in(W) + x_v F and in(W : x_v^oo) = in(W) : x_v^oo for
+    every W (Bayer-Stillman 1987), so:
+    - N(M) = N(L) and N(M/lM) = N(L + x_v F), and K's series follows from
+      t N(K) = N(M/lM) - (1 - t) N(M), as in `torsion_hilbert`, with no
+      certificate;
+    - when K has finite length, l is filter-regular on M, so U' : x_v^oo is
+      U'^sat (Bermejo-Gimenez 2006) and M' = F / (U' : x_v^oo);
+    - H0(M/lM) and H0(M'/lM') are the walk's step at x_{v-1} on L + x_v F and
+      on (L : x_v^oo) + x_v F (`invariants.lead_torsion`), certified when the
+      part has finite length;
+    - reg(M/lM) is the walk over x_1..x_{v-1} on L's generators free of x_v,
+      M/lM being a module over S/(x_v); for v = 1 it reads the top degree of
+      M/lM's series.
+    The columns l e_i of M/lM have degree a_i + 1, so the run refuses with
+    `DegreeOverflow` where `torsion_hilbert` does.  The run is M's columns'
+    own when l = x_v, and the scope shares it then."""
+    _check_linear(pres, l)
+    base, a = pres.ring.base, pres.row_twists
+    nvars = base.nvars
+    last = nvars - 1
+    phi = _adapted_coordinates(l)
+    gb = groebner([phi(col) for col in presentation_elements(pres)], base, a)
+    gb.codec.check(max(a) + 1)
+    ideals = lead_ideals(gb.lts, len(a))
+    x_v = tuple(int(j == last) for j in range(nvars))
+
+    def cut(ideals: list[frozenset]) -> list[frozenset]:
+        """L + x_v F, per component."""
+        return [frozenset([x_v, *(m for m in monos if not m[last])]) for monos in ideals]
+
+    torsion = _torsion_from_numerators(
+        _numerator_of_components(ideals, a), _numerator_of_components(cut(ideals), a), nvars
+    )
+    if torsion.length is None:
+        return _SectionColumns(torsion, None, None, None)
+    saturated, _ = lead_torsion(ideals, a, last, nvars)
+    h0_bar, h0_bar_prime = (
+        None if hd.length is None else hd.q_polynomial
+        for _, hd in (lead_torsion(cut(j), a, last - 1, nvars) for j in (ideals, saturated))
+    )
+    walk = _filter_regular_walk(
+        [frozenset(m[:last] for m in monos if not m[last]) for monos in ideals], a, last
+    )
+    return _SectionColumns(torsion, h0_bar, h0_bar_prime, None if walk is None else walk[0])
 
 
 # -- symmetric powers and Fitting ideals -------------------------------------------

@@ -16,6 +16,9 @@ trusting single examples).
 wanted twice by one call is built once (see the `groebner` module docstring):
 the torsion of a form reads the bases of M and M/lM (`modops.torsion_hilbert`),
 so along a tower the basis of one level's quotient serves the next level.
+`section_check` reads its torsion, the H0 of the quotients and reg(M/lM) off
+one run of M in coordinates where the form is the last variable
+(`modops._section_columns`).
 """
 
 from dataclasses import dataclass, field
@@ -47,6 +50,7 @@ from .invariants import (
     ring_invariants,
 )
 from .modops import (
+    _section_columns,
     fitting_ideal_0,
     h0_profile,
     minimal_presentation,
@@ -405,29 +409,37 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
 
     bounds the regularity: reg M <= mu - 1 + h0(M)_mu at mu in {mu*, mu*+1}.
 
-    K's length and its degreewise series both come from
-    `modops.torsion_hilbert`, the exact sequence on the Hilbert numerators of
-    M and M/lM.  K is never presented.  The h0 columns come from the
-    saturation rounds of M, M/lM and M'/lM' (`h0_profile`), so the per-degree
-    identity compares those rounds with the two numerators.  A round mostly
-    reads its answer off the module's degree-first basis (a free variable, or
-    a saturation by the last variable of finite colength) and builds a graph
-    colon only when neither certificate holds; K's series and every round are
-    checked against the graph colon in the tier-1 tests.
+    K's series, H0(Mbar), H0(Mbar') and reg(Mbar) are read off one
+    degree-first run of M in coordinates where l = x_v
+    (`modops._section_columns`): K from the exact sequence on the numerators
+    of M and Mbar, as `modops.torsion_hilbert` reads it, and the others from
+    the walk's lead-term steps.  K is never presented.  A column whose step is
+    not certified falls back on its own: H0(Mbar) and H0(Mbar') to
+    `h0_profile` of M/lM and M'/lM', reg(Mbar) to `regularity`.  H0(M), and M'
+    for that fallback, come from `h0_profile`'s saturation rounds of M in the
+    original coordinates.  So the per-degree identity compares two runs in two
+    coordinate systems: those rounds against the adapted run.  Every column is
+    checked against the rounds route in the tier-1 tests.
     """
     if pres.is_zero_module:
         raise ZeroModule("section check needs a nonzero module")
     prof_m, mprime = h0_profile(pres)
-    mbar = quotient_by_linear(pres, l)
-    prof_bar, _ = h0_profile(mbar)
-    mbar_prime = quotient_by_linear(mprime, l)
-    prof_bar_prime, _ = h0_profile(mbar_prime)
-    torsion = torsion_hilbert(pres, l)
-    if torsion.length is None:
+    # ahead of the reader: an unflagged zero module is refused here, with
+    # `module_invariants`' message rather than the walk's
+    mi, b0, b1, h = _generator_data(pres)
+    columns = _section_columns(pres, l)
+    if columns.torsion.length is None:
         raise AlgebraError("the form has infinite torsion; pick a more generic one")
-    lam, kvals = torsion.length, torsion.q_polynomial
+    lam, kvals = columns.torsion.length, columns.torsion.q_polynomial
+    hb, hbp, reg_bar = columns.h0_bar, columns.h0_bar_prime, columns.reg_bar
+    if hb is None:
+        hb = h0_profile(quotient_by_linear(pres, l))[0].h0_by_degree
+    if hbp is None:
+        hbp = h0_profile(quotient_by_linear(mprime, l))[0].h0_by_degree
+    if reg_bar is None:
+        reg_bar = regularity(quotient_by_linear(pres, l))
 
-    hm, hb, hbp = prof_m.h0_by_degree, prof_bar.h0_by_degree, prof_bar_prime.h0_by_degree
+    hm = prof_m.h0_by_degree
     support = set(hm) | set(hb) | set(hbp) | set(kvals)
     lo = min(support, default=0) - 1
     hi = max(support, default=0) + 2
@@ -464,8 +476,7 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
                 upper = False
                 break
 
-    mi, b0, b1, h = _generator_data(pres)
-    candidates = [b0 + h - 1, regularity(mbar) + 1]
+    candidates = [b0 + h - 1, reg_bar + 1]
     if b1:
         candidates.append(max(b1) - 1)
     mu_star = max(candidates)

@@ -346,6 +346,18 @@ def test_section_check_reads_every_h0_without_a_graph_colon(pres2, capsys, monke
     assert not graph_colons
 
 
+def test_section_check_answers_one_degree_below_the_packing_limit(monkeypatch, capsys):
+    # M = S/(x) + S(-32766): M/yM has a column of degree 32767, MAX_DEGREE
+    # above the smallest twist, so the check answers, as the tower does; one
+    # degree higher every route through M/yM refuses (test_verify)
+    text = "char 101\nvars x y\ngens 0 32766\nrels\nx, 0\nend\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["section-check", "-", "--linear", "y"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "identity (cumulative): pass" in lines
+    assert "identity (per degree): pass" in lines
+
+
 def test_tower_command(pres3, capsys):
     assert main(["tower", pres3, "--linear", "z", "--linear", "y", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

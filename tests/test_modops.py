@@ -730,7 +730,7 @@ def test_torsion_routes_agree_on_the_oracle_modules():
 
 def test_torsion_routes_agree_over_complete_intersections():
     # a box apart from the oracle modules' trials 0..39; J's generators are
-    # among the substituted columns
+    # among the columns of both degree-first runs, M's and M/lM's
     forms = random.Random(13)
     free_of_last = 0
     for trial in range(40, 100):
@@ -772,3 +772,59 @@ def test_torsion_routes_agree_on_hand_cases(monkeypatch):
             torsion_hilbert(pres, l)
     assert not graph_calls
     assert colon_kernel(pres, u + v)[1] == 1 and graph_calls
+
+
+# -- section columns off one adapted run, against the rounds route ----------------
+
+
+def _section_columns_agree(pres, l, counts):
+    """Each column `modops._section_columns` certifies equals its rounds
+    route, computed in a scope of its own: `torsion_hilbert` for K,
+    `h0_profile` of M/lM and of M'/lM' (M' from `h0_profile`), and
+    `regularity(M/lM)`.  Counts certified columns and fallbacks by kind."""
+    with memo_scope():
+        got = modops._section_columns(pres, l)
+    with memo_scope():
+        assert got.torsion == torsion_hilbert(pres, l)
+        mbar = quotient_by_linear(pres, l)
+        _, mprime = h0_profile(pres)
+        want = {
+            "h0_bar": h0_profile(mbar)[0].h0_by_degree,
+            "h0_bar_prime": h0_profile(quotient_by_linear(mprime, l))[0].h0_by_degree,
+            "reg_bar": regularity(mbar),
+        }
+    assert got.torsion.length is not None
+    for name, expected in want.items():
+        value = getattr(got, name)
+        if value is None:
+            counts[f"{name} fallback"] += 1
+        else:
+            assert value == expected, name
+    counts["certified"] += None not in got
+
+
+def test_section_columns_agree_with_the_rounds_route():
+    counts = dict.fromkeys(["certified", "h0_bar fallback", "h0_bar_prime fallback", "reg_bar fallback"], 0)
+    modules = _criterion_4_modules()
+    for seed in (2025, 7):
+        forms = random.Random(seed)
+        for pres in modules:
+            _section_columns_agree(pres, random_section_form(pres, forms), counts)
+    forms = random.Random(11)
+    for pres in modules:
+        _section_columns_agree(pres, _without_last_variable(forms, pres.ring), counts)
+    forms = random.Random(5)
+    for pres in _oracle_modules():
+        _section_columns_agree(pres, random_polynomial(forms, pres.ring.base, 1), counts)
+    assert counts["certified"] >= 100, counts
+    # S/(xy) in x, y, z with l = z: M/zM = k[x, y]/(xy), whose x-multiples
+    # are y-torsion of infinite length, so the step at y on in(U) + zF is not
+    # certified, for M/lM, for M'/lM' (M' = M) and for the walk
+    pres = cyclic(R3, [x * y])
+    _section_columns_agree(pres, z, counts)
+    assert min(counts.values()) >= 1, counts
+    report = section_check(pres, z)
+    assert report.all_hold
+    assert report.h0_bar == report.h0_bar_prime == {}
+    # mu* = max(b0 + h - 1, b1 - 1, reg(M/zM) + 1) = max(0, 1, 2), reg(M/zM) from the fallback
+    assert report.mu_star == regularity(quotient_by_linear(pres, z)) + 1 == 2

@@ -7,7 +7,17 @@ import pytest
 from cmreg import cli, groebner, invariants, modops, verify
 from cmreg.bounds import sym_main_bound
 from cmreg.core import AlgebraError, DegreeOverflow, GradedRing, PrimeField, ZeroModule, validate_presentation
-from cmreg.invariants import betti_numbers, hilbert_data, regularity
+from cmreg.groebner import presentation_elements
+from cmreg.invariants import (
+    _filter_regular_walk,
+    betti_numbers,
+    hilbert_data,
+    hilbert_numerator,
+    lead_ideals,
+    numerator_of_gb,
+    regularity,
+    regularity_from_betti,
+)
 from cmreg.modops import (
     colon_kernel,
     fitting_ideal_0,
@@ -31,9 +41,9 @@ from cmreg.verify import (
     section_check,
     tower_check,
 )
-from helpers import cyclic, twisted
+from helpers import cyclic, reduced_basis, twisted
 from test_invariants import _acceptance_box_module, _module_over_complete_intersection
-from test_modops import _criterion_4_modules
+from test_modops import _criterion_4_modules, _section_columns_agree
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
@@ -454,6 +464,63 @@ def test_mayr_meyer_scales_with_level_and_exponent():
     assert pres.m == 4 + 16
     assert sorted(pres.column_degrees) == [2] * 8 + [5] * 12
 
+
+# -- small characteristics -----------------------------------------------------------
+
+
+def test_small_characteristics():
+    """Seeded modules over F_2, F_3 and F_5, grevlex and lex: `audit` holds, a
+    certified walk equals the Betti table's reg, a position-over-term run
+    gives the Hilbert numerator, and wherever a form with finite torsion is
+    found, `section_check` holds and its columns equal the rounds route.  An
+    uncertified walk and a missing form are counted as such."""
+    counts = {"modules": 0, "certified walk": 0, "uncertified walk": 0, "form": 0, "no form": 0}
+    columns = dict.fromkeys(["certified", "h0_bar fallback", "h0_bar_prime fallback", "reg_bar fallback"], 0)
+    for p in (2, 3, 5):
+        for order in ("grevlex", "lex"):
+            forms = random.Random(p * 10 + len(order))
+            for t in range(30):
+                shape = random.Random(9000 + t)
+                pres = random_module(
+                    9000 + t,
+                    p_vars=shape.randint(1, 3),
+                    n=shape.randint(1, 3),
+                    m=shape.randint(1, 5),
+                    char=p,
+                    order=order,
+                )
+                counts["modules"] += 1
+                base, a = pres.ring.base, pres.row_twists
+                cols = presentation_elements(pres)
+                with groebner.memo_scope():
+                    assert audit(pres).all_hold
+                    walk = _filter_regular_walk(
+                        lead_ideals(groebner.groebner(cols, base, a).lts, len(a)), a, base.nvars
+                    )
+                    betti_reg = regularity_from_betti(betti_numbers(pres))
+                    assert hilbert_numerator(pres) == numerator_of_gb(reduced_basis(cols, base, a))
+                if walk is None:
+                    counts["uncertified walk"] += 1
+                else:
+                    assert walk[0] == betti_reg
+                    counts["certified walk"] += 1
+                try:
+                    l = random_section_form(pres, forms)
+                except AlgebraError:
+                    counts["no form"] += 1
+                    continue
+                counts["form"] += 1
+                report = section_check(pres, l)
+                assert report.all_hold
+                _section_columns_agree(pres, l, columns)
+                with groebner.memo_scope():
+                    mbar = quotient_by_linear(pres, l)
+                    _, mprime = h0_profile(pres)
+                    assert report.kernel_by_degree == torsion_hilbert(pres, l).q_polynomial
+                    assert report.h0_bar == h0_profile(mbar)[0].h0_by_degree
+                    assert report.h0_bar_prime == h0_profile(quotient_by_linear(mprime, l))[0].h0_by_degree
+    print(f"small characteristics: {counts}; section columns: {columns}")
+    assert counts["certified walk"] >= 100 and counts["form"] >= 100, counts
 
 # -- degenerate inputs ---------------------------------------------------------------
 
