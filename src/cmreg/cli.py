@@ -28,6 +28,7 @@ import json
 import random
 import re
 import sys
+import warnings
 from dataclasses import asdict
 
 from .core import (
@@ -670,7 +671,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         pres = parse_file(_read_source(args.file)) if "file" in args else None
-        payload, text, ok = args.handler(pres, args)
+        with warnings.catch_warnings(record=True) as caught:
+            payload, text, ok = args.handler(pres, args)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         _emit(json.dumps(payload) if args.json else text)
         return 0 if ok else 2
     except SystemExit as exc:

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +23,12 @@ from cmreg.core import (
     PrimeField,
 )
 from cmreg.verify import mayr_meyer
-from test_cli_outputs import SAMPLES
+from test_cli_outputs import EXPECTED, SAMPLES
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
 
-FILE2 = "char 101\nvars x y\ngens 0\nrels\nx^2\nx*y\nend\n"
+FILE2 = SAMPLES["readme"]
 FILE3 = "char 101\nvars x y z\ngens 0\nrels\nx^2\nx*y\nend\n"
 
 
@@ -140,9 +144,13 @@ def test_parse_file_full_round_trip():
     assert again.matrix == pres.matrix
 
 
-def test_parse_file_accepts_a_tab_after_order():
-    pres = parse_file("char 101\nvars x y\norder\tlex\ngens 0\nrels\nx^2\nend\n")
+def test_parse_file_accepts_a_tab_after_order(monkeypatch, capsys):
+    text = "char 101\nvars x y\norder\tlex\ngens 0\nrels\nx^2\nend\n"
+    pres = parse_file(text)
     assert pres.ring.order == "lex"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["reg", "-"]) == 0
+    assert capsys.readouterr().out == "reg = 1\n"
     with pytest.raises(ParseError, match="line 3, col 7: unsupported order 'weight'"):
         parse_file("char 101\nvars x\norder\tweight\ngens 0\nrels\nend\n")
     with pytest.raises(ParseError, match="line 3, col 7: unsupported order ''"):
@@ -477,3 +485,86 @@ def test_failed_verdict_exits_two(pres2, capsys, monkeypatch):
     monkeypatch.setattr("cmreg.verify.main_bound", lambda *a, **k: -1)
     assert main(["audit", pres2]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+
+# -- the CLI checks, one row each ----------------------------------------------------
+
+# A row: a file below on stdin, the command, its exit code, and a line of stdout or
+# stderr or a predicate on the JSON stdout.  No row may print a traceback.  Under
+# "timeout <s>" the command runs in its own interpreter, under that limit.
+CLI_FILES = {
+    "sample": FILE2,
+    "quotient": "char 101\nvars x y\nquotient\nx^2\nend\ngens 0\nrels\nx*y\nend\n",
+    "lowtwist": "char 101\nvars x y z\ngens -2 1\nrels\nx^4, y\ny^2, 0\nx*z^3, z\nend\n",
+    "lexorder": "char 101\nvars x y z\norder lex\ngens 3 3 4\nrels\nx, y, 0\n0, z^2, x\nend\n",
+    "highexp": "char 101\nvars x y\ngens 0\nrels\nx^990*y\ny^2\nend\n",
+    "t-32766": "char 101\nvars x y\ngens 0 32766\nrels\nx, 0\nend\n",
+    "t-32767": "char 101\nvars x y\ngens 0 32767\nrels\nx, 0\nend\n",
+    "random-3": json.loads(EXPECTED.read_text())["random --seed 3"]["stdout"],
+    "finite": "char 101\nvars x y\ngens 0\nrels\nx^2\nx*y\ny^2\nend\n",
+    "generic-2x2": "char 101\nvars x y\ngens 0 0\nrels\n21*x + 94*y, 39*x + 32*y\n74*x + 87*y, 55*x + 81*y\nend\n",
+    "xy": "char 101\nvars x y\ngens 0\nrels\nx*y\nend\n",
+    "padded": "char 101\nvars x y\nquotient\nx^2\nend\ngens 0 5\nrels\ny^5, -1\nend\n",
+    "twin": "char 101\nvars x y\nquotient\nx^2\nend\ngens 0\nrels\nend\n",
+    "xy-y3": "char 101\nvars x y\ngens 0\nrels\nx*y\ny^3\nend\n",
+    "xy-over-y3": "char 101\nvars x y\nquotient\ny^3\nend\ngens 0\nrels\nx*y\nend\n",
+    "S(1)": "char 101\nvars x y\ngens -1\nrels\nx^2\ny^2\nend\n",
+    "S(3)": "char 101\nvars x y z\ngens -3\nrels\nx*y\nx*z\nend\n",
+    "S(-1)": "char 101\nvars x y z\ngens 1\nrels\nx^2\nend\n",
+    "huge-exponent": "char 101\nvars x y\ngens 0\nrels\nx^99999999999\ny\nend\n",
+    "18-digit-char": "char 1000000000000000003\nvars x y\ngens 0\nrels\nx^2\nend\n",
+    "not-cm": "char 101\nvars x y\nquotient\nx^2\nx*y\nend\ngens 0\nrels\ny^2\nend\n",
+}
+REGS = [("sample", 1, 1), ("quotient", 1, 1), ("lowtwist", 3, 2), ("lexorder", 4, 8)]  # reg M, Sym^2 M
+LIMIT = "exceeds 32767, the packed terms' limit of 32767 above the smallest twist"
+CLI_CHECKS = [
+    ("quotient", "betti", 0, "reg = 1"),
+    ("quotient", "section-check --linear y", 0, "identity (per degree): pass"),
+    ("quotient", "tower --linear y --linear x", 0, "reg(M) <= Q_s^(2^s) = 4: pass"),
+    # reg, off one Groebner basis, is the Betti table's, off Schreyer; Sym^1 M = M
+    *[(f, cmd, 0, f"reg = {r}") for f, r, _ in REGS for cmd in ("reg", "sym --l 1")],
+    *[(f, "betti --json", 0, lambda d, r=r: max(j - i for i, j, _ in d["betti"]) == r) for f, r, _ in REGS],
+    *[(f, "sym --l 2", 0, f"reg = {r2}") for f, _, r2 in REGS],
+    ("highexp", "reg", 0, "reg = 990"),  # the numerator splits on x^990 at once
+    ("highexp", "hilbert", 0, "numerator: 1 - t^2 - t^991 + t^992"),
+    # M/yM of S/(x) + S(-t) has a column of degree t + 1: the packing limit
+    ("t-32766", "tower --linear y --json", 0, lambda d: d["q_values"] == [32767]),
+    ("t-32767", "tower --linear y", 1, f"error: module degree 32768 {LIMIT}"),
+    ("random-3", "audit", 0, "all bounds hold"),
+    # H0 = M at once, saturation rounds (y regular, y kills x), and the torsion of x
+    ("finite", "section-check --linear y", 0, "identity (per degree): pass"),
+    ("finite", "tower --linear y --linear x", 0, "reg(M) <= Q_s^(2^s) = 4: pass"),
+    ("generic-2x2", "section-check --linear x+y", 0, "identity (cumulative): pass"),
+    ("xy", "section-check --linear x+y", 0, "identity (cumulative): pass"),
+    ("xy-y3", "section-check --linear x", 0, "identity (cumulative): pass"),
+    ("xy-over-y3", "section-check --linear x", 0, "identity (cumulative): pass"),
+    # b1 over S/J is read off the minimal presentation: q_values as the twin's
+    ("padded", "tower --linear x+y --json", 0, lambda d: d["q_values"] == [2]),
+    ("twin", "tower --linear x+y --json", 0, lambda d: d["q_values"] == [2]),
+    # a negative twist is valid input, and no refined_* falls below reg M[s]
+    ("S(1)", "audit", 0, "all bounds hold"),
+    *[(f, "bounds --json", 0, lambda d: min(v for k, v in d["bounds"].items() if k.startswith("refined_"))
+       >= d["computed"]["regularity"]) for f in ("S(3)", "S(-1)")],
+    # a huge exponent is read as a number, and an 18-digit prime is not trial-divided
+    ("huge-exponent", "timeout 10 reg", 1, f"error: module degree 99999999999 {LIMIT}"),
+    ("18-digit-char", "timeout 10 reg", 0, "reg = 1"),
+    ("not-cm", "audit", 0, "warning: base ring is not Cohen-Macaulay: the bound is heuristic here"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv, code, expect", CLI_CHECKS, ids=[f"{n} {a}" for n, a, *_ in CLI_CHECKS]
+)
+def test_cli_check(name, argv, code, expect, monkeypatch, capsys):
+    cmd, *rest = argv.split()
+    if cmd == "timeout":
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        run = subprocess.run([sys.executable, "-m", "cmreg.cli", rest[1], "-", *rest[2:]], env=env,
+                             input=CLI_FILES[name], capture_output=True, text=True, timeout=int(rest[0]))
+        got, out, err = run.returncode, run.stdout, run.stderr
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(CLI_FILES[name]))
+        got, (out, err) = main([cmd, "-", *rest]), capsys.readouterr()
+    assert got == code and "Traceback" not in out + err
+    assert expect(json.loads(out)) if callable(expect) else expect in (out + err).splitlines()

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import random
 from math import comb
 
@@ -207,6 +208,27 @@ def test_printed_only_formulas_hold_on_twists_of_the_box():
     }
 
 
+def _permuted(pres, rng):
+    """M with its generators (rows, with their twists) and its relations
+    (columns) in a seeded order: the same module, presented otherwise."""
+    rows, cols = rng.sample(range(pres.n), pres.n), rng.sample(range(pres.m), pres.m)
+    return validate_presentation(
+        pres.ring,
+        tuple(pres.row_twists[i] for i in rows),
+        [[pres.matrix[i][j] for j in cols] for i in rows],
+        tuple(pres.column_degrees[j] for j in cols),
+    )
+
+
+def test_audit_is_invariant_under_permuting_generators_and_relations():
+    # criterion 1's box; `audit` opens a scope per call, so M and its
+    # permutation share no run
+    rng = random.Random(4711)
+    for trial in range(200):
+        pres = _acceptance_box_module(trial)
+        assert audit(_permuted(pres, rng)).computed == audit(pres).computed, trial
+
+
 def test_audit_of_a_negatively_twisted_quotient():
     # S(1)/(x^2, y^2): reg 1, generated in degree -1
     report = audit(twisted(cyclic(R2, [u * u, v * v]), -1))
@@ -301,6 +323,28 @@ def test_section_and_tower_checks_read_b1_off_the_minimal_presentation():
         assert tower_check(padded, [l]) == tower_check(pres, [l]), trial
         checked += 1
     assert checked >= 10
+
+
+def test_section_check_shifts_with_the_module():
+    # on M[s], every degree in the report moves by s and nothing else changes;
+    # `section_check` opens a scope per call, so M and M[s] share no run
+    forms = random.Random(2025)  # criterion 4's forms, in its order
+    for pres in _criterion_4_modules():
+        l = random_section_form(pres, forms)
+        report = section_check(pres, l)
+        for s in (-1, 2):
+            shifted = {f: {d + s: v for d, v in getattr(report, f).items()}
+                       for f in ("kernel_by_degree", "h0", "h0_bar", "h0_bar_prime")}
+            # with all four columns empty (11 of the 50) the window stays at its
+            # default (-1, 2), and so do the identity rows
+            w = s if any(shifted.values()) else 0
+            assert section_check(twisted(pres, s), l) == dataclasses.replace(
+                report,
+                window=tuple(d + w for d in report.window),
+                mu_star=report.mu_star + s,
+                identity_rows=[(mu + w, lhs, rhs) for mu, lhs, rhs in report.identity_rows],
+                **shifted,
+            ), (report.form, s)
 
 
 def test_random_section_form_finds_finite_torsion():
