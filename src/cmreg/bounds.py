@@ -21,15 +21,36 @@ reg Sym^l M by l*s, and leaves reg R/Fitt_0 and the multiplicity alone.
   its value moves by l*s0.
 - `refined_exact_bound` is written in a form that moves by s.
 - `uniform_dim1_bound` needs a = 0: no one shift fits every Sym^l at once.
+
+Size.  A doubly exponential value is refused with `AlgebraError` before it is
+taken when it would pass `MAX_BOUND_DIGITS` decimal digits (`bounded_power`),
+so no bound can exhaust memory, and every value that is returned prints
+quickly.
 """
 
 from __future__ import annotations
 
 import warnings
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, log10
 
 from .core import AlgebraError
+
+# the most decimal digits a doubly exponential bound may have; the CLI prints
+# every value within it.  At least criterion 6's largest, 20^5040 (6,557 digits)
+MAX_BOUND_DIGITS = 100_000
+
+
+def bounded_power(name: str, base: int, exp: int) -> int:
+    """base ** exp, refused with `AlgebraError` when exp * log10|base|, its
+    digit count less at most one, reaches `MAX_BOUND_DIGITS`."""
+    if abs(base) > 1 and exp >= MAX_BOUND_DIGITS / log10(abs(base)):
+        digits = log10(exp) + log10(log10(abs(base)))
+        about = f"{round(10**digits):,}" if digits < 15 else f"10^{digits:.1f}"
+        raise AlgebraError(
+            f"{name} would have about {about} digits, past the budget of {MAX_BOUND_DIGITS:,}"
+        )
+    return base**exp
 
 
 def degree_cap(a, b) -> int:
@@ -242,12 +263,11 @@ def main_bound(
             d = int(max(delta, 0)) + c  # dimension of the base ring's support
             return s0 + reg_r + (d + n - 1) * cap - d
         return s0 + reg_r + cap - 1
-    exp = 2 ** (int(delta) - 2)
     if c > 0:
         base = deg_r * (reg_r + (c + n) * cap - c) * comb(c + n - 1, c) * cap**c
     else:
         base = n * deg_r * (reg_r + cap)
-    return s0 + base**exp
+    return s0 + bounded_power("main", base, 2 ** (int(delta) - 2))
 
 
 def refined_exact_bound(a, b, c: int, reg_r: int) -> int:
@@ -273,7 +293,7 @@ def refined_bracket_bound(a, b, c: int, delta, reg_r: int, deg_r: int) -> int:
     b_top = sorted(b, reverse=True)[: c + n]
     bare_sum = multiplicity_bound_sum(a, b, c, 1)
     base = deg_r * (reg_r + sum(b_top) - c) * bare_sum
-    return s0 + base ** (2 ** (int(delta) - 2))
+    return s0 + bounded_power("refined_bracket", base, 2 ** (int(delta) - 2))
 
 
 def sym_main_bound(
@@ -310,20 +330,24 @@ def ideal_bounds(
         raise AlgebraError(f"degree cap {cap} is below 1")
     out: dict[str, int] = {}
     if c is not None and p_vars - c >= 2:
-        out["general_c"] = ((c + 1) * cap ** (c + 1)) ** (2 ** (p_vars - c - 2))
+        out["general_c"] = bounded_power(
+            "general_c", (c + 1) * cap ** (c + 1), 2 ** (p_vars - c - 2)
+        )
     if p_vars <= 3:
         out["small_p"] = p_vars * (cap - 1) + 1
     if p_vars >= 4:
-        out["large_p"] = (3 * cap**3) ** (2 ** (p_vars - 4))
-        out["refined"] = (3 * cap * cap * (cap - 1)) ** (2 ** (p_vars - 4)) + 1
+        out["large_p"] = bounded_power("large_p", 3 * cap**3, 2 ** (p_vars - 4))
+        out["refined"] = bounded_power("refined", 3 * cap * cap * (cap - 1), 2 ** (p_vars - 4)) + 1
     if p_vars >= 3:
-        out["caviglia_sbarra"] = (cap * cap + 2 * cap - 1) ** (2 ** (p_vars - 3))
+        out["caviglia_sbarra"] = bounded_power(
+            "caviglia_sbarra", cap * cap + 2 * cap - 1, 2 ** (p_vars - 3)
+        )
     if n is not None and deg_r is not None and reg_r is not None and p_vars >= 1:
-        out["brodmann_goetsch"] = (reg_r + (n + 1) * deg_r + cap + 1) ** (
-            2 ** (p_vars - 1)
+        out["brodmann_goetsch"] = bounded_power(
+            "brodmann_goetsch", reg_r + (n + 1) * deg_r + cap + 1, 2 ** (p_vars - 1)
         )
     if p_vars >= 2:
-        out["galligo_giusti"] = (2 * cap) ** (2 ** (p_vars - 2))
+        out["galligo_giusti"] = bounded_power("galligo_giusti", 2 * cap, 2 ** (p_vars - 2))
     if p_vars >= 1:
-        out["bayer_mumford"] = (2 * cap) ** factorial(p_vars - 1)
+        out["bayer_mumford"] = bounded_power("bayer_mumford", 2 * cap, factorial(p_vars - 1))
     return out

@@ -48,6 +48,7 @@ from .invariants import hilbert_data, module_invariants, regularity, ring_invari
 from .modops import fitting_ideal_0, minimal_presentation, sym_power
 from .complexes import complex_regularity_bound, complex_terms
 from .bounds import (
+    MAX_BOUND_DIGITS,
     degree_cap,
     ideal_bounds,
     multiplicity_bound_binomial,
@@ -668,9 +669,16 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         args = parser.parse_args(argv)
         pres = parse_file(_read_source(args.file)) if "file" in args else None
+        # every bound within the budget prints, past Python's limit on the
+        # digits of a converted int (0, or absent before 3.10.7: no limit),
+        # which the file was parsed under; the limit is restored for callers
+        # that run `main` in-process
+        if digits:
+            sys.set_int_max_str_digits(max(digits, MAX_BOUND_DIGITS))
         with warnings.catch_warnings(record=True) as caught:
             payload, text, ok = args.handler(pres, args)
         for w in caught:
@@ -685,6 +693,9 @@ def main(argv=None) -> int:
     except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

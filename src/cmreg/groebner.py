@@ -35,10 +35,11 @@ over term breaks.
 One basis per module.  `groebner` is the only builder of a module's basis: one
 Buchberger run under `Codec.top`, handed out as it stands, with minimal lead
 terms and no tail reduction.  Every reader of the module takes that run:
-the Hilbert numerator (which `modops.torsion_hilbert` reads for M and M/lM),
-`invariants.regularity`'s walk, `modops.colon_with_irrelevant` (one saturation
-round) and `schreyer_resolution`, which alone finishes it (`autoreduce`: tail
-reduction and the tower order) before resolving it.  Position over term in the
+the Hilbert numerator, `invariants.regularity`'s walk,
+`modops.colon_with_irrelevant` (one saturation round) and
+`schreyer_resolution`, which alone finishes it (`autoreduce`: tail reduction
+and the tower order) before resolving it.  `modops.torsion_hilbert` reads the
+run of M in coordinates where the form is the last variable.  Position over term in the
 ring's own order stays where the order is part of the answer:
 `quotient_groebner` builds and finishes J's basis that way, so that a normal
 form mod J, and every entry a presentation prints, is the one the ring's order

@@ -7,12 +7,13 @@ does not certify call it.  Units are cancelled by `invariants.cancel_units`,
 which also minimalizes resolutions.  The flagged zero module runs through each
 operation's general path.
 
-The torsion K = (0 :_M l) of a linear form is read off the exact sequence
-0 -> K(-1) -> M(-1) -> M -> M/lM -> 0 (`torsion_hilbert`): K's whole series
-comes from the Hilbert numerators of M and M/lM, the modules' degree-first
-runs, for every l.  A `DegreeOverflow` from either run is final, as it is in
-`regularity`.  `colon_kernel` presents K by the graph colon and is kept as
-the independent route.
+The torsion K = (0 :_M l) of a linear form is read off one degree-first run
+of M in coordinates where l = x_v (`_adapted_run`).  With L its lead terms,
+the exact sequence 0 -> K(-1) -> M(-1) -> M -> M/lM -> 0 gives
+t N(K) = N(L + x_v F) - (1 - t) N(L) for every l, with no certificate.
+`torsion_hilbert` returns that K.  A `DegreeOverflow` from the run is final,
+as it is in `regularity`.  `colon_kernel` presents K by the graph colon and
+is kept as the independent route.
 
 `h0_profile` settles a module of finite length without a saturation round:
 it is its own H0 (its Hilbert numerator shows dimension 0).  Every other
@@ -24,13 +25,12 @@ nonzerodivisor on F/U, so the round confirms U.  Otherwise, when
 divides the basis by the powers of x_v in its lead terms.  Only a round that
 neither certifies builds a graph colon.
 
-`verify.section_check` reads the columns it compares with H0(M) off one more
-degree-first run, of M in coordinates where l = x_v (`_section_columns`):
-K, H0(M/lM), H0(M'/lM') and reg(M/lM), with M' = M/H0(M), all come from its
-lead terms.  K needs no certificate.  Each of the others is a step of the
-regularity walk, and a step that is not certified falls back to `h0_profile`
-or `regularity` of that quotient.  H0(M) itself stays on `h0_profile`'s
-rounds, in the original coordinates.
+`verify.section_check` reads the columns it compares with H0(M) off the same
+lead terms L (`_section_columns`): K, H0(M/lM), H0(M'/lM') and reg(M/lM),
+with M' = M/H0(M).  K needs no certificate.  Each of the others is a step of
+the regularity walk, and a step that is not certified falls back to
+`h0_profile` or `regularity` of that quotient.  H0(M) itself stays on
+`h0_profile`'s rounds, in the original coordinates.
 """
 
 from __future__ import annotations
@@ -191,41 +191,15 @@ def _presented(ring: GradedRing, twists, elements: list[Element]) -> GradedPrese
     return minimal_presentation(GradedPresentation(ring, twists, matrix, degrees))
 
 
-def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
-    """Hilbert data of K = (0 :_M l), read off the numerators of M and M/lM;
-    K itself is not presented.
-
-    Multiplication by l gives the exact sequence
-    0 -> K(-1) -> M(-1) -> M -> M/lM -> 0, so t N(K) = N(M/lM) - (1 - t) N(M)
-    for every linear form l, with no certificate.  Both numerators come from
-    the modules' degree-first `groebner` runs, over S with J's generators among
-    the columns, which the scope shares with `h0_profile`, `regularity` and
-    the next level of a tower.  A `DegreeOverflow` from either run is final."""
-    _check_linear(pres, l)
-    base, a = pres.ring.base, pres.row_twists
-    n_m, n_bar = (
-        numerator_of_gb(groebner(presentation_elements(p), base, a))
-        for p in (pres, quotient_by_linear(pres, l))
-    )
-    return _torsion_from_numerators(n_m, n_bar, base.nvars)
-
-
-def _torsion_from_numerators(n_m: dict[int, int], n_bar: dict[int, int], nvars: int) -> HilbertData:
-    """Hilbert data of K = (0 :_M l) from N(M) and N(M/lM):
-    t N(K) = N(M/lM) - (1 - t) N(M)."""
-    n_k = tp_shift(tp_sub(n_bar, tp_sub(n_m, tp_shift(n_m, 1))), -1)
-    return hilbert_from_numerator(n_k, nvars)
-
-
 def colon_kernel(
     pres: GradedPresentation, l: Polynomial
 ) -> tuple[GradedPresentation, int | None]:
     """(presentation of K = (0 :_M l), its length or None when infinite), by
     the graph colon: W = (U :_F l) from `colon`, K = W/U presented by the
-    relations of W's basis modulo U.  Its length shares U's numerator, the
-    basis of M's columns, with `torsion_hilbert`, the library's own route;
-    W, the presentation of K and K's series are built apart from it, so it
-    serves as its oracle."""
+    relations of W's basis modulo U.  Its length reads the numerators of U
+    and W; `torsion_hilbert`, the library's own route, shares at most U's run
+    with it (when l = x_v), and W, the presentation of K and K's series are
+    built apart from it, so it serves as its oracle."""
     _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
     cols = presentation_elements(pres)
@@ -296,7 +270,7 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
     return H0Profile(h0, a0, indeg, span), _presented(pres.ring, a, cur)
 
 
-# -- section columns in adapted coordinates ----------------------------------------
+# -- the torsion of a linear form, in adapted coordinates ----------------------------
 
 
 def _adapted_coordinates(l: Polynomial) -> Callable[[Element], Element]:
@@ -333,6 +307,44 @@ def _adapted_coordinates(l: Polynomial) -> Callable[[Element], Element]:
     return apply
 
 
+def _with_last_variable(ideals: list[frozenset], nvars: int) -> list[frozenset]:
+    """L + x_v F, per component."""
+    last = nvars - 1
+    x_v = tuple(int(j == last) for j in range(nvars))
+    return [frozenset([x_v, *(m for m in monos if not m[last])]) for monos in ideals]
+
+
+def _adapted_run(pres: GradedPresentation, l: Polynomial) -> tuple[list[frozenset], HilbertData]:
+    """(L per component, the Hilbert data of K = (0 :_M l)), L the lead terms
+    of one degree-first run of M's columns in coordinates where l = x_v.
+
+    `_adapted_coordinates` sends l to x_v and M's columns over S (J's
+    generators among them) to U'; a graded automorphism of S keeps every
+    Hilbert series.  L = in(U') under `Codec.top`, where
+    in(U' + x_v F) = L + x_v F (Bayer-Stillman 1987), so N(M) = N(L) and
+    N(M/lM) = N(L + x_v F), and t N(K) = N(L + x_v F) - (1 - t) N(L) with no
+    certificate.  The columns l e_i of M/lM have degree a_i + 1, so the run
+    refuses with `DegreeOverflow` where M/lM's own run would.  The run is M's
+    columns' own when l = x_v, and the scope shares it then."""
+    _check_linear(pres, l)
+    base, a = pres.ring.base, pres.row_twists
+    phi = _adapted_coordinates(l)
+    gb = groebner([phi(col) for col in presentation_elements(pres)], base, a)
+    gb.codec.check(max(a, default=0) + 1)
+    ideals = lead_ideals(gb.lts, len(a))
+    n_m = _numerator_of_components(ideals, a)
+    n_bar = _numerator_of_components(_with_last_variable(ideals, base.nvars), a)
+    n_k = tp_shift(tp_sub(n_bar, tp_sub(n_m, tp_shift(n_m, 1))), -1)
+    return ideals, hilbert_from_numerator(n_k, base.nvars)
+
+
+def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
+    """Hilbert data of K = (0 :_M l), read off the lead terms of one
+    degree-first run of M in coordinates where l = x_v (`_adapted_run`); K
+    itself is not presented.  A `DegreeOverflow` from the run is final."""
+    return _adapted_run(pres, l)[1]
+
+
 class _SectionColumns(NamedTuple):
     """What `_section_columns` reads off one run; a column is None where its
     step is not certified, and every column but K is None when K has infinite
@@ -346,16 +358,11 @@ class _SectionColumns(NamedTuple):
 
 def _section_columns(pres: GradedPresentation, l: Polynomial) -> _SectionColumns:
     """K = (0 :_M l), H0(M/lM), H0(M'/lM') and reg(M/lM), M' = M/H0(M), from
-    the lead terms of one degree-first run in coordinates where l = x_v.
+    the lead terms L of the run `torsion_hilbert` reads (`_adapted_run`).
 
-    `_adapted_coordinates` sends l to x_v and M's columns over S (J's
-    generators among them) to U'; a graded automorphism of S keeps every
-    Hilbert series, H0 and regularity.  Let L = in(U') under `Codec.top`.
-    There in(W + x_v F) = in(W) + x_v F and in(W : x_v^oo) = in(W) : x_v^oo for
-    every W (Bayer-Stillman 1987), so:
-    - N(M) = N(L) and N(M/lM) = N(L + x_v F), and K's series follows from
-      t N(K) = N(M/lM) - (1 - t) N(M), as in `torsion_hilbert`, with no
-      certificate;
+    A graded automorphism of S keeps every H0 and regularity, and under
+    `Codec.top` in(W : x_v^oo) = in(W) : x_v^oo for every W (Bayer-Stillman
+    1987), so:
     - when K has finite length, l is filter-regular on M, so U' : x_v^oo is
       U'^sat (Bermejo-Gimenez 2006) and M' = F / (U' : x_v^oo);
     - H0(M/lM) and H0(M'/lM') are the walk's step at x_{v-1} on L + x_v F and
@@ -363,33 +370,19 @@ def _section_columns(pres: GradedPresentation, l: Polynomial) -> _SectionColumns
       part has finite length;
     - reg(M/lM) is the walk over x_1..x_{v-1} on L's generators free of x_v,
       M/lM being a module over S/(x_v); for v = 1 it reads the top degree of
-      M/lM's series.
-    The columns l e_i of M/lM have degree a_i + 1, so the run refuses with
-    `DegreeOverflow` where `torsion_hilbert` does.  The run is M's columns'
-    own when l = x_v, and the scope shares it then."""
-    _check_linear(pres, l)
-    base, a = pres.ring.base, pres.row_twists
-    nvars = base.nvars
-    last = nvars - 1
-    phi = _adapted_coordinates(l)
-    gb = groebner([phi(col) for col in presentation_elements(pres)], base, a)
-    gb.codec.check(max(a) + 1)
-    ideals = lead_ideals(gb.lts, len(a))
-    x_v = tuple(int(j == last) for j in range(nvars))
-
-    def cut(ideals: list[frozenset]) -> list[frozenset]:
-        """L + x_v F, per component."""
-        return [frozenset([x_v, *(m for m in monos if not m[last])]) for monos in ideals]
-
-    torsion = _torsion_from_numerators(
-        _numerator_of_components(ideals, a), _numerator_of_components(cut(ideals), a), nvars
-    )
+      M/lM's series."""
+    ideals, torsion = _adapted_run(pres, l)
     if torsion.length is None:
         return _SectionColumns(torsion, None, None, None)
+    a, nvars = pres.row_twists, pres.ring.base.nvars
+    last = nvars - 1
     saturated, _ = lead_torsion(ideals, a, last, nvars)
     h0_bar, h0_bar_prime = (
         None if hd.length is None else hd.q_polynomial
-        for _, hd in (lead_torsion(cut(j), a, last - 1, nvars) for j in (ideals, saturated))
+        for _, hd in (
+            lead_torsion(_with_last_variable(j, nvars), a, last - 1, nvars)
+            for j in (ideals, saturated)
+        )
     )
     walk = _filter_regular_walk(
         [frozenset(m[:last] for m in monos if not m[last]) for monos in ideals], a, last

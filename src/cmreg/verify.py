@@ -13,11 +13,10 @@ trusting single examples).
 
 `audit`, `section_check`, `random_section_form`, `random_tower` and
 `tower_check` each run in one `groebner.memo_scope()`, so a Groebner basis
-wanted twice by one call is built once (see the `groebner` module docstring):
-the torsion of a form reads the bases of M and M/lM (`modops.torsion_hilbert`),
-so along a tower the basis of one level's quotient serves the next level.
-`section_check` reads its torsion, the H0 of the quotients and reg(M/lM) off
-one run of M in coordinates where the form is the last variable
+wanted twice by one call is built once (see the `groebner` module docstring).
+The torsion of a form is read one way everywhere: off one run of M in
+coordinates where the form is the last variable (`modops.torsion_hilbert`).
+`section_check` reads the H0 of the quotients and reg(M/lM) off the same run
 (`modops._section_columns`).
 """
 
@@ -60,6 +59,7 @@ from .modops import (
 )
 from .complexes import complex_regularity_bound, complex_terms
 from .bounds import (
+    bounded_power,
     dim1_module_fitt,
     dim1_module_sym,
     dim1_ring_fitt,
@@ -412,14 +412,15 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     K's series, H0(Mbar), H0(Mbar') and reg(Mbar) are read off one
     degree-first run of M in coordinates where l = x_v
     (`modops._section_columns`): K from the exact sequence on the numerators
-    of M and Mbar, as `modops.torsion_hilbert` reads it, and the others from
-    the walk's lead-term steps.  K is never presented.  A column whose step is
-    not certified falls back on its own: H0(Mbar) and H0(Mbar') to
-    `h0_profile` of M/lM and M'/lM', reg(Mbar) to `regularity`.  H0(M), and M'
-    for that fallback, come from `h0_profile`'s saturation rounds of M in the
-    original coordinates.  So the per-degree identity compares two runs in two
-    coordinate systems: those rounds against the adapted run.  Every column is
-    checked against the rounds route in the tier-1 tests.
+    of M and Mbar, the run `modops.torsion_hilbert` reads, and the others
+    from the walk's lead-term steps.  K is never presented.  A column whose
+    step is not certified falls back on its own: H0(Mbar) and H0(Mbar') to
+    `h0_profile` of M/lM and M'/lM', reg(Mbar) to `regularity`.  H0(M), and
+    M' for that fallback, come from `h0_profile`'s saturation rounds of M in
+    the original coordinates.  So the per-degree identity compares two runs
+    in two coordinate systems: those rounds against the adapted run.  The
+    tier-1 tests check every column against a route of its own: K against
+    the graph colon, the others against the rounds.
     """
     if pres.is_zero_module:
         raise ZeroModule("section check needs a nonzero module")
@@ -566,7 +567,7 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
 
     s = len(forms) - 1
     chain = [qs[i] <= qs[i + 1] ** 2 for i in range(s)]
-    final_bound = qs[s] ** (2**s)
+    final_bound = bounded_power("final_bound", qs[s], 2**s)
     return TowerReport(
         forms=[render_poly(f) for f in forms],
         regularities=regs,

@@ -1,8 +1,12 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmreg.bounds import (
+    MAX_BOUND_DIGITS,
+    bounded_power,
     degree_cap,
     dim1_module_fitt,
     dim1_module_sym,
@@ -303,3 +307,21 @@ def test_main_bound_monotone_in_ring_data(reg_r, deg_r, delta):
     assert main_bound(a, b, c, delta, reg_r + 1, deg_r) >= base
     assert main_bound(a, b, c, delta, reg_r, deg_r + 1) >= base
     assert main_bound(a, b, c, delta + 1, reg_r, deg_r) >= base
+
+
+def test_doubly_exponential_bounds_stay_within_the_digit_budget():
+    # criterion 6's largest value is taken; 12 variables' bayer_mumford,
+    # 2^(11!), is refused before it is
+    assert ideal_bounds(8, 10)["bayer_mumford"] == 20**5040
+    with pytest.raises(AlgebraError, match="^bayer_mumford would have about 12,016,154 digits"):
+        ideal_bounds(12, 1)
+    # the budget counts digits: 10^(budget - 1) has exactly the budget
+    assert bounded_power("x", 10, MAX_BOUND_DIGITS - 1) == 10 ** (MAX_BOUND_DIGITS - 1)
+    with pytest.raises(AlgebraError, match="about 100,000 digits, past the budget of 100,000"):
+        bounded_power("x", -10, MAX_BOUND_DIGITS)
+    # an exponent past a float is estimated, not converted
+    with pytest.raises(AlgebraError, match=r"about 10\^5\d{3}\.\d digits"):
+        bounded_power("x", 2, factorial(2000))
+    assert [bounded_power("x", b, 10**9 + 1) for b in (-1, 0, 1)] == [-1, 0, 1]
+    # main at delta = 15 in 16 variables, S/(x1^2): 6^8192, 6,375 digits
+    assert main_bound((0,), (2,), 1, 15, 0, 1) == 6**8192

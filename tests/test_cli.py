@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -490,6 +491,15 @@ def test_failed_verdict_exits_two(pres2, capsys, monkeypatch):
 
 # -- the CLI checks, one row each ----------------------------------------------------
 
+
+def _generic_quadrics(count: int) -> str:
+    """S/I in k[x, y], I spanned by `count` seeded quadrics."""
+    rng = random.Random(count)
+    coefficients = ([rng.randint(1, 100) for _ in range(3)] for _ in range(count))
+    rows = "".join(f"{c}*x^2 + {d}*x*y + {e}*y^2\n" for c, d, e in coefficients)
+    return f"char 101\nvars x y\ngens 0\nrels\n{rows}end\n"
+
+
 # A row: a file below on stdin, the command, its exit code, and a line of stdout or
 # stderr or a predicate on the JSON stdout.  No row may print a traceback.  Under
 # "timeout <s>" the command runs in its own interpreter, under that limit.
@@ -515,7 +525,26 @@ CLI_FILES = {
     "huge-exponent": "char 101\nvars x y\ngens 0\nrels\nx^99999999999\ny\nend\n",
     "18-digit-char": "char 1000000000000000003\nvars x y\ngens 0\nrels\nx^2\nend\n",
     "not-cm": "char 101\nvars x y\nquotient\nx^2\nx*y\nend\ngens 0\nrels\ny^2\nend\n",
+    "30-quadrics": _generic_quadrics(30),
+    "16-vars": f"char 101\nvars {' '.join(f'x{i}' for i in range(1, 17))}\ngens 0\nrels\nx1^2\nend\n",
+    "12-vars": f"char 101\nvars {' '.join(f'x{i}' for i in range(1, 13))}\ngens 0\nrels\n"
+    + "".join(f"x{i}\n" for i in range(1, 13)) + "end\n",
 }
+
+
+def _printed(n: int) -> str:
+    """str(n) as the CLI prints it, past Python's default limit on the digits
+    of a converted int."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 REGS = [("sample", 1, 1), ("quotient", 1, 1), ("lowtwist", 3, 2), ("lexorder", 4, 8)]  # reg M, Sym^2 M
 LIMIT = "exceeds 32767, the packed terms' limit of 32767 above the smallest twist"
 CLI_CHECKS = [
@@ -550,6 +579,14 @@ CLI_CHECKS = [
     ("huge-exponent", "timeout 10 reg", 1, f"error: module degree 99999999999 {LIMIT}"),
     ("18-digit-char", "timeout 10 reg", 0, "reg = 1"),
     ("not-cm", "audit", 0, "warning: base ring is not Cohen-Macaulay: the bound is heuristic here"),
+    # 30 relations: the complex bound reads no twist list; only `complex` lists them, and refuses
+    ("30-quadrics", "timeout 10 audit", 0, "all bounds hold"),
+    ("30-quadrics", "timeout 10 complex", 1,
+     "error: complex position 5 has rank 142,506, past the 100,000 twists a term lists"),
+    # a bound past Python's 4,300 printed digits prints; one past the budget is refused
+    ("16-vars", "timeout 10 audit", 0, f"{'main':24} {_printed(6 ** 8192)}  pass (actual 1)"),
+    ("12-vars", "timeout 10 bounds", 1,
+     "error: bayer_mumford would have about 12,016,154 digits, past the budget of 100,000"),
 ]
 
 
@@ -568,3 +605,14 @@ def test_cli_check(name, argv, code, expect, monkeypatch, capsys):
         got, (out, err) = main([cmd, "-", *rest]), capsys.readouterr()
     assert got == code and "Traceback" not in out + err
     assert expect(json.loads(out)) if callable(expect) else expect in (out + err).splitlines()
+
+
+def test_main_prints_a_long_bound_and_restores_the_digit_limit(monkeypatch, capsys):
+    # in-process, text and JSON: the 16-variable main bound (6,375 digits)
+    # prints, and the interpreter's own limit is back afterwards
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for flags in ([], ["--json"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(CLI_FILES["16-vars"]))
+        assert main(["audit", "-", *flags]) == 0
+        assert _printed(6**8192) in capsys.readouterr().out
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit

@@ -2,9 +2,10 @@ import math
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmreg.core import AlgebraError, GradedRing, PrimeField, validate_presentation
-from cmreg.complexes import complex_regularity_bound, complex_terms
+from cmreg.complexes import MAX_LISTED_RANK, complex_regularity_bound, complex_terms
 from cmreg.invariants import regularity
 from cmreg.modops import minor_function, sym_power
 from helpers import compose
@@ -95,6 +96,57 @@ def test_term_counts_match_binomials():
         for s in range(l, m - n + 1):
             expect = math.comb(n + s - l - 1, s - l) * math.comb(m, n + s)
             assert by_pos[s + 1].rank == expect
+
+
+def _enumerated_twists(a, b, l, sigma):
+    """{position: sorted twists}, by enumerating index tuples term by term."""
+    n, m = len(a), len(b)
+    out = {}
+    for s in range(min(l, m) + 1):
+        out[s] = sorted(
+            sum(a[i] for i in alpha) + sum(b[j] for j in t)
+            for alpha in combinations_with_replacement(range(n), l - s)
+            for t in combinations(range(m), s)
+        )
+    for s in range(l, m - n + 1):
+        out[s + 1] = sorted(
+            sum(b[j] for j in t) - sum(a[i] for i in alpha) - sigma
+            for alpha in combinations_with_replacement(range(n), s - l)
+            for t in combinations(range(m), n + s)
+        )
+    return out
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(-3, 4), min_size=1, max_size=3),
+    st.lists(st.integers(-2, 8), max_size=7),
+    st.integers(0, 4),
+    st.integers(-5, 5),
+)
+def test_closed_forms_match_the_enumerated_twists(a, b, l, sigma):
+    # rank and largest twist in closed form, and the listing, against an
+    # enumeration of every index tuple
+    want = _enumerated_twists(a, b, l, sigma)
+    terms = complex_terms(a, b, l, sigma)
+    assert [t.position for t in terms] == list(want)
+    for t in terms:
+        assert t.rank == len(want[t.position])
+        assert t.max_twist == max(want[t.position])
+        assert t.twists == tuple(want[t.position])
+
+
+def test_a_term_past_the_listing_limit_refuses():
+    # 30 relations: position 5 has C(30, 5) = 142,506 twists; the bound
+    # reads its largest twist without listing it
+    terms = complex_terms((0,), (2,) * 30, 1)
+    big = terms[5]
+    assert (big.position, big.rank, big.max_twist) == (5, 142_506, 10)
+    assert big.rank > MAX_LISTED_RANK > terms[4].rank
+    # positions 0, 1, 2 have largest twists 0, 2 and 4
+    assert complex_regularity_bound(terms, 0, 2) == 2
+    with pytest.raises(AlgebraError, match="position 5 has rank 142,506"):
+        big.twists
 
 
 def test_maximal_minor_complex_twists():

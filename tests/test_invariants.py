@@ -51,12 +51,14 @@ from cmreg.modops import (
     minimal_presentation,
     span_vectors,
     sym_power,
+    torsion_hilbert,
 )
 from cmreg.verify import (
     FITT_TARGET_ROW_LIMIT,
     SYM_TARGET_GEN_LIMIT,
     random_complete_intersection,
     random_module,
+    random_polynomial,
 )
 from helpers import compose, cyclic, reduced_basis
 
@@ -416,7 +418,9 @@ def _substituted(f, images):
 
 def test_invariants_survive_a_coordinate_change():
     # a linear change of coordinates is a graded automorphism of S: reg, the
-    # Betti table and the Hilbert data stay, while every lead term moves
+    # Betti table and the Hilbert data stay, while every lead term moves.
+    # Over R = S/J it moves J's generators and a form l as well, so R's
+    # invariants and the torsion (0 :_M l) stay too
     rng = random.Random(424)
     moved = 0
     for trial in range(200):
@@ -431,6 +435,31 @@ def test_invariants_survive_a_coordinate_change():
         assert found[0] == found[1], trial
         moved += changed.matrix != pres.matrix
     assert moved >= 190
+    rng, forms = random.Random(4240), random.Random(4241)
+    several = moved = 0
+    for trial in range(100):
+        pres = _module_over_complete_intersection(trial)
+        if pres.is_zero_module:
+            continue
+        ring = pres.ring
+        images = _random_coordinate_change(rng, ring.base)
+        quotient = tuple(_substituted(q, images) for q in ring.quotient_gens)
+        moved_ring = GradedRing(ring.field, ring.variables, ring.order, quotient)
+        matrix = [[_substituted(f, images) for f in row] for row in pres.matrix]
+        changed = validate_presentation(moved_ring, pres.row_twists, matrix, pres.column_degrees)
+        l = random_polynomial(forms, ring.base, 1)
+        found = []
+        for module, form in ((pres, l), (changed, _substituted(l, images))):
+            with groebner.memo_scope():
+                found.append((
+                    regularity(module), betti_numbers(module), hilbert_data(module),
+                    ring_invariants(module.ring), torsion_hilbert(module, form),
+                ))
+        assert found[0] == found[1], trial
+        several += ring.nvars > 1
+        moved += ring.nvars > 1 and quotient != ring.quotient_gens
+    # in one variable the change only scales; in more it moves every J
+    assert moved == several >= 60
 
 
 def _direct_sum(m, n):

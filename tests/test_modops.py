@@ -678,8 +678,8 @@ def _torsion_routes_agree(pres, l):
 
 
 def test_torsion_reads_the_bases_its_scope_already_holds(monkeypatch):
-    # K's numerator is read off N(M) and N(M/lM): once the scope holds both
-    # bases, as section_check's does, torsion_hilbert builds none
+    # K is read off the adapted run: once the scope holds it, as
+    # section_check's does, torsion_hilbert runs no Buchberger
     forms = random.Random(2025)  # criterion 4's forms, in its order
     modules = [(pres, random_section_form(pres, forms)) for pres in _criterion_4_modules()]
     runs = []
@@ -692,8 +692,8 @@ def test_torsion_reads_the_bases_its_scope_already_holds(monkeypatch):
     monkeypatch.setattr(groebner_module, "buchberger", counted)
     for pres, l in modules:
         with memo_scope():
-            hilbert_numerator(pres)
-            h0_profile(quotient_by_linear(pres, l))
+            section_check(pres, l)
+            assert runs
             runs.clear()
             assert torsion_hilbert(pres, l).length is not None
             assert not runs
@@ -777,15 +777,25 @@ def test_torsion_routes_agree_on_hand_cases(monkeypatch):
 # -- section columns off one adapted run, against the rounds route ----------------
 
 
+def _graph_torsion(pres, l):
+    """K = (0 :_M l)'s Hilbert data by `colon_kernel` and `hilbert_data`, in a
+    scope of its own, so that it shares no run with the adapted one."""
+    with memo_scope():
+        kpres, lam = colon_kernel(pres, l)
+        hd = hilbert_data(kpres)
+    assert hd.length == lam
+    return hd
+
+
 def _section_columns_agree(pres, l, counts):
-    """Each column `modops._section_columns` certifies equals its rounds
-    route, computed in a scope of its own: `torsion_hilbert` for K,
+    """Each column `modops._section_columns` certifies equals its own route,
+    computed in a scope of its own: the graph colon for K (`_graph_torsion`),
     `h0_profile` of M/lM and of M'/lM' (M' from `h0_profile`), and
     `regularity(M/lM)`.  Counts certified columns and fallbacks by kind."""
     with memo_scope():
         got = modops._section_columns(pres, l)
+    assert got.torsion == _graph_torsion(pres, l)
     with memo_scope():
-        assert got.torsion == torsion_hilbert(pres, l)
         mbar = quotient_by_linear(pres, l)
         _, mprime = h0_profile(pres)
         want = {

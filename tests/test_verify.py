@@ -44,7 +44,7 @@ from cmreg.verify import (
 )
 from helpers import cyclic, reduced_basis, twisted
 from test_invariants import _acceptance_box_module, _module_over_complete_intersection
-from test_modops import _criterion_4_modules, _section_columns_agree
+from test_modops import _criterion_4_modules, _graph_torsion, _section_columns_agree
 
 F = PrimeField(101)
 R2 = GradedRing(F, ("x", "y"))
@@ -385,10 +385,9 @@ def test_tower_check_random_forms():
 
 
 def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
-    # picking forms and walking a tower need only len K, from the numerators
-    # of M and M/lM: one degree-first run for M per call plus one for M/lM
-    # per drawn form (a memo hit would not count), no graph colon and no
-    # presentation of K
+    # picking forms and walking a tower need only len K, read off the adapted
+    # run: one degree-first run per drawn form and none for M (a memo hit
+    # would not count), no graph colon and no presentation of K
     modules = _criterion_4_modules()
     counts = {"forms": 0, "runs": 0, "colons": 0}
     inside = []
@@ -425,13 +424,13 @@ def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
     rng = random.Random(2025)
     for pres in modules[:5]:
         random_section_form(pres, rng)
-    assert counts["runs"] == counts["forms"] + 5 and counts["forms"] >= 5
+    assert counts["runs"] == counts["forms"] and counts["forms"] >= 5
     assert counts["colons"] == 0
     for pres in modules[25:30]:  # dimension 2: two levels
         forms = random_tower(pres, rng, levels=2)
         counts["runs"] = 0
         tower_check(pres, forms)
-        assert counts["runs"] == 2
+        assert counts["runs"] == 2  # one adapted run per level
     assert counts["colons"] == 0
 
 
@@ -456,6 +455,17 @@ def test_torsion_at_the_packing_limit():
     ):
         with pytest.raises(DegreeOverflow, match="module degree 32768"):
             route()
+
+
+def test_tower_final_bound_stays_within_the_digit_budget():
+    # S/(x^2, xy, y^2) has finite length, so every form has finite torsion on
+    # every level: 20 levels put Q_s^(2^19) past the budget, refused untaken
+    ring = GradedRing(PrimeField(101), ("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    pres = validate_presentation(ring, (0,), [[x * x, x * y, y * y]])
+    assert tower_check(pres, [y] * 16).all_hold
+    with pytest.raises(AlgebraError, match="^final_bound would have about"):
+        tower_check(pres, [y] * 20)
 
 
 def test_section_and_tower_checks_resolve_each_module_once(monkeypatch):
@@ -557,10 +567,11 @@ def test_small_characteristics():
                 report = section_check(pres, l)
                 assert report.all_hold
                 _section_columns_agree(pres, l, columns)
+                kernel = _graph_torsion(pres, l)
+                assert (report.colon_length, report.kernel_by_degree) == (kernel.length, kernel.q_polynomial)
                 with groebner.memo_scope():
                     mbar = quotient_by_linear(pres, l)
                     _, mprime = h0_profile(pres)
-                    assert report.kernel_by_degree == torsion_hilbert(pres, l).q_polynomial
                     assert report.h0_bar == h0_profile(mbar)[0].h0_by_degree
                     assert report.h0_bar_prime == h0_profile(quotient_by_linear(mprime, l))[0].h0_by_degree
     print(f"small characteristics: {counts}; section columns: {columns}")
