@@ -50,9 +50,10 @@ certifies hands back the same reduced basis the graph colon would.
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree
 without re-checking gradedness in hot loops.  The input generators wait in the
-same degree queue and each joins the basis as its normal form, so a basis
-grows in nondecreasing degree and its lead terms come out minimal: none
-divides another in its component.
+same degree queue, after that degree's pairs, and each joins the basis as its
+normal form, so a basis grows in nondecreasing degree and its lead terms come
+out minimal: none divides another in its component.  An input whose normal
+form is zero is redundant, and the run flags it (`GroebnerBasis.redundant`).
 
 Schreyer syzygies reduce only the pairs whose predicted lead term is minimal
 (see `schreyer_syzygies`) and keep those relations as they come: their lead
@@ -86,9 +87,10 @@ from __future__ import annotations
 
 import heapq
 import struct
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from operator import add, mul
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
@@ -113,6 +115,7 @@ T = TypeVar("T")
 
 MAX_DEGREE = (1 << 15) - 1  # largest exponent or degree a packed field holds
 FIELD = 16  # bits per variable field, guard bit on top: one struct "H" each
+_INPUT = sys.maxsize  # a queued input's first pair index, past every basis index
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -369,13 +372,15 @@ def normal_form(
 @dataclass
 class GroebnerBasis:
     """A Groebner basis in packed form; `elements`, `lts` and `normal_form`
-    speak `Element`s, and iterating yields the elements."""
+    speak `Element`s, and iterating yields the elements.  A `groebner` run
+    keeps the indices of the inputs `buchberger` flagged in `redundant`."""
 
     ring: GradedRing
     row_twists: tuple[int, ...]
     codec: Codec
     basis: list[Packed]
     leads: list[int]
+    redundant: frozenset[int] = frozenset()
     lts: list[Term] = field(init=False)  # decoded lead terms
 
     def __post_init__(self) -> None:
@@ -431,16 +436,23 @@ def buchberger(
     codec: Codec,
     row_twists: Sequence[int],
     p: int,
+    redundant: set[int] | None = None,
 ) -> tuple[list[Packed], list[int]]:
     """Raw Buchberger loop: returns (basis, lts) before auto-reduction.
 
     Pair selection is by ascending module degree.  Each nonzero generator waits
-    in the same queue at its module degree, ahead of that degree's pairs, and
-    joins the basis only as its normal form.  So the basis grows in
-    nondecreasing degree and every element enters reduced: its lead term is
-    divisible by no earlier one, and a later lead term, of no smaller degree and
-    different, cannot divide it.  The lead terms are therefore minimal: none
-    divides another in its component.
+    in the same queue at its module degree, after that degree's pairs and the
+    generators listed before it, and joins the basis only as its normal form.
+    So the basis grows in nondecreasing degree and every element enters
+    reduced: its lead term is divisible by no earlier one, and a later lead
+    term, of no smaller degree and different, cannot divide it.  The lead terms
+    are therefore minimal: none divides another in its component.
+
+    A generator of degree d meets a d-truncated Groebner basis of those before
+    it, so its normal form is zero exactly when it lies in their span; its
+    index, and a zero generator's, go into `redundant` when that is given.  By
+    graded Nakayama the others are a minimal generating set (Kreuzer-Robbiano,
+    "Computational Commutative Algebra 2", 2005).
 
     The chain criterion prunes a pair (i, j) when some other lead term in the
     component divides lcm(i, j) and both cross pairs have already been dealt
@@ -472,11 +484,13 @@ def buchberger(
         # only cached misses can go stale, but flushing hits too costs little
         div_cache.clear()
 
-    # a generator is queued as (degree, -1, index): it sorts before the pairs
+    # a generator is queued as (degree, _INPUT, index): it sorts after the pairs
     for k, g in enumerate(gens):
         if g:
             c, m = codec.decode(max(g))
-            heapq.heappush(pairs, (mono_deg(m) + row_twists[c], -1, k))
+            heapq.heappush(pairs, (mono_deg(m) + row_twists[c], _INPUT, k))
+        elif redundant is not None:
+            redundant.add(k)
 
     def chained(i: int, j: int, tau: int) -> bool:
         for k in by_comp[(tau >> cs) & cm]:
@@ -490,7 +504,7 @@ def buchberger(
 
     while pairs:
         deg, i, j = heapq.heappop(pairs)
-        if i < 0:
+        if i == _INPUT:
             s = gens[j]
         else:
             pending.discard((i, j))
@@ -504,6 +518,8 @@ def buchberger(
         rem, _ = normal_form(s, basis, lts, by_comp, codec, p, div_cache=div_cache)
         if rem:
             add_element(rem)
+        elif i == _INPUT and redundant is not None:
+            redundant.add(j)
 
     return basis, lts
 
@@ -592,9 +608,10 @@ def groebner(
 ) -> GroebnerBasis:
     """Groebner basis under `Codec.top` of the submodule generated by `gens`:
     `buchberger`'s basis as it stands, neither tail-reduced nor sorted.  No
-    element is redundant: each joined the basis as its normal form, in
+    basis element is superfluous: each joined the basis as its normal form, in
     nondecreasing degree, so no lead term divides another in its component
     (see `buchberger`).  `schreyer_resolution` finishes it with `autoreduce`.
+    `redundant` holds the gens that `buchberger` flagged, by index.
 
     Neither the packing nor the limit checks see a uniform shift of the
     twists, so the memo keys the twists less their minimum: a module and its
@@ -608,12 +625,13 @@ def groebner(
 
     def build() -> GroebnerBasis:
         packed = [codec.encode(g, row_twists) for g in gens]
-        basis, lts = buchberger(packed, codec, row_twists, ring.field.p)
-        return GroebnerBasis(ring=ring, row_twists=row_twists, codec=codec, basis=basis, leads=lts)
+        flagged: set[int] = set()
+        basis, lts = buchberger(packed, codec, row_twists, ring.field.p, flagged)
+        return GroebnerBasis(ring, row_twists, codec, basis, lts, frozenset(flagged))
 
     gb = _memoised("groebner", ring, tuple(t - low for t in row_twists), gens, build)
     if gb.row_twists != row_twists:
-        gb = GroebnerBasis(ring=ring, row_twists=row_twists, codec=codec, basis=gb.basis, leads=gb.leads)
+        gb = replace(gb, row_twists=row_twists, codec=codec)
     return gb
 
 
@@ -697,14 +715,14 @@ def column_element(matrix: Sequence[Sequence[Polynomial]], j: int) -> Element:
 
 
 def presentation_elements(pres: GradedPresentation) -> list[Element]:
-    """The columns over S of the presented module's relations: the columns of
-    phi, then q*e_i for each row i and each quotient generator q, so that the
-    cokernel over the ambient ring is the module over S/J."""
-    cols = [column_element(pres.matrix, j) for j in range(pres.m)]
-    for i in range(pres.n):
-        for q in pres.ring.quotient_gens:
-            cols.append({(i, m): c for m, c in q.terms.items()})
-    return cols
+    """The columns over S of the presented module's relations: q*e_i for each
+    row i and each quotient generator q, then the columns of phi, so that the
+    cokernel over the ambient ring is the module over S/J.  J's columns come
+    first, so the columns of phi that `groebner` leaves unflagged are minimal
+    relations modulo JG (`invariants.minimal_relation_degrees`)."""
+    gens = pres.ring.quotient_gens
+    cols = [{(i, m): c for m, c in q.terms.items()} for i in range(pres.n) for q in gens]
+    return cols + [column_element(pres.matrix, j) for j in range(pres.m)]
 
 
 def elements_to_matrix(

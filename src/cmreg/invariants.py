@@ -1,8 +1,8 @@
 """Resolutions, Betti tables, regularity, Hilbert series and derived invariants.
 
 A module over a quotient ring R = S/J is resolved over the ambient polynomial
-ring S from its columns over S: the columns of phi plus q*e_i for each
-generator q of J (`groebner.presentation_elements`).  Regularity, Betti numbers
+ring S from its columns over S: q*e_i for each generator q of J, then the
+columns of phi (`groebner.presentation_elements`).  Regularity, Betti numbers
 and Hilbert data all come from that S-side picture.
 
 `regularity` needs no resolution: it walks the last variables over the lead
@@ -12,12 +12,14 @@ not certified.  `module_invariants` keeps the Schreyer resolution, so its
 `regularity` is the Betti-derived one, a second path from the same basis.
 
 `hilbert_from_numerator` alone divides a numerator by (1-t): every finite series
-and length (the walk's H^0, `modops.h0_profile`'s H0, the torsion (0 :_M l) and
-`b1_degrees`) is read and checked there.
+and length (the walk's H^0, `modops.h0_profile`'s H0 and the torsion
+(0 :_M l)) is read and checked there.  Minimal relation degrees need no series:
+the degree-first run flags the redundant columns (`minimal_relation_degrees`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +34,6 @@ from .core import (
     ZeroModule,
     dense_rank,
     free_presentation,
-    mono_mul,
 )
 from .groebner import (
     Element,
@@ -484,34 +485,23 @@ def hilbert_data(pres: GradedPresentation) -> HilbertData:
     return hilbert_from_numerator(hilbert_numerator(pres), pres.ring.nvars)
 
 
-# -- generator/relation degrees over the presented ring ---------------------------
+# -- relation degrees over the presented ring ------------------------------------
 
 
-def b1_degrees(mi: ModuleInvariants) -> dict[int, int]:
-    """Degrees (with multiplicity) of minimal first syzygies of `mi.presentation`
-    over its ring: read off `mi.betti` over S; over S/J counted by the graded
-    Nakayama quotient (im phi + JG) / (m*(im phi) + JG), a polynomial series:
-    the numerator of G / (m*(im phi) + JG) minus M's own, `mi.hilbert`'s."""
-    pres = mi.presentation
-    if not pres.ring.is_quotient:
-        return {j: b for (i, j), b in mi.betti.items() if i == 1}
-
-    base = pres.ring.base
-    cols = presentation_elements(pres)  # columns of phi, then JG columns
-    phi_cols, jg_cols = cols[: pres.m], cols[pres.m :]
-    xs = [tuple(int(t == v) for t in range(base.nvars)) for v in range(base.nvars)]
-    m_phi = [
-        {(c, mono_mul(m, x)): a for (c, m), a in col.items()}
-        for col in phi_cols
-        if col
-        for x in xs
-    ]
-
-    big = numerator_of_cokernel(base, pres.row_twists, m_phi + jg_cols)
-    hd = hilbert_from_numerator(tp_sub(big, mi.hilbert.numerator), base.nvars)
-    if hd.length is None:
-        raise AlgebraError("minimal syzygies of infinite length")
-    return hd.q_polynomial
+def minimal_relation_degrees(pres: GradedPresentation) -> dict[int, int]:
+    """Degrees (with multiplicity) of minimal relations among the generators
+    over the presentation's ring: the columns of phi that the degree-first run
+    of its columns over S leaves unflagged (`groebner.buchberger`).  J's
+    columns run first, so over S/J the images of the unflagged ones are a
+    basis of (im phi + JG) / (m im phi + JG).  With minimal generators these
+    are the degrees of b_1; J's generator degrees are those of S/J presented
+    over S by J's generators."""
+    if not pres.m:
+        return {}
+    cols = presentation_elements(pres)
+    flagged = groebner(cols, pres.ring.base, pres.row_twists).redundant
+    first = len(cols) - pres.m
+    return dict(Counter(d for j, d in enumerate(pres.column_degrees) if first + j not in flagged))
 
 
 # -- ring-level invariants ---------------------------------------------------------
@@ -522,17 +512,6 @@ def ring_invariants(ring: GradedRing) -> tuple[int, int, int, bool]:
     """(dim R, deg R, reg R, is_cohen_macaulay), treating R = S/J as S-module."""
     mi = module_invariants(free_presentation(ring, (0,)))
     return int(mi.hilbert.dimension), mi.hilbert.multiplicity, mi.regularity, mi.is_cm
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _quotient_ideal_gen_degrees(ring: GradedRing) -> tuple[int, ...]:
-    table = betti_numbers(free_presentation(ring, (0,)))
-    return tuple(sorted(j for (i, j), b in table.items() if i == 1 for _ in range(b)))
-
-
-def quotient_ideal_gen_degrees(ring: GradedRing) -> list[int]:
-    """Degrees of minimal generators of the defining ideal J (empty for J = 0)."""
-    return list(_quotient_ideal_gen_degrees(ring))
 
 
 @dataclass

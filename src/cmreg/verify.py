@@ -39,12 +39,11 @@ from .core import (
 )
 from .groebner import memo_scope
 from .invariants import (
-    b1_degrees,
     hilbert_data,
     hilbert_numerator,
+    minimal_relation_degrees,
     module_invariants,
     numerator_from_resolution,
-    quotient_ideal_gen_degrees,
     regularity,
     ring_invariants,
 )
@@ -384,13 +383,15 @@ def _generator_data(pres: GradedPresentation):
     """(invariants of M, top generator degree b0, first-syzygy degrees over R,
     h = top generator degree of J but at least 1): the degree data that the
     section and tower estimates start from.  M is resolved from its minimal
-    presentation, as `audit` resolves it: over S/J, b1 counts the relations
-    of the presentation it is given, so isomorphic inputs must share one."""
-    mi = module_invariants(minimal_presentation(pres))
+    presentation, as `audit` resolves it, so its generators are minimal; b1
+    and J's generator degrees are minimal relation degrees, flagged by the
+    runs of M's columns and of J's generators."""
+    minimal = minimal_presentation(pres)
+    mi = module_invariants(minimal)
     b0 = max(j for (i, j) in mi.betti if i == 0)
-    b1 = b1_degrees(mi)
-    h = max(max(quotient_ideal_gen_degrees(pres.ring), default=1), 1)
-    return mi, b0, b1, h
+    ideal = validate_presentation(pres.ring.base, (0,), [pres.ring.quotient_gens])
+    h = max(minimal_relation_degrees(ideal), default=1)
+    return mi, b0, minimal_relation_degrees(minimal), h
 
 
 @memo_scope()

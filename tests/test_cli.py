@@ -517,6 +517,8 @@ CLI_FILES = {
     "xy": "char 101\nvars x y\ngens 0\nrels\nx*y\nend\n",
     "padded": "char 101\nvars x y\nquotient\nx^2\nend\ngens 0 5\nrels\ny^5, -1\nend\n",
     "twin": "char 101\nvars x y\nquotient\nx^2\nend\ngens 0\nrels\nend\n",
+    "redundant-rel": "char 101\nvars x y\nquotient\nx^2\nend\ngens 0\nrels\nx*y\nx*y^4\nend\n",
+    "redundant-twin": "char 101\nvars x y\nquotient\nx^2\nend\ngens 0\nrels\nx*y\nend\n",
     "xy-y3": "char 101\nvars x y\ngens 0\nrels\nx*y\ny^3\nend\n",
     "xy-over-y3": "char 101\nvars x y\nquotient\ny^3\nend\ngens 0\nrels\nx*y\nend\n",
     "S(1)": "char 101\nvars x y\ngens -1\nrels\nx^2\ny^2\nend\n",
@@ -571,6 +573,12 @@ CLI_CHECKS = [
     # b1 over S/J is read off the minimal presentation: q_values as the twin's
     ("padded", "tower --linear x+y --json", 0, lambda d: d["q_values"] == [2]),
     ("twin", "tower --linear x+y --json", 0, lambda d: d["q_values"] == [2]),
+    # x*y^4 = y^3 * xy is redundant but no unit, so the minimal presentation
+    # keeps it; a b1 that counted it would give mu* = q = 4
+    *[(f, cmd, 0, expect) for f in ("redundant-rel", "redundant-twin") for cmd, expect in (
+        ("section-check --linear y", "tail bound at mu*=2:  pass"),
+        ("tower --linear y --json", lambda d: d["q_values"] == [2]),
+    )],
     # a negative twist is valid input, and no refined_* falls below reg M[s]
     ("S(1)", "audit", 0, "all bounds hold"),
     *[(f, "bounds --json", 0, lambda d: min(v for k, v in d["bounds"].items() if k.startswith("refined_"))

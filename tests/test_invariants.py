@@ -25,7 +25,6 @@ from cmreg.groebner import (
     schreyer_resolution,
 )
 from cmreg.invariants import (
-    b1_degrees,
     betti_from_resolution,
     betti_numbers,
     betti_of_resolution,
@@ -33,16 +32,18 @@ from cmreg.invariants import (
     hilbert_data,
     hilbert_from_numerator,
     hilbert_numerator,
+    minimal_relation_degrees,
     minimalize_resolution,
     module_invariants,
     numerator_from_resolution,
+    numerator_of_cokernel,
     numerator_of_gb,
-    quotient_ideal_gen_degrees,
     regularity,
     regularity_from_betti,
     ring_invariants,
     tp_add,
     tp_divide_one_minus_t,
+    tp_sub,
 )
 from cmreg.modops import (
     degree_basis,
@@ -197,22 +198,29 @@ def test_zero_module_paths():
         module_invariants(pres)
 
 
+def _ideal_gen_degrees(ring):
+    """Degrees of minimal generators of J, sorted: the minimal relation
+    degrees of S/J presented over S by J's generators."""
+    ideal = validate_presentation(ring.base, (0,), [ring.quotient_gens])
+    return sorted(d for d, b in minimal_relation_degrees(ideal).items() for _ in range(b))
+
+
 def test_ring_invariants_polynomial_ring():
     assert ring_invariants(R3) == (3, 1, 0, True)
-    assert quotient_ideal_gen_degrees(R3) == []  # S's Betti table has no row 1
+    assert _ideal_gen_degrees(R3) == []  # S's Betti table has no row 1
 
 
 def test_ring_invariants_hypersurface():
     R = GradedRing(F, ("x", "y"), quotient_gens=(u * v,))
     assert ring_invariants(R) == (1, 2, 1, True)
-    assert quotient_ideal_gen_degrees(R) == [2]
+    assert _ideal_gen_degrees(R) == [2]
 
 
 def test_ring_invariants_non_cm():
     R = GradedRing(F, ("x", "y"), quotient_gens=(u * u, u * v))
     # depth 0 < dim 1
     assert ring_invariants(R) == (1, 1, 1, False)
-    assert quotient_ideal_gen_degrees(R) == [2, 2]
+    assert _ideal_gen_degrees(R) == [2, 2]
 
 
 def test_columns_over_quotient_ring():
@@ -221,7 +229,7 @@ def test_columns_over_quotient_ring():
     pres = validate_presentation(R, (0,), [[xb * yb]])
     cols = presentation_elements(pres)
     assert not pres.ring.base.is_quotient
-    assert cols == [{(0, (1, 1)): 1}, {(0, (2, 0)): 1}]  # phi, then x^2 * e_0
+    assert cols == [{(0, (2, 0)): 1}, {(0, (1, 1)): 1}]  # x^2 * e_0, then phi
     assert [elt_degree(c, pres.row_twists) for c in cols] == [2, 2]
     # the same module over S: reg computed from the columns over S
     flat = validate_presentation(R2, (0,), elements_to_matrix(cols, 1, R2))
@@ -237,9 +245,9 @@ def test_module_invariants_bundle():
 
 
 def test_b1_degrees_plain_ring():
-    assert b1_degrees(module_invariants(cyclic(R2, [u * u, u * v]))) == {2: 2}
+    assert minimal_relation_degrees(cyclic(R2, [u * u, u * v])) == {2: 2}
     free = free_presentation(R2, (0, 1))
-    assert b1_degrees(module_invariants(free)) == {}
+    assert minimal_relation_degrees(free) == {}
     assert betti_numbers(free) == {(0, 0): 1, (0, 1): 1}
 
 
@@ -247,13 +255,13 @@ def test_b1_degrees_quotient_ring():
     R = GradedRing(F, ("x", "y"), quotient_gens=(u * u,))
     pres = validate_presentation(R, (0,), [[u * v]])
     # over R only the relation x*y survives; the x^2 column is part of J
-    assert b1_degrees(module_invariants(pres)) == {2: 1}
+    assert minimal_relation_degrees(pres) == {2: 1}
 
 
 def test_b1_degrees_free_over_quotient():
     R = GradedRing(F, ("x", "y"), quotient_gens=(u * u,))
     pres = free_presentation(R, (0,))
-    assert b1_degrees(module_invariants(pres)) == {}
+    assert minimal_relation_degrees(pres) == {}
 
 
 def test_betti_invariant_under_permutation():
@@ -319,21 +327,11 @@ def test_unit_quotient_generator_rejected():
         GradedRing(F, ("x", "y"), quotient_gens=(R2.constant(5),))
 
 
-def test_quotient_ideal_gen_degrees_returns_a_fresh_list():
-    R = GradedRing(F, ("x", "y"), quotient_gens=(u * u, u * v * v))
-    degrees = quotient_ideal_gen_degrees(R)
-    assert degrees == [2, 3]
-    degrees.append(7)
-    degrees.reverse()
-    assert quotient_ideal_gen_degrees(R) == [2, 3]
-
-
 @pytest.mark.parametrize(
     "cached",
     [
         invariants._numerator_of_lead_terms,
         invariants.ring_invariants,
-        invariants._quotient_ideal_gen_degrees,
         groebner.quotient_groebner,
     ],
     ids=lambda fn: fn.__name__,
@@ -540,13 +538,73 @@ def test_resolutions_over_quotient_ring_match_the_s_presentation():
     assert checked > 20
 
 
+def b1_degrees(mi):
+    """Oracle for `minimal_relation_degrees`: degrees (with multiplicity) of
+    minimal first syzygies of `mi.presentation` over its ring, read off
+    `mi.betti` over S; over S/J counted by the graded Nakayama quotient
+    (im phi + JG) / (m*(im phi) + JG), a polynomial series: the numerator of
+    G / (m*(im phi) + JG) minus M's own, `mi.hilbert`'s."""
+    pres = mi.presentation
+    if not pres.ring.is_quotient:
+        return {j: b for (i, j), b in mi.betti.items() if i == 1}
+    base = pres.ring.base
+    cols = presentation_elements(pres)
+    jg, phi = cols[: len(cols) - pres.m], cols[len(cols) - pres.m :]
+    m_phi = [
+        {(c, tuple(e + (k == t) for k, e in enumerate(m))): val for (c, m), val in col.items()}
+        for col in phi
+        if col
+        for t in range(base.nvars)
+    ]
+    big = numerator_of_cokernel(base, pres.row_twists, m_phi + jg)
+    hd = hilbert_from_numerator(tp_sub(big, mi.hilbert.numerator), base.nvars)
+    assert hd.length is not None, "minimal syzygies of infinite length"
+    return hd.q_polynomial
+
+
+def test_flags_give_minimal_relation_degrees_on_both_boxes():
+    # the columns of phi that the degree-first run leaves unflagged: over S
+    # the Betti table's b_{1,*} on criterion 1's box, over S/J the oracle's
+    # Nakayama count on the quotient box; J's unflagged generators are row 1
+    # of the Betti table of S/J
+    for trial in range(200):
+        pres = _acceptance_box_module(trial)
+        with groebner.memo_scope():
+            table = betti_numbers(pres)
+            assert minimal_relation_degrees(pres) == {j: b for (i, j), b in table.items() if i == 1}
+    for trial in range(200):
+        pres = _module_over_complete_intersection(trial)
+        table = betti_numbers(free_presentation(pres.ring, (0,)))
+        row_1 = sorted(j for (i, j), b in table.items() if i == 1 for _ in range(b))
+        assert _ideal_gen_degrees(pres.ring) == row_1
+        with groebner.memo_scope():
+            assert minimal_relation_degrees(pres) == b1_degrees(module_invariants(pres))
+
+
+def test_an_input_redundant_through_a_pair_of_its_own_degree_is_flagged():
+    # z*(xy - z^2) - y*(xz) = -z^3: the input z^3 lies in the span of the
+    # first two only through their degree-3 S-pair, so it is flagged only
+    # when it waits behind that pair; the twist of a memoised run keeps it
+    pres = cyclic(R3, [x * y - z * z, x * z, z**3])
+    cols = presentation_elements(pres)
+    with groebner.memo_scope():
+        gb, shifted = groebner.groebner(cols, R3, (0,)), groebner.groebner(cols, R3, (3,))
+    assert shifted.basis is gb.basis and shifted.row_twists == (3,)
+    assert gb.redundant == shifted.redundant == {2}
+    assert minimal_relation_degrees(pres) == {2: 2}
+    # a zero column is flagged too: it is no relation
+    padded = validate_presentation(R3, (0,), [[*pres.matrix[0], R3.zero()]], (2, 2, 3, 4))
+    assert minimal_relation_degrees(padded) == {2: 2}
+    assert {j: b for (i, j), b in betti_numbers(pres).items() if i == 1} == {2: 2}
+
+
 def _dense_b1(pres):
     """b_{1,d} = rank(phi + JG)_d - rank(m*phi + JG)_d, by dense ranks: the
     minimal relations of a minimal presentation over its own ring."""
     base, a = pres.ring.base, pres.row_twists
     p = base.field.p
     cols = presentation_elements(pres)
-    phi, jg = cols[: pres.m], cols[pres.m :]
+    jg, phi = cols[: len(cols) - pres.m], cols[len(cols) - pres.m :]
     m_phi = [
         {(c, tuple(e + (k == t) for k, e in enumerate(m))): val for (c, m), val in col.items()}
         for col in phi
@@ -563,12 +621,15 @@ def _dense_b1(pres):
 
 
 def test_b1_degrees_match_dense_ranks():
-    # b1 over S comes from the Betti table, over S/J from a Nakayama count on
-    # Hilbert numerators; both against dense ranks with no Groebner basis
+    # b1 off the run's flags, and the oracle's b1 (over S from the Betti table,
+    # over S/J from a Nakayama count on Hilbert numerators), both against
+    # dense ranks with no Groebner basis
     plain = quotient = 0
     for pres in _oracle_modules():
         pres = minimal_presentation(pres)
-        assert b1_degrees(module_invariants(pres)) == _dense_b1(pres)
+        dense = _dense_b1(pres)
+        assert minimal_relation_degrees(pres) == dense
+        assert b1_degrees(module_invariants(pres)) == dense
         if pres.ring.is_quotient:
             quotient += 1
         else:

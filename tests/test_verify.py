@@ -325,6 +325,44 @@ def test_section_and_tower_checks_read_b1_off_the_minimal_presentation():
     assert checked >= 10
 
 
+def test_section_check_over_a_quotient_reads_b1_and_h_off_the_runs_it_makes(monkeypatch):
+    """b1 and J's generator degrees are the flags of degree-first runs: on a
+    ring that no earlier call has seen, `section_check` over S/J resolves M
+    alone, never S/J, and no Buchberger run holds a column x_t * phi_j of the
+    Nakayama quotient (im phi + JG) / (m im phi + JG).  Every column of this
+    check is certified, so no fallback resolves anything else."""
+    field = PrimeField(7919)
+    s, t = GradedRing(field, ("x", "y")).gens()
+    ring = GradedRing(field, ("x", "y"), quotient_gens=(s**3,))
+    pres = validate_presentation(ring, (0,), [[s * t, t**3]])
+    columns = modops._section_columns(pres, t)
+    assert None not in (columns.h0_bar, columns.h0_bar_prime, columns.reg_bar)
+    minimal = minimal_presentation(pres)
+    m_phi = {
+        frozenset((i, tuple(e + (k == var) for k, e in enumerate(m)), a) for (i, m), a in col.items())
+        for col in presentation_elements(minimal)[-minimal.m :]
+        for var in range(2)
+    }
+
+    resolved, inputs = [], []
+    resolve, run = invariants.schreyer_resolution, groebner.buchberger
+
+    def recording_resolve(p):
+        resolved.append(p)
+        return resolve(p)
+
+    def recording_run(gens, codec, *args):
+        inputs.extend(frozenset((i, m, a) for (i, m), a in codec.decode_element(g).items()) for g in gens)
+        return run(gens, codec, *args)
+
+    monkeypatch.setattr(invariants, "schreyer_resolution", recording_resolve)
+    monkeypatch.setattr(groebner, "buchberger", recording_run)
+    report = section_check(pres, t)
+    assert report.all_hold and report.mu_star == 3
+    assert resolved == [minimal]
+    assert inputs and not m_phi & set(inputs)
+
+
 def test_section_check_shifts_with_the_module():
     # on M[s], every degree in the report moves by s and nothing else changes;
     # `section_check` opens a scope per call, so M and M[s] share no run
