@@ -38,14 +38,14 @@ terms and no tail reduction.  Every reader of the module takes that run:
 the Hilbert numerator, `invariants.regularity`'s walk,
 `modops.colon_with_irrelevant` (one saturation round) and
 `schreyer_resolution`, which alone finishes it (`autoreduce`: tail reduction
-and the tower order) before resolving it.  `modops.torsion_hilbert` reads the
-run of M in coordinates where the form is the last variable.  Position over term in the
-ring's own order stays where the order is part of the answer:
-`quotient_groebner` builds and finishes J's basis that way, so that a normal
-form mod J, and every entry a presentation prints, is the one the ring's order
-gives, lex rings included; the graph colon (`syzygies_of`) needs its row
-block ahead of the e-block; and a saturation round that the degree-first run
-certifies hands back the same reduced basis the graph colon would.
+and the tower order) before resolving it.  `modops.torsion_hilbert` and
+`verify.tower_check` read the run of M in coordinates where the forms are the
+last variables.  Position over term in the ring's own order stays where the
+order is part of the answer: `quotient_groebner` builds and finishes J's basis
+that way, so that a normal form mod J, and every entry a presentation prints,
+is the one the ring's order gives, lex rings included; the graph colon
+(`syzygies_of`) needs its row block ahead of the e-block; and a saturation
+round that the degree-first run certifies hands back the graph colon's basis.
 
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree

@@ -11,9 +11,12 @@ The torsion K = (0 :_M l) of a linear form is read off one degree-first run
 of M in coordinates where l = x_v (`_adapted_run`).  With L its lead terms,
 the exact sequence 0 -> K(-1) -> M(-1) -> M -> M/lM -> 0 gives
 t N(K) = N(L + x_v F) - (1 - t) N(L) for every l, with no certificate.
-`torsion_hilbert` returns that K.  A `DegreeOverflow` from the run is final,
-as it is in `regularity`.  `colon_kernel` presents K by the graph colon and
-is kept as the independent route.
+`torsion_hilbert` returns that K.  A tower of forms is one run, in which
+they span the last variables: each level M/(l_1..l_i)M is a cut of L (`_cut`)
+that `verify.tower_check` reads torsion and a walk off (`_walk_below`).  A
+`DegreeOverflow` from the run is final, as it is in `regularity`.
+`colon_kernel` presents K by the graph colon and is kept as the independent
+route.
 
 `h0_profile` settles a module of finite length without a saturation round:
 it is its own H0 (its Hilbert numerator shows dimension 0).  Every other
@@ -270,26 +273,27 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
     return H0Profile(h0, a0, indeg, span), _presented(pres.ring, a, cur)
 
 
-# -- the torsion of a linear form, in adapted coordinates ----------------------------
+# -- the torsion of linear forms, in adapted coordinates ------------------------------
 
 
-def _adapted_coordinates(l: Polynomial) -> Callable[[Element], Element]:
-    """A linear change of coordinates phi of S with phi(l) = x_v, applied to
-    elements of a free module.  For l = sum c_j x_j it sends x_k to
-    (x_v - sum_{j != k} c_j x_j) / c_k and fixes every other variable, with
-    k = v when c_v != 0; otherwise k is the last variable l involves, and x_v
-    goes to x_k."""
-    ring = l.ring
-    p, v = ring.field.p, ring.nvars - 1
+def _adapted_coordinates(l: Polynomial, v: int) -> Callable[[Element], Element] | None:
+    """A linear change of coordinates phi of S with phi(l) = x_v modulo the
+    variables after x_v, applied to elements of a free module; None when l
+    lies in their ideal.  For l = sum c_j x_j it sends x_k to
+    (x_v - sum_{j <= v, j != k} c_j x_j) / c_k and fixes every other variable,
+    with k = v when c_v != 0; otherwise k is the last variable before x_v that
+    l involves, and x_v goes to x_k.  v counts from 0."""
+    ring, gens = l.ring, l.ring.gens()
+    p = ring.field.p
     coeff = [0] * ring.nvars
     for m, c in l.terms.items():
         coeff[m.index(1)] = c
-    k = v if coeff[v] else max(j for j, c in enumerate(coeff) if c)
+    involved = [j for j in range(v + 1) if coeff[j]]
+    if not involved:
+        return None
+    k = involved[-1]
     inv = ring.field.inv(coeff[k])
-    units = [tuple(int(i == j) for i in range(ring.nvars)) for j in range(ring.nvars)]
-    image = Polynomial(
-        ring, {units[j]: -c * inv for j, c in enumerate(coeff) if j != k} | {units[v]: inv}
-    )
+    image = sum((gens[j] * -coeff[j] for j in involved[:-1]), gens[v]) * inv
     powers = [ring.one()]
 
     def apply(elt: Element) -> Element:
@@ -307,42 +311,61 @@ def _adapted_coordinates(l: Polynomial) -> Callable[[Element], Element]:
     return apply
 
 
-def _with_last_variable(ideals: list[frozenset], nvars: int) -> list[frozenset]:
-    """L + x_v F, per component."""
-    last = nvars - 1
-    x_v = tuple(int(j == last) for j in range(nvars))
-    return [frozenset([x_v, *(m for m in monos if not m[last])]) for monos in ideals]
+def _cut(ideals: list[frozenset], k: int, nvars: int) -> list[frozenset]:
+    """L + (x_{k+1}..x_v)F: per component the later variables, and L's
+    minimal generators free of them."""
+    cut = [tuple(int(i == j) for i in range(nvars)) for j in range(k, nvars)]
+    return [frozenset([*cut, *(m for m in monos if not any(m[k:]))]) for monos in ideals]
 
 
-def _adapted_run(pres: GradedPresentation, l: Polynomial) -> tuple[list[frozenset], HilbertData]:
-    """(L per component, the Hilbert data of K = (0 :_M l)), L the lead terms
-    of one degree-first run of M's columns in coordinates where l = x_v.
+def _walk_below(ideals: list[frozenset], k: int, twists) -> tuple[int, int] | None:
+    """(reg, depth) of the cut F / (U' + (x_{k+1}..x_v)F), in(U') = L, by the
+    walk over x_1..x_k on L's generators free of the later variables; None
+    where a step is not certified."""
+    return _filter_regular_walk(
+        [frozenset(m[:k] for m in monos if not any(m[k:])) for monos in ideals], twists, k
+    )
 
-    `_adapted_coordinates` sends l to x_v and M's columns over S (J's
-    generators among them) to U'; a graded automorphism of S keeps every
-    Hilbert series.  L = in(U') under `Codec.top`, where
-    in(U' + x_v F) = L + x_v F (Bayer-Stillman 1987), so N(M) = N(L) and
-    N(M/lM) = N(L + x_v F), and t N(K) = N(L + x_v F) - (1 - t) N(L) with no
-    certificate.  The columns l e_i of M/lM have degree a_i + 1, so the run
-    refuses with `DegreeOverflow` where M/lM's own run would.  The run is M's
-    columns' own when l = x_v, and the scope shares it then."""
-    _check_linear(pres, l)
+
+def _adapted_run(
+    pres: GradedPresentation, forms
+) -> tuple[list[frozenset], list[int], list[HilbertData]]:
+    """(L per component, the variables left uncut on each level
+    M_i = M/(l_1..l_i)M, the Hilbert data of K_i = (0 :_{M_i} l_{i+1})), off
+    one degree-first run.  `_adapted_coordinates` sends each form in turn to
+    the last variable not yet cut, modulo the cut ones, moving M's columns
+    over S (J's generators among them) and the later forms; a form in the span
+    of the earlier ones cuts nothing, and K_i = M_i.  Under `Codec.top`,
+    in(U' + (x_{k+1}..x_v)F) = L + (x_{k+1}..x_v)F for the moved columns U'
+    (Bayer-Stillman 1987), so N(M_i) = N(J_i), J_i the cut of L (`_cut`), and
+    t N(K_i) = N(J_{i+1}) - (1 - t) N(J_i) with no certificate.  The columns
+    l e_j have degree a_j + 1, so the run refuses with `DegreeOverflow` where
+    their own run would.  With one form l = x_v it is M's own run."""
+    for l in forms:
+        _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
-    phi = _adapted_coordinates(l)
-    gb = groebner([phi(col) for col in presentation_elements(pres)], base, a)
+    cols = presentation_elements(pres)
+    later = [{(0, m): c for m, c in l.terms.items()} for l in forms]
+    left = [base.nvars]
+    for i, form in enumerate(later):
+        l = Polynomial(base, {m: c for (_, m), c in form.items()})
+        phi = _adapted_coordinates(l, left[-1] - 1)
+        if phi is not None:
+            cols = [phi(col) for col in cols]
+            later[i + 1 :] = map(phi, later[i + 1 :])
+        left.append(left[-1] - (phi is not None))
+    gb = groebner(cols, base, a)
     gb.codec.check(max(a, default=0) + 1)
     ideals = lead_ideals(gb.lts, len(a))
-    n_m = _numerator_of_components(ideals, a)
-    n_bar = _numerator_of_components(_with_last_variable(ideals, base.nvars), a)
-    n_k = tp_shift(tp_sub(n_bar, tp_sub(n_m, tp_shift(n_m, 1))), -1)
-    return ideals, hilbert_from_numerator(n_k, base.nvars)
+    nums = [_numerator_of_components(_cut(ideals, k, base.nvars), a) for k in left]
+    n_k = [tp_shift(tp_sub(cut, tp_sub(n, tp_shift(n, 1))), -1) for n, cut in zip(nums, nums[1:])]
+    return ideals, left, [hilbert_from_numerator(num, base.nvars) for num in n_k]
 
 
 def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
-    """Hilbert data of K = (0 :_M l), read off the lead terms of one
-    degree-first run of M in coordinates where l = x_v (`_adapted_run`); K
-    itself is not presented.  A `DegreeOverflow` from the run is final."""
-    return _adapted_run(pres, l)[1]
+    """Hilbert data of K = (0 :_M l), off the lead terms of M's run in
+    coordinates where l = x_v (`_adapted_run`); K is not presented."""
+    return _adapted_run(pres, [l])[2][0]
 
 
 class _SectionColumns(NamedTuple):
@@ -368,10 +391,9 @@ def _section_columns(pres: GradedPresentation, l: Polynomial) -> _SectionColumns
     - H0(M/lM) and H0(M'/lM') are the walk's step at x_{v-1} on L + x_v F and
       on (L : x_v^oo) + x_v F (`invariants.lead_torsion`), certified when the
       part has finite length;
-    - reg(M/lM) is the walk over x_1..x_{v-1} on L's generators free of x_v,
-      M/lM being a module over S/(x_v); for v = 1 it reads the top degree of
-      M/lM's series."""
-    ideals, torsion = _adapted_run(pres, l)
+    - reg(M/lM) is the walk below x_v (`_walk_below`), M/lM being a module
+      over S/(x_v)."""
+    ideals, _, (torsion,) = _adapted_run(pres, [l])
     if torsion.length is None:
         return _SectionColumns(torsion, None, None, None)
     a, nvars = pres.row_twists, pres.ring.base.nvars
@@ -380,13 +402,10 @@ def _section_columns(pres: GradedPresentation, l: Polynomial) -> _SectionColumns
     h0_bar, h0_bar_prime = (
         None if hd.length is None else hd.q_polynomial
         for _, hd in (
-            lead_torsion(_with_last_variable(j, nvars), a, last - 1, nvars)
-            for j in (ideals, saturated)
+            lead_torsion(_cut(j, last, nvars), a, last - 1, nvars) for j in (ideals, saturated)
         )
     )
-    walk = _filter_regular_walk(
-        [frozenset(m[:last] for m in monos if not m[last]) for monos in ideals], a, last
-    )
+    walk = _walk_below(ideals, last, a)
     return _SectionColumns(torsion, h0_bar, h0_bar_prime, None if walk is None else walk[0])
 
 

@@ -17,10 +17,12 @@ wanted twice by one call is built once (see the `groebner` module docstring).
 The torsion of a form is read one way everywhere: off one run of M in
 coordinates where the form is the last variable (`modops.torsion_hilbert`).
 `section_check` reads the H0 of the quotients and reg(M/lM) off the same run
-(`modops._section_columns`).
+(`modops._section_columns`), and `tower_check` every level of a tower off one
+run in which the forms are the last variables (`modops._adapted_run`).
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb
 import random
 import time
@@ -37,7 +39,7 @@ from .core import (
     render_poly,
     validate_presentation,
 )
-from .groebner import memo_scope
+from .groebner import Codec, memo_scope
 from .invariants import (
     hilbert_data,
     hilbert_numerator,
@@ -48,7 +50,9 @@ from .invariants import (
     ring_invariants,
 )
 from .modops import (
+    _adapted_run,
     _section_columns,
+    _walk_below,
     fitting_ideal_0,
     h0_profile,
     minimal_presentation,
@@ -535,10 +539,15 @@ class TowerReport:
 
 @memo_scope()
 def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerReport:
-    """Walk the quotient tower cut out by the forms and test, level by level,
-    Q_i <= Q_{i+1}^2 with Q_i = 1 + max(reg M_i, len K_i, floor), where K_i is
-    the torsion of the next form on M_i and the floor collects the generator
-    and relation degrees of M.  The last level must certify reg M <= Q_s^(2^s).
+    """Walk the quotient tower M_i = M/(l_1..l_i)M cut out by the forms and
+    test, level by level, Q_i <= Q_{i+1}^2 with Q_i = 1 + max(reg M_i, len K_i,
+    floor), where K_i is the torsion of the next form on M_i and the floor
+    collects the generator and relation degrees of M.  The last level must
+    certify reg M <= Q_s^(2^s).  Each K_i, and each reg M_i past M's own, is
+    read off one adapted run (`modops._adapted_run`, `modops._walk_below`),
+    refused past the packed terms' limit as `regularity` refuses.  Each level
+    whose walk is not certified costs one run more: `regularity` of M_i,
+    presented by `quotient_by_linear`.
     """
     if not forms:
         raise AlgebraError("a tower needs at least one form")
@@ -552,19 +561,22 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
     if b1:
         floor = max(floor, max(b1) - 2)
 
+    ideals, left, torsion = _adapted_run(pres, forms)
+    base, a = pres.ring.base, pres.row_twists
     regs: list[int] = []
-    lengths: list[int] = []
-    qs: list[int] = []
-    cur = pres
-    for i, form in enumerate(forms):
-        reg_i = mi.regularity if i == 0 else regularity(cur)
-        lam = torsion_hilbert(cur, form).length
-        if lam is None:
+    for i, (k, hd) in enumerate(zip(left, torsion)):
+        if i == 0:
+            reg_i = mi.regularity
+        elif (walk := _walk_below(ideals, k, a)) is None:
+            reg_i = regularity(reduce(quotient_by_linear, forms[:i], pres))
+        else:
+            reg_i, depth = walk
+            Codec.top(base, a).check(reg_i + base.nvars - depth)  # pd = v - depth
+        if hd.length is None:
             raise AlgebraError(f"form {i + 1} has infinite torsion on level {i}")
         regs.append(reg_i)
-        lengths.append(lam)
-        qs.append(1 + max(reg_i, lam, floor))
-        cur = quotient_by_linear(cur, form)
+    lengths = [hd.length for hd in torsion]
+    qs = [1 + max(r, lam, floor) for r, lam in zip(regs, lengths)]
 
     s = len(forms) - 1
     chain = [qs[i] <= qs[i + 1] ** 2 for i in range(s)]

@@ -566,6 +566,11 @@ CLI_CHECKS = [
     # H0 = M at once, saturation rounds (y regular, y kills x), and the torsion of x
     ("finite", "section-check --linear y", 0, "identity (per degree): pass"),
     ("finite", "tower --linear y --linear x", 0, "reg(M) <= Q_s^(2^s) = 4: pass"),
+    # a form in the span of the earlier ones cuts nothing: it kills the level
+    ("quotient", "tower --linear y --linear y --json", 0,
+     lambda d: d["q_values"] == [2, 3] and d["colon_lengths"] == [1, 2]),
+    ("finite", "tower --linear x+y --linear x-y --linear x --json", 0,
+     lambda d: d["q_values"] == [3, 2, 2] and d["colon_lengths"] == [2, 1, 1]),
     ("generic-2x2", "section-check --linear x+y", 0, "identity (cumulative): pass"),
     ("xy", "section-check --linear x+y", 0, "identity (cumulative): pass"),
     ("xy-y3", "section-check --linear x", 0, "identity (cumulative): pass"),

@@ -43,6 +43,7 @@ from cmreg.verify import (
     tower_check,
 )
 from helpers import cyclic, reduced_basis, twisted
+from test_acceptance import _modules_of_dimension
 from test_invariants import _acceptance_box_module, _module_over_complete_intersection
 from test_modops import _criterion_4_modules, _graph_torsion, _section_columns_agree
 
@@ -422,10 +423,104 @@ def test_tower_check_random_forms():
     assert tower_check(pres, forms).all_hold
 
 
+def _tower_by_quotients(pres, forms):
+    """(regularities, colon lengths) level by level, each level M/(l_1..l_i)M
+    presented by `quotient_by_linear` and read by `regularity` and by
+    `torsion_hilbert` of the next form: a run of its own per level."""
+    regs, lengths, cur = [], [], pres
+    for i, form in enumerate(forms):
+        regs.append(regularity(cur))
+        lengths.append(torsion_hilbert(cur, form).length)
+        if lengths[-1] is None:
+            raise AlgebraError(f"form {i + 1} has infinite torsion on level {i}")
+        cur = quotient_by_linear(cur, form)
+    return regs, lengths
+
+
+def _tower_agrees(pres, forms):
+    """`tower_check`'s levels equal `_tower_by_quotients`, or both report the
+    same infinite torsion.  False when the tower is refused before its levels
+    (a zero module, a negative twist)."""
+    try:
+        report = tower_check(pres, forms)
+    except AlgebraError as error:
+        if "infinite torsion" not in str(error):
+            return False
+        got = str(error)
+    else:
+        got = (report.regularities, report.colon_lengths)
+    try:
+        want = _tower_by_quotients(pres, forms)
+    except AlgebraError as error:
+        want = str(error)
+    assert got == want, forms
+    return True
+
+
+def _small_characteristic_towers():
+    """The modules of `test_small_characteristics`, each with a tower of v
+    forms drawn from that test's form streams, where one is found."""
+    for pres, forms in _small_characteristic_modules():
+        try:
+            yield pres, random_tower(pres, forms, levels=pres.ring.nvars)
+        except AlgebraError:
+            continue
+
+
+def _criterion_5_towers(count):
+    """The first `count` towers of criterion 5 in each dimension, drawn as its
+    acceptance test draws them (every tower is drawn, to keep the stream)."""
+    rng = random.Random(33)
+    for delta in (2, 3):
+        choices = (3,) if delta == 3 else (2, 3)
+        for k, pres in enumerate(_modules_of_dimension(delta, 25, 8800 + delta, choices)):
+            forms = random_tower(pres, rng, levels=delta)
+            if k < count:
+                yield pres, forms
+
+
+def test_tower_levels_agree_with_a_quotient_per_level():
+    # every level read off the one adapted run equals that level presented
+    # and read on its own, on criterion 5's towers, the small-characteristic
+    # towers, dependent forms and the degenerate inputs
+    cases = [*_criterion_5_towers(8), *_small_characteristic_towers()]
+    finite = cyclic(R2, [u * u, u * v, v * v])
+    cases += [
+        (cyclic(R2, [u * u]), [v, v]),
+        (finite, [u + v, u - v, u]),
+        (finite, [v] * 4),
+        (cyclic(R3, [x * x, x * y]), [z, 2 * z, y, z + y]),
+    ]
+    for seed in range(200):
+        pres, l, l2 = _degenerate_input(seed)
+        cases += [(pres, [l, l2]), (pres, [l, l2, l])]
+    agreed = sum(_tower_agrees(pres, forms) for pres, forms in cases)
+    assert agreed >= 300, agreed
+
+
+def test_tower_falls_back_on_the_quotient_where_a_walk_is_not_certified(monkeypatch):
+    # no walk certifies: every level past the first presents its quotient,
+    # and the levels still agree
+    fallbacks = []
+    own = verify.regularity
+
+    def counted(pres):
+        fallbacks.append(pres)
+        return own(pres)
+
+    monkeypatch.setattr(modops, "_filter_regular_walk", lambda ideals, twists, nvars: None)
+    monkeypatch.setattr(verify, "regularity", counted)
+    cases = [*_criterion_5_towers(3), (cyclic(R2, [u * u, u * v, v * v]), [u + v, u - v, u])]
+    for pres, forms in cases:
+        assert _tower_agrees(pres, forms)
+    assert len(fallbacks) == sum(len(forms) - 1 for _, forms in cases)
+
+
 def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
     # picking forms and walking a tower need only len K, read off the adapted
     # run: one degree-first run per drawn form and none for M (a memo hit
-    # would not count), no graph colon and no presentation of K
+    # would not count), one for a whole tower, no graph colon and no
+    # presentation of K
     modules = _criterion_4_modules()
     counts = {"forms": 0, "runs": 0, "colons": 0}
     inside = []
@@ -468,7 +563,7 @@ def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
         forms = random_tower(pres, rng, levels=2)
         counts["runs"] = 0
         tower_check(pres, forms)
-        assert counts["runs"] == 2  # one adapted run per level
+        assert counts["runs"] == 1  # one adapted run per tower
     assert counts["colons"] == 0
 
 
@@ -493,6 +588,22 @@ def test_torsion_at_the_packing_limit():
     ):
         with pytest.raises(DegreeOverflow, match="module degree 32768"):
             route()
+
+
+def test_every_tower_level_keeps_the_packing_limit():
+    # S/(x^e) cut by y, or by x + y, has reg e - 1 and depth 0, so reg + pd,
+    # the degree a minimal resolution of the level may reach, is e + 1: at
+    # e = 32767 level 1 is refused as `regularity` refuses it, whatever the
+    # second form; at e = 32766 the tower answers
+    ring = GradedRing(PrimeField(101), ("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    below = validate_presentation(ring, (0,), [[x**32766]])
+    at = validate_presentation(ring, (0,), [[x**32767]])
+    for forms, q_values in (([y, x], [32766, 32766]), ([y, y], [32766, 32767]), ([x + y, y], [32766, 32766])):
+        report = tower_check(below, forms)
+        assert (report.regularities, report.q_values) == ([32765, 32765], q_values)
+        with pytest.raises(DegreeOverflow, match="module degree 32768"):
+            tower_check(at, forms)
 
 
 def test_tower_final_bound_stays_within_the_digit_budget():
@@ -560,14 +671,9 @@ def test_mayr_meyer_scales_with_level_and_exponent():
 # -- small characteristics -----------------------------------------------------------
 
 
-def test_small_characteristics():
-    """Seeded modules over F_2, F_3 and F_5, grevlex and lex: `audit` holds, a
-    certified walk equals the Betti table's reg, a position-over-term run
-    gives the Hilbert numerator, and wherever a form with finite torsion is
-    found, `section_check` holds and its columns equal the rounds route.  An
-    uncertified walk and a missing form are counted as such."""
-    counts = {"modules": 0, "certified walk": 0, "uncertified walk": 0, "form": 0, "no form": 0}
-    columns = dict.fromkeys(["certified", "h0_bar fallback", "h0_bar_prime fallback", "reg_bar fallback"], 0)
+def _small_characteristic_modules():
+    """Seeded modules over F_2, F_3 and F_5, grevlex and lex, 30 of each, with
+    the stream of forms that their characteristic and order share."""
     for p in (2, 3, 5):
         for order in ("grevlex", "lex"):
             forms = random.Random(p * 10 + len(order))
@@ -581,37 +687,49 @@ def test_small_characteristics():
                     char=p,
                     order=order,
                 )
-                counts["modules"] += 1
-                base, a = pres.ring.base, pres.row_twists
-                cols = presentation_elements(pres)
-                with groebner.memo_scope():
-                    assert audit(pres).all_hold
-                    walk = _filter_regular_walk(
-                        lead_ideals(groebner.groebner(cols, base, a).lts, len(a)), a, base.nvars
-                    )
-                    betti_reg = regularity_from_betti(betti_numbers(pres))
-                    assert hilbert_numerator(pres) == numerator_of_gb(reduced_basis(cols, base, a))
-                if walk is None:
-                    counts["uncertified walk"] += 1
-                else:
-                    assert walk[0] == betti_reg
-                    counts["certified walk"] += 1
-                try:
-                    l = random_section_form(pres, forms)
-                except AlgebraError:
-                    counts["no form"] += 1
-                    continue
-                counts["form"] += 1
-                report = section_check(pres, l)
-                assert report.all_hold
-                _section_columns_agree(pres, l, columns)
-                kernel = _graph_torsion(pres, l)
-                assert (report.colon_length, report.kernel_by_degree) == (kernel.length, kernel.q_polynomial)
-                with groebner.memo_scope():
-                    mbar = quotient_by_linear(pres, l)
-                    _, mprime = h0_profile(pres)
-                    assert report.h0_bar == h0_profile(mbar)[0].h0_by_degree
-                    assert report.h0_bar_prime == h0_profile(quotient_by_linear(mprime, l))[0].h0_by_degree
+                yield pres, forms
+
+
+def test_small_characteristics():
+    """Seeded modules over F_2, F_3 and F_5, grevlex and lex: `audit` holds, a
+    certified walk equals the Betti table's reg, a position-over-term run
+    gives the Hilbert numerator, and wherever a form with finite torsion is
+    found, `section_check` holds and its columns equal the rounds route.  An
+    uncertified walk and a missing form are counted as such."""
+    counts = {"modules": 0, "certified walk": 0, "uncertified walk": 0, "form": 0, "no form": 0}
+    columns = dict.fromkeys(["certified", "h0_bar fallback", "h0_bar_prime fallback", "reg_bar fallback"], 0)
+    for pres, forms in _small_characteristic_modules():
+        counts["modules"] += 1
+        base, a = pres.ring.base, pres.row_twists
+        cols = presentation_elements(pres)
+        with groebner.memo_scope():
+            assert audit(pres).all_hold
+            walk = _filter_regular_walk(
+                lead_ideals(groebner.groebner(cols, base, a).lts, len(a)), a, base.nvars
+            )
+            betti_reg = regularity_from_betti(betti_numbers(pres))
+            assert hilbert_numerator(pres) == numerator_of_gb(reduced_basis(cols, base, a))
+        if walk is None:
+            counts["uncertified walk"] += 1
+        else:
+            assert walk[0] == betti_reg
+            counts["certified walk"] += 1
+        try:
+            l = random_section_form(pres, forms)
+        except AlgebraError:
+            counts["no form"] += 1
+            continue
+        counts["form"] += 1
+        report = section_check(pres, l)
+        assert report.all_hold
+        _section_columns_agree(pres, l, columns)
+        kernel = _graph_torsion(pres, l)
+        assert (report.colon_length, report.kernel_by_degree) == (kernel.length, kernel.q_polynomial)
+        with groebner.memo_scope():
+            mbar = quotient_by_linear(pres, l)
+            _, mprime = h0_profile(pres)
+            assert report.h0_bar == h0_profile(mbar)[0].h0_by_degree
+            assert report.h0_bar_prime == h0_profile(quotient_by_linear(mprime, l))[0].h0_by_degree
     print(f"small characteristics: {counts}; section columns: {columns}")
     assert counts["certified walk"] >= 100 and counts["form"] >= 100, counts
 
