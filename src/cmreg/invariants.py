@@ -230,34 +230,40 @@ def regularity(pres: GradedPresentation) -> int:
 
 
 def _filter_regular_walk(
-    ideals: list[frozenset], twists, nvars: int
+    ideals: list[frozenset], twists, k: int
 ) -> tuple[int, int] | None:
-    """(reg, depth) of N_0 = F / U from in(U), given per component of F by its
-    minimal generators (`buchberger`'s lead terms are minimal); None when a
-    step is not certified: some (0 :_{N_i} x^oo) has infinite length.
+    """(reg, depth) of the cut N_0 = F / (U + (x_{k+1}..x_v)F) from in(U),
+    given per component of F by its minimal generators (`buchberger`'s lead
+    terms are minimal); None when a step is not certified: some
+    (0 :_{N_i} x^oo) has infinite length.  The walk runs over x_1..x_k on the
+    generators of in(U) free of the later variables.  k = v is F/U itself
+    (`regularity`); `modops._section_columns` and `verify.tower_check` walk
+    the cuts of an adapted run (`modops._adapted_run`).
 
     Under `Codec.top` the last variables behave as Bayer and Stillman need ("A
-    criterion for detecting m-regularity", 1987): with N_i = N_0 / (x_v, ...,
-    x_{v-i+1}) N_0 and x = x_{v-i}, in(U_i) = in(U) + (x_v..x_{v-i+1})F =: J_i
-    and in(U_i : x^oo) = J_i : x^oo, so the Hilbert numerator of (0 :_{N_i} x^oo)
-    is N(J_i) - N(J_i : x^oo).  When that module has finite length it is
-    H^0_m(N_i), x is filter-regular on N_i, and reg N_i = max(a_0(N_i),
-    reg N_{i+1}) (Eisenbud, "The Geometry of Syzygies", Prop. 4.16), with a_0
-    the top degree of H^0_m.  The walk stops at the first N_i of finite length,
-    so reg N_0 is the largest a_0 on the way (Bermejo-Gimenez, "Saturation and
-    Castelnuovo-Mumford regularity", 2006).  Before the first nonzero H^0 every
-    x is regular, so depth N_0 is the index of that first one.
+    criterion for detecting m-regularity", 1987): with N_i = N_0 / (x_k, ...,
+    x_{k-i+1}) N_0 = F / U_i and x = x_{k-i}, in(U_i) = in(U) +
+    (x_{k-i+1}..x_v)F =: J_i and in(U_i : x^oo) = J_i : x^oo, so the Hilbert
+    numerator of (0 :_{N_i} x^oo) is N(J_i) - N(J_i : x^oo).  When that
+    module has finite length it is H^0_m(N_i), x is filter-regular on N_i,
+    and reg N_i = max(a_0(N_i), reg N_{i+1}) (Eisenbud, "The Geometry of
+    Syzygies", Prop. 4.16), with a_0 the top degree of H^0_m.  The walk
+    stops at the first N_i of finite length, so reg N_0 is the largest a_0 on
+    the way (Bermejo-Gimenez, "Saturation and Castelnuovo-Mumford
+    regularity", 2006).  Before the first nonzero H^0 every x is regular, so
+    depth N_0 is the index of that first one.
     """
-    unit = (0,) * nvars
+    ideals = [frozenset(m[:k] for m in monos if not any(m[k:])) for monos in ideals]
+    unit = (0,) * k
     if all(unit in monos for monos in ideals):
         raise ZeroModule("regularity of the zero module")
     reg: int | float = NEG_INF
     depth = None
-    for i in range(nvars + 1):  # N_v has finite length, so this returns
-        x = nvars - 1 - i
+    for i in range(k + 1):  # N_k has finite length, so this returns
+        x = k - 1 - i
         # no lead term involves x: J_i : x^oo = J_i and H^0_m(N_i) = 0
         if x < 0 or any(m[x] for monos in ideals for m in monos):
-            saturated, hd = lead_torsion(ideals, twists, x, nvars)
+            saturated, hd = lead_torsion(ideals, twists, x, k)
             if hd.length is None:
                 return None
             finite = all(unit in monos for monos in saturated)  # N_i = H^0_m(N_i)
@@ -267,7 +273,7 @@ def _filter_regular_walk(
                 depth = i if depth is None else depth
             if finite:
                 return int(reg), depth
-        var = tuple(int(j == x) for j in range(nvars))
+        var = tuple(int(j == x) for j in range(k))
         ideals = [frozenset([var, *(m for m in monos if not m[x])]) for monos in ideals]
 
 

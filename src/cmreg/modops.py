@@ -12,8 +12,10 @@ of M in coordinates where l = x_v (`_adapted_run`).  With L its lead terms,
 the exact sequence 0 -> K(-1) -> M(-1) -> M -> M/lM -> 0 gives
 t N(K) = N(L + x_v F) - (1 - t) N(L) for every l, with no certificate.
 `torsion_hilbert` returns that K.  A tower of forms is one run, in which
-they span the last variables: each level M/(l_1..l_i)M is a cut of L (`_cut`)
-that `verify.tower_check` reads torsion and a walk off (`_walk_below`).  A
+they span the last variables: each level M/(l_1..l_i)M is a cut of L (`_cut`).
+`verify.random_tower` draws each form by its torsion on that cut, and
+`verify.tower_check` reads the torsion and the walk on it
+(`invariants._filter_regular_walk`).  A
 `DegreeOverflow` from the run is final, as it is in `regularity`.
 `colon_kernel` presents K by the graph colon and is kept as the independent
 route.
@@ -318,15 +320,6 @@ def _cut(ideals: list[frozenset], k: int, nvars: int) -> list[frozenset]:
     return [frozenset([*cut, *(m for m in monos if not any(m[k:]))]) for monos in ideals]
 
 
-def _walk_below(ideals: list[frozenset], k: int, twists) -> tuple[int, int] | None:
-    """(reg, depth) of the cut F / (U' + (x_{k+1}..x_v)F), in(U') = L, by the
-    walk over x_1..x_k on L's generators free of the later variables; None
-    where a step is not certified."""
-    return _filter_regular_walk(
-        [frozenset(m[:k] for m in monos if not any(m[k:])) for monos in ideals], twists, k
-    )
-
-
 def _adapted_run(
     pres: GradedPresentation, forms
 ) -> tuple[list[frozenset], list[int], list[HilbertData]]:
@@ -364,7 +357,8 @@ def _adapted_run(
 
 def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
     """Hilbert data of K = (0 :_M l), off the lead terms of M's run in
-    coordinates where l = x_v (`_adapted_run`); K is not presented."""
+    coordinates where l = x_v (`_adapted_run`); K is not presented.  The
+    library reads `_adapted_run` itself; this is its single-form reader."""
     return _adapted_run(pres, [l])[2][0]
 
 
@@ -391,8 +385,9 @@ def _section_columns(pres: GradedPresentation, l: Polynomial) -> _SectionColumns
     - H0(M/lM) and H0(M'/lM') are the walk's step at x_{v-1} on L + x_v F and
       on (L : x_v^oo) + x_v F (`invariants.lead_torsion`), certified when the
       part has finite length;
-    - reg(M/lM) is the walk below x_v (`_walk_below`), M/lM being a module
-      over S/(x_v)."""
+    - reg(M/lM) is the walk on the cut below x_v
+      (`invariants._filter_regular_walk`), M/lM being a module over S/(x_v),
+      with no reg + pd refusal of its own."""
     ideals, _, (torsion,) = _adapted_run(pres, [l])
     if torsion.length is None:
         return _SectionColumns(torsion, None, None, None)
@@ -405,7 +400,7 @@ def _section_columns(pres: GradedPresentation, l: Polynomial) -> _SectionColumns
             lead_torsion(_cut(j, last, nvars), a, last - 1, nvars) for j in (ideals, saturated)
         )
     )
-    walk = _walk_below(ideals, last, a)
+    walk = _filter_regular_walk(ideals, a, last)
     return _SectionColumns(torsion, h0_bar, h0_bar_prime, None if walk is None else walk[0])
 
 

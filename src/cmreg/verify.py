@@ -11,14 +11,17 @@ reproducible instances; `mayr_meyer` builds the classical worst-case family
 (only its shape is ever inspected -- resolving it is the whole point of not
 trusting single examples).
 
-`audit`, `section_check`, `random_section_form`, `random_tower` and
+`audit`, `section_check`, `random_tower` (and so `random_section_form`) and
 `tower_check` each run in one `groebner.memo_scope()`, so a Groebner basis
 wanted twice by one call is built once (see the `groebner` module docstring).
 The torsion of a form is read one way everywhere: off one run of M in
-coordinates where the form is the last variable (`modops.torsion_hilbert`).
-`section_check` reads the H0 of the quotients and reg(M/lM) off the same run
-(`modops._section_columns`), and `tower_check` every level of a tower off one
-run in which the forms are the last variables (`modops._adapted_run`).
+coordinates where the forms are the last variables (`modops._adapted_run`).
+`random_tower` draws each form off that run, resampling until its torsion on
+the level it cuts has finite length; `random_section_form` is its first
+level.  `section_check` reads the H0 of the quotients and reg(M/lM) off the
+run of one form (`modops._section_columns`), and `tower_check` every level
+of a tower off the run of all its forms.  Only their fallbacks, for a step
+the walk does not certify, present a quotient (`quotient_by_linear`).
 """
 
 from dataclasses import dataclass, field
@@ -41,6 +44,7 @@ from .core import (
 )
 from .groebner import Codec, memo_scope
 from .invariants import (
+    _filter_regular_walk,
     hilbert_data,
     hilbert_numerator,
     minimal_relation_degrees,
@@ -52,13 +56,11 @@ from .invariants import (
 from .modops import (
     _adapted_run,
     _section_columns,
-    _walk_below,
     fitting_ideal_0,
     h0_profile,
     minimal_presentation,
     quotient_by_linear,
     sym_power,
-    torsion_hilbert,
 )
 from .complexes import complex_regularity_bound, complex_terms
 from .bounds import (
@@ -384,9 +386,10 @@ class SectionReport:
 
 
 def _generator_data(pres: GradedPresentation):
-    """(invariants of M, top generator degree b0, first-syzygy degrees over R,
-    h = top generator degree of J but at least 1): the degree data that the
-    section and tower estimates start from.  M is resolved from its minimal
+    """(invariants of M, floor = max(b0 + h - 2, max b1 - 2)): the degree
+    floor that the section and tower estimates start from, with b0 the top
+    generator degree of M, b1 its first-syzygy degrees over R and h the top
+    generator degree of J but at least 1.  M is resolved from its minimal
     presentation, as `audit` resolves it, so its generators are minimal; b1
     and J's generator degrees are minimal relation degrees, flagged by the
     runs of M's columns and of J's generators."""
@@ -395,7 +398,7 @@ def _generator_data(pres: GradedPresentation):
     b0 = max(j for (i, j) in mi.betti if i == 0)
     ideal = validate_presentation(pres.ring.base, (0,), [pres.ring.quotient_gens])
     h = max(minimal_relation_degrees(ideal), default=1)
-    return mi, b0, minimal_relation_degrees(minimal), h
+    return mi, max([b0 + h, *minimal_relation_degrees(minimal)]) - 2
 
 
 @memo_scope()
@@ -410,14 +413,17 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     the window estimate h0(M)_{mu+a} <= sum_{j<=a} (h0(Mbar) - h0(Mbar'))_{mu+j}
     for a = the span of h0(M), and the section count at
 
-        mu* = max(b0(M) + h - 1, b1(M) - 1, reg(Mbar) + 1),   h = max gen degree of J
+        mu* = max(floor, reg(Mbar)) + 1,   floor = max(b0(M) + h - 2, b1(M) - 2),
 
-    bounds the regularity: reg M <= mu - 1 + h0(M)_mu at mu in {mu*, mu*+1}.
+    h the top generator degree of J (`_generator_data`), bounds the
+    regularity: reg M <= mu - 1 + h0(M)_mu at mu in {mu*, mu*+1}.  The
+    identity rows are suffix sums from the top of the window, and each check
+    reads them in one pass, so the report costs time linear in the window.
 
     K's series, H0(Mbar), H0(Mbar') and reg(Mbar) are read off one
     degree-first run of M in coordinates where l = x_v
     (`modops._section_columns`): K from the exact sequence on the numerators
-    of M and Mbar, the run `modops.torsion_hilbert` reads, and the others
+    of M and Mbar, the run `random_section_form` draws l by, and the others
     from the walk's lead-term steps.  K is never presented.  A column whose
     step is not certified falls back on its own: H0(Mbar) and H0(Mbar') to
     `h0_profile` of M/lM and M'/lM', reg(Mbar) to `regularity`.  H0(M), and
@@ -432,7 +438,7 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     prof_m, mprime = h0_profile(pres)
     # ahead of the reader: an unflagged zero module is refused here, with
     # `module_invariants`' message rather than the walk's
-    mi, b0, b1, h = _generator_data(pres)
+    mi, floor = _generator_data(pres)
     columns = _section_columns(pres, l)
     if columns.torsion.length is None:
         raise AlgebraError("the form has infinite torsion; pick a more generic one")
@@ -450,42 +456,28 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     lo = min(support, default=0) - 1
     hi = max(support, default=0) + 2
 
+    # suffix sums from the top of the window, where every column is zero:
+    # len K in degrees >= mu, and h0(Mbar) - h0(Mbar') in degrees > mu
     rows: list[tuple[int, int, int]] = []
-    cumulative = per_degree = True
-    for mu in range(lo, hi + 1):
-        lhs = sum(v for e, v in kvals.items() if e >= mu)
-        rhs = (
-            hm.get(mu, 0)
-            + sum(v for e, v in hb.items() if e > mu)
-            - sum(v for e, v in hbp.items() if e > mu)
-        )
-        rows.append((mu, lhs, rhs))
-        if lhs != rhs:
-            cumulative = False
-        step = (
-            hm.get(mu, 0)
-            - hm.get(mu + 1, 0)
-            + hb.get(mu + 1, 0)
-            - hbp.get(mu + 1, 0)
-        )
-        if kvals.get(mu, 0) != step:
-            per_degree = False
-
+    gains: dict[int, int] = {}
+    lhs = gain = 0
+    for mu in range(hi, lo - 1, -1):
+        lhs += kvals.get(mu, 0)
+        gains[mu] = gain
+        rows.append((mu, lhs, hm.get(mu, 0) + gain))
+        gain += hb.get(mu, 0) - hbp.get(mu, 0)
+    rows.reverse()
+    cumulative = all(lhs == rhs for _, lhs, rhs in rows)
+    # row mu less row mu + 1 is the identity in degree mu; at hi every column
+    # vanishes in degrees hi and hi + 1, so it holds there
+    per_degree = all(l0 - l1 == r0 - r1 for (_, l0, r0), (_, l1, r1) in zip(rows, rows[1:]))
+    # the window's sum over degrees mu + 1 .. mu + span is a difference of suffix sums
     span = prof_m.a_span
-    upper = True
-    if span > 0:
-        for mu in range(lo, hi + 1):
-            gain = sum(
-                hb.get(mu + j, 0) - hbp.get(mu + j, 0) for j in range(1, span + 1)
-            )
-            if hm.get(mu + span, 0) > gain:
-                upper = False
-                break
+    upper = all(
+        hm.get(mu + span, 0) <= gains[mu] - gains.get(mu + span, 0) for mu in range(lo, hi + 1)
+    )
 
-    candidates = [b0 + h - 1, reg_bar + 1]
-    if b1:
-        candidates.append(max(b1) - 1)
-    mu_star = max(candidates)
+    mu_star = max(floor, reg_bar) + 1
     tail = all(
         mi.regularity <= mu - 1 + hm.get(mu, 0) for mu in (mu_star, mu_star + 1)
     )
@@ -507,14 +499,9 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     )
 
 
-@memo_scope()
 def random_section_form(pres: GradedPresentation, rng: random.Random) -> Polynomial:
     """A linear form whose torsion on M is finite (resampled until it is)."""
-    for _ in range(FORM_ATTEMPTS):
-        l = random_linear_form(rng, pres.ring)
-        if torsion_hilbert(pres, l).length is not None:
-            return l
-    raise AlgebraError("no linear form with finite torsion found")
+    return random_tower(pres, rng, 1)[0]
 
 
 # -- quotient towers -----------------------------------------------------------------
@@ -543,11 +530,14 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
     test, level by level, Q_i <= Q_{i+1}^2 with Q_i = 1 + max(reg M_i, len K_i,
     floor), where K_i is the torsion of the next form on M_i and the floor
     collects the generator and relation degrees of M.  The last level must
-    certify reg M <= Q_s^(2^s).  Each K_i, and each reg M_i past M's own, is
-    read off one adapted run (`modops._adapted_run`, `modops._walk_below`),
-    refused past the packed terms' limit as `regularity` refuses.  Each level
-    whose walk is not certified costs one run more: `regularity` of M_i,
-    presented by `quotient_by_linear`.
+    certify reg M <= Q_s^(2^s).  The floor is `_generator_data`'s, the one
+    `section_check`'s mu* starts from.  Each K_i, and each reg M_i past M's
+    own, is read off one adapted run (`modops._adapted_run`, the run
+    `random_tower` draws the forms by; reg M_i is the walk on its cut,
+    `invariants._filter_regular_walk`), refused past the packed terms'
+    limit as `regularity` refuses.  Each level whose walk is not certified
+    costs one run more: `regularity` of M_i, presented by
+    `quotient_by_linear`.
     """
     if not forms:
         raise AlgebraError("a tower needs at least one form")
@@ -556,18 +546,14 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
     if min(pres.row_twists) < 0:
         raise AlgebraError("tower floor assumes generators in nonnegative degrees")
 
-    mi, b0, b1, h = _generator_data(pres)
-    floor = b0 + h - 2
-    if b1:
-        floor = max(floor, max(b1) - 2)
-
+    mi, floor = _generator_data(pres)
     ideals, left, torsion = _adapted_run(pres, forms)
     base, a = pres.ring.base, pres.row_twists
     regs: list[int] = []
     for i, (k, hd) in enumerate(zip(left, torsion)):
         if i == 0:
             reg_i = mi.regularity
-        elif (walk := _walk_below(ideals, k, a)) is None:
+        elif (walk := _filter_regular_walk(ideals, a, k)) is None:
             reg_i = regularity(reduce(quotient_by_linear, forms[:i], pres))
         else:
             reg_i, depth = walk
@@ -596,13 +582,20 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
 def random_tower(
     pres: GradedPresentation, rng: random.Random, levels: int
 ) -> list[Polynomial]:
-    """Forms l_1..l_levels, each with finite torsion on the successive quotients."""
+    """Forms l_1..l_levels, l_{i+1} with finite torsion on M_i =
+    M/(l_1..l_i)M: each draw is resampled until it has.  The torsion is read
+    off the adapted run of M in which l_1..l_i and the draw are the last
+    variables (`modops._adapted_run`), the run `tower_check` reads, so no
+    quotient is presented."""
     forms: list[Polynomial] = []
-    cur = pres
     for _ in range(levels):
-        l = random_section_form(cur, rng)
-        forms.append(l)
-        cur = quotient_by_linear(cur, l)
+        for _ in range(FORM_ATTEMPTS):
+            l = random_linear_form(rng, pres.ring)
+            if _adapted_run(pres, [*forms, l])[2][-1].length is not None:
+                forms.append(l)
+                break
+        else:
+            raise AlgebraError("no linear form with finite torsion found")
     return forms
 
 

@@ -511,6 +511,7 @@ CLI_FILES = {
     "highexp": "char 101\nvars x y\ngens 0\nrels\nx^990*y\ny^2\nend\n",
     "t-32766": "char 101\nvars x y\ngens 0 32766\nrels\nx, 0\nend\n",
     "t-32767": "char 101\nvars x y\ngens 0 32767\nrels\nx, 0\nend\n",
+    "x^32766": "char 101\nvars x y\ngens 0\nrels\nx^32766\nend\n",
     "random-3": json.loads(EXPECTED.read_text())["random --seed 3"]["stdout"],
     "finite": "char 101\nvars x y\ngens 0\nrels\nx^2\nx*y\ny^2\nend\n",
     "generic-2x2": "char 101\nvars x y\ngens 0 0\nrels\n21*x + 94*y, 39*x + 32*y\n74*x + 87*y, 55*x + 81*y\nend\n",
@@ -562,6 +563,8 @@ CLI_CHECKS = [
     # M/yM of S/(x) + S(-t) has a column of degree t + 1: the packing limit
     ("t-32766", "tower --linear y --json", 0, lambda d: d["q_values"] == [32767]),
     ("t-32767", "tower --linear y", 1, f"error: module degree 32768 {LIMIT}"),
+    # a window of 32,769 degrees: the identity rows are suffix sums, one pass
+    ("x^32766", "timeout 10 section-check --linear y", 0, "identity (per degree): pass"),
     ("random-3", "audit", 0, "all bounds hold"),
     # H0 = M at once, saturation rounds (y regular, y kills x), and the torsion of x
     ("finite", "section-check --linear y", 0, "identity (per degree): pass"),

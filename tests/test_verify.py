@@ -386,11 +386,122 @@ def test_section_check_shifts_with_the_module():
             ), (report.form, s)
 
 
+def _identity_by_sums(report):
+    """(window, identity rows, both identities, window estimate) as
+    `section_check` computed them before its one pass: each row sums every
+    column past mu and each estimate its span, quadratic in the window."""
+    kvals, hm, hb, hbp = report.kernel_by_degree, report.h0, report.h0_bar, report.h0_bar_prime
+    support = set(hm) | set(hb) | set(hbp) | set(kvals)
+    lo, hi = min(support, default=0) - 1, max(support, default=0) + 2
+    rows, cumulative, per_degree = [], True, True
+    for mu in range(lo, hi + 1):
+        lhs = sum(v for e, v in kvals.items() if e >= mu)
+        rhs = hm.get(mu, 0) + sum(v for e, v in hb.items() if e > mu) - sum(v for e, v in hbp.items() if e > mu)
+        rows.append((mu, lhs, rhs))
+        cumulative &= lhs == rhs
+        step = hm.get(mu, 0) - hm.get(mu + 1, 0) + hb.get(mu + 1, 0) - hbp.get(mu + 1, 0)
+        per_degree &= kvals.get(mu, 0) == step
+    span = max(hm) - min(hm) + 1 if hm else 0
+    upper = span == 0 or all(
+        hm.get(mu + span, 0) <= sum(hb.get(mu + j, 0) - hbp.get(mu + j, 0) for j in range(1, span + 1))
+        for mu in range(lo, hi + 1)
+    )
+    return (lo, hi), rows, cumulative, per_degree, upper
+
+
+def test_identity_rows_equal_the_sums_they_replace(monkeypatch):
+    # the one pass over the window against the sums it replaced, on criterion
+    # 4's reports, the small-characteristic reports and criterion 4's columns
+    # perturbed so that each identity and the window estimate fail somewhere
+    seen = {"cumulative": set(), "per degree": set(), "window estimate": set()}
+
+    def agrees(pres, l):
+        report = section_check(pres, l)
+        got = (report.window, report.identity_rows, report.identity_cumulative,
+               report.identity_per_degree, report.upper_estimate)
+        assert got == _identity_by_sums(report), report.form
+        for flags, value in zip(seen.values(), got[2:]):
+            flags.add(value)
+
+    forms = random.Random(2025)  # criterion 4's forms, in its order
+    cases = [(pres, random_section_form(pres, forms)) for pres in _criterion_4_modules()]
+    small = 0
+    for pres, stream in _small_characteristic_modules():
+        try:
+            l = random_section_form(pres, stream)
+        except AlgebraError:
+            continue
+        agrees(pres, l)
+        small += 1
+    for pres, l in cases:
+        agrees(pres, l)
+    assert small >= 100 and seen == dict.fromkeys(seen, {True})
+
+    own = verify._section_columns
+    perturbations = (
+        lambda c: c._replace(torsion=dataclasses.replace(
+            c.torsion, q_polynomial={d + 1: n for d, n in c.torsion.q_polynomial.items()})),
+        lambda c: c._replace(h0_bar={}),
+        lambda c: c._replace(h0_bar_prime={d - 1: n for d, n in (c.h0_bar_prime or {}).items()}),
+    )
+    for perturb in perturbations:
+        monkeypatch.setattr(verify, "_section_columns", lambda pres, l, perturb=perturb: perturb(own(pres, l)))
+        for pres, l in cases:
+            agrees(pres, l)
+    assert seen == dict.fromkeys(seen, {False, True})
+
+
 def test_random_section_form_finds_finite_torsion():
     pres = cyclic(R2, [u * u, u * v])
     rng = random.Random(3)
     l = random_section_form(pres, rng)
     assert section_check(pres, l).all_hold
+
+
+def _drawn_by_quotients(pres, rng, levels):
+    """Forms drawn as `random_tower` drew them before it read the adapted run:
+    the same draws, each resampled until `torsion_hilbert` of it on the
+    level, presented by `quotient_by_linear`, has finite length."""
+    forms, cur = [], pres
+    with groebner.memo_scope():
+        for _ in range(levels):
+            for _ in range(verify.FORM_ATTEMPTS):
+                l = random_linear_form(rng, pres.ring)
+                if torsion_hilbert(cur, l).length is not None:
+                    break
+            else:
+                raise AlgebraError("no linear form with finite torsion found")
+            forms.append(l)
+            cur = quotient_by_linear(cur, l)
+    return forms
+
+
+def _draw_streams():
+    """(module, stream, levels): criterion 5's 50 modules on its one stream,
+    then the 180 small-characteristic modules with v levels on theirs."""
+    rng = random.Random(33)
+    for delta in (2, 3):
+        for pres in _modules_of_dimension(delta, 25, 8800 + delta, (3,) if delta == 3 else (2, 3)):
+            yield pres, rng, delta
+    for pres, forms in _small_characteristic_modules():
+        yield pres, forms, pres.ring.nvars
+
+
+def test_forms_are_drawn_as_a_quotient_per_level_draws_them():
+    # the same forms, or the same error, and the stream left in the same state
+    streams = 0
+    for pres, rng, levels in _draw_streams():
+        start, outcomes = rng.getstate(), []
+        for draw in (_drawn_by_quotients, random_tower):
+            rng.setstate(start)
+            try:
+                got = draw(pres, rng, levels)
+            except AlgebraError as error:
+                got = (type(error), str(error))
+            outcomes.append((got, rng.getstate()))
+        assert outcomes[0] == outcomes[1], (streams, outcomes[0][0], outcomes[1][0])
+        streams += 1
+    assert streams == 230
 
 
 # -- towers --------------------------------------------------------------------------
@@ -508,7 +619,7 @@ def test_tower_falls_back_on_the_quotient_where_a_walk_is_not_certified(monkeypa
         fallbacks.append(pres)
         return own(pres)
 
-    monkeypatch.setattr(modops, "_filter_regular_walk", lambda ideals, twists, nvars: None)
+    monkeypatch.setattr(verify, "_filter_regular_walk", lambda ideals, twists, k: None)
     monkeypatch.setattr(verify, "regularity", counted)
     cases = [*_criterion_5_towers(3), (cyclic(R2, [u * u, u * v, v * v]), [u + v, u - v, u])]
     for pres, forms in cases:
