@@ -10,6 +10,8 @@ terms of the module's one Groebner basis, the degree-first `groebner` run (see
 `_filter_regular_walk`), and falls back to the Betti table only when a step is
 not certified.  `module_invariants` keeps the Schreyer resolution, so its
 `regularity` is the Betti-derived one, a second path from the same basis.
+Every cut L + (x_{k+1}..x_v)F of lead terms L, the walk's and those of
+`modops._adapted_run`, is one `_cut`, so their numerators share one cache.
 
 `hilbert_from_numerator` alone divides a numerator by (1-t): every finite series
 and length (the walk's H^0, `modops.h0_profile`'s H0 and the torsion
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 
 from .core import (
     CACHE_SIZE,
@@ -221,7 +224,7 @@ def regularity(pres: GradedPresentation) -> int:
     """
     ring, twists = pres.ring.base, pres.row_twists
     gb = groebner(presentation_elements(pres), ring, twists)
-    walk = _filter_regular_walk(lead_ideals(gb.lts, len(twists)), twists, ring.nvars)
+    walk = _filter_regular_walk(lead_ideals(gb.lts, len(twists)), twists, ring.nvars, ring.nvars)
     if walk is None:
         return regularity_from_betti(betti_numbers(pres))
     reg, depth = walk
@@ -230,15 +233,15 @@ def regularity(pres: GradedPresentation) -> int:
 
 
 def _filter_regular_walk(
-    ideals: list[frozenset], twists, k: int
+    ideals: list[frozenset], twists, k: int, nvars: int
 ) -> tuple[int, int] | None:
     """(reg, depth) of the cut N_0 = F / (U + (x_{k+1}..x_v)F) from in(U),
-    given per component of F by its minimal generators (`buchberger`'s lead
-    terms are minimal); None when a step is not certified: some
-    (0 :_{N_i} x^oo) has infinite length.  The walk runs over x_1..x_k on the
-    generators of in(U) free of the later variables.  k = v is F/U itself
-    (`regularity`); `modops._section_columns` and `verify.tower_check` walk
-    the cuts of an adapted run (`modops._adapted_run`).
+    given per component of F by its minimal generators in the nvars
+    variables (`buchberger`'s lead terms are minimal); None when a step is not
+    certified: some (0 :_{N_i} x^oo) has infinite length.  Each step reads a
+    cut of in(U) (`_cut`).  k = v is F/U itself (`regularity`);
+    `modops._section_columns` and `verify.tower_check` walk the cuts of an
+    adapted run (`modops._adapted_run`), whose numerators they share.
 
     Under `Codec.top` the last variables behave as Bayer and Stillman need ("A
     criterion for detecting m-regularity", 1987): with N_i = N_0 / (x_k, ...,
@@ -253,17 +256,17 @@ def _filter_regular_walk(
     regularity", 2006).  Before the first nonzero H^0 every x is regular, so
     depth N_0 is the index of that first one.
     """
-    ideals = [frozenset(m[:k] for m in monos if not any(m[k:])) for monos in ideals]
-    unit = (0,) * k
+    unit = (0,) * nvars
     if all(unit in monos for monos in ideals):
         raise ZeroModule("regularity of the zero module")
     reg: int | float = NEG_INF
     depth = None
     for i in range(k + 1):  # N_k has finite length, so this returns
         x = k - 1 - i
+        cut = _cut(ideals, k - i, nvars)
         # no lead term involves x: J_i : x^oo = J_i and H^0_m(N_i) = 0
-        if x < 0 or any(m[x] for monos in ideals for m in monos):
-            saturated, hd = lead_torsion(ideals, twists, x, k)
+        if x < 0 or any(m[x] for monos in cut for m in monos):
+            saturated, hd = lead_torsion(cut, twists, x, nvars)
             if hd.length is None:
                 return None
             finite = all(unit in monos for monos in saturated)  # N_i = H^0_m(N_i)
@@ -273,8 +276,13 @@ def _filter_regular_walk(
                 depth = i if depth is None else depth
             if finite:
                 return int(reg), depth
-        var = tuple(int(j == x) for j in range(k))
-        ideals = [frozenset([var, *(m for m in monos if not m[x])]) for monos in ideals]
+
+
+def _cut(ideals: list[frozenset], k: int, nvars: int) -> list[frozenset]:
+    """L + (x_{k+1}..x_v)F: per component the later variables, and L's
+    minimal generators free of them."""
+    cut = [tuple(int(i == j) for i in range(nvars)) for j in range(k, nvars)]
+    return [frozenset([*cut, *(m for m in monos if not any(m[k:]))]) for monos in ideals]
 
 
 def lead_torsion(
@@ -345,27 +353,28 @@ def tp_divide_one_minus_t(f: dict[int, int]) -> dict[int, int]:
 
 
 def _minimalize_monos(monos) -> frozenset:
-    monos = set(monos)
     keep = []
-    for m in sorted(monos, key=lambda m: (sum(m), m)):
-        if not any(all(x <= y for x, y in zip(k, m)) for k in keep):
+    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
+        if not any(all(map(le, k, m)) for k in keep):
             keep.append(m)
     return frozenset(keep)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _numerator_of_lead_terms(monos: frozenset) -> tuple[tuple[int, int], ...]:
-    """Numerator of Hilb(S/L) * (1-t)^v for the monomial ideal L, by splitting
-    on a power of the most frequent variable: N(L) = N(L + x^k) + t^k N(L : x^k),
-    k the least positive exponent of x among the mixed generators (Bigatti,
-    "Computation of Hilbert-Poincare series", 1997), so the recursion depth
-    does not grow with the exponents."""
+    """Numerator of Hilb(S/L) * (1-t)^v for the monomial ideal L, given by its
+    minimal generators, by splitting on a power of the most frequent variable:
+    N(L) = N(L + x^k) + t^k N(L : x^k), k the least positive exponent of x
+    among the mixed generators (Bigatti, "Computation of Hilbert-Poincare
+    series", 1997), so the recursion depth does not grow with the exponents.
+    L + x^k needs no minimalization: no kept generator is a multiple of x^k,
+    and a power x^j, j < k, would divide the mixed generator that sets k."""
     if not monos:
         return ((0, 1),)
     if any(not any(m) for m in monos):
         return ()
     nvars = len(next(iter(monos)))
-    mixed = [m for m in monos if sum(1 for e in m if e) >= 2]
+    mixed = [m for m in monos if m.count(0) <= nvars - 2]
     if not mixed:
         # pure powers of distinct variables: product formula
         out = {0: 1}
@@ -378,13 +387,9 @@ def _numerator_of_lead_terms(monos: frozenset) -> tuple[tuple[int, int], ...]:
     counts = [sum(1 for m in mixed if m[v]) for v in range(nvars)]
     pivot = max(range(nvars), key=lambda v: counts[v])
     k = min(m[pivot] for m in mixed if m[pivot])
-    plus = _minimalize_monos(
-        [m for m in monos if m[pivot] < k]
-        + [tuple(k if v == pivot else 0 for v in range(nvars))]
-    )
-    colon = _minimalize_monos(
-        tuple(max(e - k, 0) if v == pivot else e for v, e in enumerate(m)) for m in monos
-    )
+    power = tuple(k if v == pivot else 0 for v in range(nvars))
+    plus = frozenset([*(m for m in monos if m[pivot] < k), power])
+    colon = _minimalize_monos(m[:pivot] + (max(m[pivot] - k, 0),) + m[pivot + 1 :] for m in monos)
     total = tp_add(
         dict(_numerator_of_lead_terms(plus)),
         tp_shift(dict(_numerator_of_lead_terms(colon)), k),

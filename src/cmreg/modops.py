@@ -12,23 +12,22 @@ of M in coordinates where l = x_v (`_adapted_run`).  With L its lead terms,
 the exact sequence 0 -> K(-1) -> M(-1) -> M -> M/lM -> 0 gives
 t N(K) = N(L + x_v F) - (1 - t) N(L) for every l, with no certificate.
 `torsion_hilbert` returns that K.  A tower of forms is one run, in which
-they span the last variables: each level M/(l_1..l_i)M is a cut of L (`_cut`).
-`verify.random_tower` draws each form by its torsion on that cut, and
-`verify.tower_check` reads the torsion and the walk on it
-(`invariants._filter_regular_walk`).  A
-`DegreeOverflow` from the run is final, as it is in `regularity`.
+they span the last variables: each level M/(l_1..l_i)M is a cut of L
+(`invariants._cut`).  `verify.random_tower` draws each form by its torsion on
+that cut, and `verify.tower_check` reads the torsion and the walk on it
+(`invariants._filter_regular_walk`).  A `DegreeOverflow` from the run is
+final, as it is in `regularity`.
 `colon_kernel` presents K by the graph colon and is kept as the independent
 route.
 
-`h0_profile` settles a module of finite length without a saturation round:
-it is its own H0 (its Hilbert numerator shows dimension 0).  Every other
-module runs rounds, and both certificates live in the round
+`h0_profile` saturates by rounds, and both certificates live in the round
 (`colon_with_irrelevant`), read off the lead terms of U's degree-first basis,
 the module's one `groebner` run.  A variable that divides no lead term is a
 nonzerodivisor on F/U, so the round confirms U.  Otherwise, when
 (U : x_v^oo) / U has finite length, U : x_v^oo is U^sat, and the round
-divides the basis by the powers of x_v in its lead terms.  Only a round that
-neither certifies builds a graph colon.
+divides the basis by the powers of x_v in its lead terms; a module of finite
+length is settled so, with U^sat = F.  Only a round that neither certifies
+builds a graph colon.
 
 `verify.section_check` reads the columns it compares with H0(M) off the same
 lead terms L (`_section_columns`): K, H0(M/lM), H0(M'/lM') and reg(M/lM),
@@ -69,6 +68,7 @@ from .groebner import (
 )
 from .invariants import (
     HilbertData,
+    _cut,
     _filter_regular_walk,
     _numerator_of_components,
     cancel_units,
@@ -232,33 +232,27 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
     ideal m.
 
     A round replaces U by some W with U :_F m <= W <= U^sat until the
-    Hilbert numerator stops changing, which ends at U^sat.  When M has finite
-    length (its numerator has dimension 0), H0 = M and U^sat = F, whose
-    reduced basis is the unit vectors e_i: no round runs.  Otherwise every
-    round runs, and the round itself settles the cases it can certify
-    (`colon_with_irrelevant`), with no graph colon.  A variable free of U's
-    degree-first lead terms confirms U, so a saturated U costs one round.
-    When (U : x_v^oo) / U has finite length, the round answers U^sat at once,
-    and the next round confirms it.  Either way the presentation of M' is
-    built from the reduced basis of U^sat, position over term, or from U's
-    own columns when U is saturated, as the graph colon's rounds give it.
+    Hilbert numerator stops changing, which ends at U^sat.  The round itself
+    settles the cases it can certify (`colon_with_irrelevant`), with no graph
+    colon.  A variable free of U's degree-first lead terms confirms U, so a
+    saturated U costs one round.  When (U : x_v^oo) / U has finite length,
+    the round answers U^sat at once, and the next round confirms it; for M of
+    finite length that is F, whose reduced basis is the unit vectors e_i.
+    Either way the presentation of M' is built from the reduced basis of
+    U^sat, position over term, or from U's own columns when U is saturated,
+    as the graph colon's rounds give it.
 
     H0's series is read and checked by `invariants.hilbert_from_numerator`.
     """
     base, a = pres.ring.base, pres.row_twists
     cur = presentation_elements(pres)
-    gb = groebner(cur, base, a)
-    n_u = cur_n = numerator_of_gb(gb)
-    if hilbert_from_numerator(n_u, base.nvars).dimension == 0:
-        unit = (0,) * base.nvars
-        cur, cur_n = [{(i, unit): 1} for i in range(pres.n)], {}
-    else:
-        while True:
-            gb = colon_with_irrelevant(base, a, cur)
-            n_big = numerator_of_gb(gb)
-            if n_big == cur_n:
-                break
-            cur, cur_n = gb.elements, n_big
+    n_u = cur_n = numerator_of_gb(groebner(cur, base, a))
+    while True:
+        gb = colon_with_irrelevant(base, a, cur)
+        n_big = numerator_of_gb(gb)
+        if n_big == cur_n:
+            break
+        cur, cur_n = gb.elements, n_big
 
     hd = hilbert_from_numerator(tp_sub(n_u, cur_n), base.nvars)
     if hd.length is None:
@@ -313,13 +307,6 @@ def _adapted_coordinates(l: Polynomial, v: int) -> Callable[[Element], Element] 
     return apply
 
 
-def _cut(ideals: list[frozenset], k: int, nvars: int) -> list[frozenset]:
-    """L + (x_{k+1}..x_v)F: per component the later variables, and L's
-    minimal generators free of them."""
-    cut = [tuple(int(i == j) for i in range(nvars)) for j in range(k, nvars)]
-    return [frozenset([*cut, *(m for m in monos if not any(m[k:]))]) for monos in ideals]
-
-
 def _adapted_run(
     pres: GradedPresentation, forms
 ) -> tuple[list[frozenset], list[int], list[HilbertData]]:
@@ -330,10 +317,11 @@ def _adapted_run(
     over S (J's generators among them) and the later forms; a form in the span
     of the earlier ones cuts nothing, and K_i = M_i.  Under `Codec.top`,
     in(U' + (x_{k+1}..x_v)F) = L + (x_{k+1}..x_v)F for the moved columns U'
-    (Bayer-Stillman 1987), so N(M_i) = N(J_i), J_i the cut of L (`_cut`), and
-    t N(K_i) = N(J_{i+1}) - (1 - t) N(J_i) with no certificate.  The columns
-    l e_j have degree a_j + 1, so the run refuses with `DegreeOverflow` where
-    their own run would.  With one form l = x_v it is M's own run."""
+    (Bayer-Stillman 1987), so N(M_i) = N(J_i), J_i the cut of L
+    (`invariants._cut`), and t N(K_i) = N(J_{i+1}) - (1 - t) N(J_i) with no
+    certificate.  The columns l e_j have degree a_j + 1, so the run refuses
+    with `DegreeOverflow` where their own run would.  With one form l = x_v it
+    is M's own run."""
     for l in forms:
         _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
@@ -400,7 +388,7 @@ def _section_columns(pres: GradedPresentation, l: Polynomial) -> _SectionColumns
             lead_torsion(_cut(j, last, nvars), a, last - 1, nvars) for j in (ideals, saturated)
         )
     )
-    walk = _filter_regular_walk(ideals, a, last)
+    walk = _filter_regular_walk(ideals, a, last, nvars)
     return _SectionColumns(torsion, h0_bar, h0_bar_prime, None if walk is None else walk[0])
 
 

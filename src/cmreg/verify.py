@@ -132,8 +132,9 @@ def random_module(
 
     Generator twists land in [0, max_a], column degrees in [min(a)+1, max_b]
     (bumped up when max_b is too small to admit a nonzero entry).  Entries of
-    degree zero are never drawn, so the output is a minimal presentation of a
-    nonzero module.  Same seed, same module.
+    degree zero are never drawn, no column is zero and the ring has no
+    quotient, so the output is a minimal presentation (`minimal_presentation`
+    returns it unchanged) of a nonzero module.  Same seed, same module.
     """
     rng = random.Random(seed)
     ring = GradedRing(PrimeField(char), _variable_names(p_vars), order)
@@ -164,9 +165,7 @@ def random_module(
                 rows[i].append(col[i])
         if stuck:
             continue
-        pres = minimal_presentation(validate_presentation(ring, a, rows, degrees))
-        if not pres.is_zero_module:
-            return pres
+        return validate_presentation(ring, a, rows, degrees)
     raise AlgebraError("random search failed to produce a usable module")
 
 
@@ -553,7 +552,7 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
     for i, (k, hd) in enumerate(zip(left, torsion)):
         if i == 0:
             reg_i = mi.regularity
-        elif (walk := _filter_regular_walk(ideals, a, k)) is None:
+        elif (walk := _filter_regular_walk(ideals, a, k, base.nvars)) is None:
             reg_i = regularity(reduce(quotient_by_linear, forms[:i], pres))
         else:
             reg_i, depth = walk

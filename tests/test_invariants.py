@@ -1,7 +1,10 @@
 from itertools import combinations
 from math import comb
+from operator import le
 import random
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from cmreg.core import (
@@ -147,6 +150,38 @@ def test_numerator_split_matches_dense_hilbert_values():
         for d in range(max(num) + 1):
             want = sum(c * comb(d - e + nv - 1, nv - 1) for e, c in num.items() if e <= d)
             assert want == hilbert_value_dense(ring, (0,), elements, d)
+
+
+@st.composite
+def minimal_monomial_ideals(draw):
+    """Minimal generators of a nonzero proper monomial ideal in 1-5
+    variables: up to 8 generators, exponents up to 5."""
+    nv = draw(st.integers(1, 5))
+    mono = st.tuples(*[st.integers(0, 5)] * nv).filter(any)
+    return invariants._minimalize_monos(draw(st.lists(mono, min_size=1, max_size=8)))
+
+
+@settings(deadline=None)
+@given(minimal_monomial_ideals())
+def test_numerator_counts_standard_monomials(monos):
+    # the split's numerator gives dim (S/L)_d, counted monomial by monomial;
+    # every ideal the split recurses on, L + x^k unminimalized among them, is
+    # given by its minimal generators
+    nv = len(next(iter(monos)))
+    split = invariants._numerator_of_lead_terms
+    calls = []
+
+    def recorded(ideal):
+        calls.append(ideal)
+        return split(ideal)
+
+    with mock.patch.object(invariants, "_numerator_of_lead_terms", recorded):
+        num = dict(split.__wrapped__(monos))
+    assert all(ideal == invariants._minimalize_monos(ideal) for ideal in calls)
+    for d in range(max(num) + 2):
+        want = sum(c * comb(d - e + nv - 1, nv - 1) for e, c in num.items() if e <= d)
+        standard = monomials_of_degree(nv, d)
+        assert want == sum(not any(all(map(le, g, m)) for g in monos) for m in standard)
 
 
 def test_high_exponent_lead_terms_need_no_deep_recursion():

@@ -89,6 +89,15 @@ def test_random_module_respects_ranges():
         )
 
 
+def test_random_module_is_its_own_minimal_presentation():
+    # criterion 1's box and the small-characteristic draws: no unit entry, no
+    # zero column and no quotient, so minimalization has nothing to do
+    modules = [_acceptance_box_module(trial) for trial in range(200)]
+    modules += [pres for pres, _ in _small_characteristic_modules()]
+    for pres in modules:
+        assert minimal_presentation(pres) == pres
+
+
 def test_random_complete_intersection_certified():
     pres, degs = random_complete_intersection(7, p_vars=3, max_codim=3, max_degree=3)
     hd = hilbert_data(pres)
@@ -619,7 +628,7 @@ def test_tower_falls_back_on_the_quotient_where_a_walk_is_not_certified(monkeypa
         fallbacks.append(pres)
         return own(pres)
 
-    monkeypatch.setattr(verify, "_filter_regular_walk", lambda ideals, twists, k: None)
+    monkeypatch.setattr(verify, "_filter_regular_walk", lambda ideals, twists, k, nvars: None)
     monkeypatch.setattr(verify, "regularity", counted)
     cases = [*_criterion_5_towers(3), (cyclic(R2, [u * u, u * v, v * v]), [u + v, u - v, u])]
     for pres, forms in cases:
@@ -816,7 +825,7 @@ def test_small_characteristics():
         with groebner.memo_scope():
             assert audit(pres).all_hold
             walk = _filter_regular_walk(
-                lead_ideals(groebner.groebner(cols, base, a).lts, len(a)), a, base.nvars
+                lead_ideals(groebner.groebner(cols, base, a).lts, len(a)), a, base.nvars, base.nvars
             )
             betti_reg = regularity_from_betti(betti_numbers(pres))
             assert hilbert_numerator(pres) == numerator_of_gb(reduced_basis(cols, base, a))
