@@ -26,11 +26,10 @@ module degree minus low, then the grevlex variable fields (whatever the ring's
 order), then n-1-c in the low bits.  The layout depends on the number of
 variables and the twists alone, never on the ring's order or field, so it is
 built once per such shape and kept in a bounded process-wide cache
-(`_top_layout`), as the position-over-term fields are (`_pot_layout`): each
-entry is immutable and keyed by ints.  Under it a homogeneous element's lead
-term has the fewest factors x_v, so in(U + x_v F) = in(U) + x_v F,
-in(U : x_v) = in(U) : x_v and in(U : x_v^oo) = in(U) : x_v^oo, which position
-over term breaks.
+(`_top_layout`), the one layout cache: each entry is immutable and keyed by
+ints.  Under it a homogeneous element's lead term has the fewest factors x_v,
+so in(U + x_v F) = in(U) + x_v F, in(U : x_v) = in(U) : x_v and
+in(U : x_v^oo) = in(U) : x_v^oo, which position over term breaks.
 
 One basis per module.  `groebner` is the only builder of a module's basis: one
 Buchberger run under `Codec.top`, handed out as it stands, with minimal lead
@@ -41,9 +40,10 @@ the Hilbert numerator, `invariants.regularity`'s walk,
 and the tower order) before resolving it.  `modops.torsion_hilbert` and
 `verify.tower_check` read the run of M in coordinates where the forms are the
 last variables.  Position over term in the ring's own order stays where the
-order is part of the answer: `quotient_groebner` builds and finishes J's basis
-that way, so that a normal form mod J, and every entry a presentation prints,
-is the one the ring's order gives, lex rings included; the graph colon
+order is part of the answer: `quotient_groebner` builds J's basis that way,
+as `buchberger` leaves it, so that a normal form mod J, and every entry a
+presentation prints, is the one the ring's order gives, lex rings included
+(a full normal form is the same modulo any Groebner basis); the graph colon
 (`syzygies_of`) needs its row block ahead of the e-block; and a saturation
 round that the degree-first run certifies hands back the graph colon's basis.
 
@@ -66,21 +66,20 @@ Syzygies of arbitrary generators, and module colons {r : sum_k r_k h_k in
 basis records how its elements arise from the generators; only a single normal
 form can return its quotients, which Schreyer syzygies read off.
 
-Within one top-level call the same Groebner input recurs: the basis of a
+Within one top-level call the same degree-first run recurs: the basis of a
 module's own columns is wanted by its Hilbert numerator, its saturation
-rounds, its regularity and its resolution.  `groebner` and
-`syzygies_of` therefore share one memo, keyed by the exact input (ring, row
-twists, generators) and holding the finished basis.  `groebner` keys its
-input elements as given and the twists less their minimum, so a module and
-its twist share one run, and it packs the elements only when it builds;
-`syzygies_of` keys its packed graph generators.  Every result is stored.
-The memo lives only inside `memo_scope()`: `verify.audit`, `section_check`,
-`random_section_form`, `random_tower` and `tower_check` each open one (or
-join the one already open).  Outside a scope nothing is memoised,
-and a scope lives no longer than one instance: `cmreg random --audit` gets one
-per trial, through `audit`.  Sharing a basis is sound because callers only
-read it; its division cache, the one state that changes, stays valid since the
-basis never grows.
+rounds, its regularity and its resolution.  `groebner` therefore keeps its
+runs in one memo, keyed by the exact input (ring, generators as given, row
+twists less their minimum, so a module and its twist share one run) and
+holding the run as it stands.  Nothing else is memoised: the graph colon
+(`syzygies_of`) is built on every call.  The memo lives only inside
+`memo_scope()`: `verify.audit`, `section_check`, `random_tower`,
+`tower_check`, `modops.h0_profile` and `invariants.regularity` each open one
+(or join the one already open), and `random_section_form` runs in
+`random_tower`'s.  Outside a scope nothing is memoised, and a scope lives no
+longer than one instance: `cmreg random --audit` gets one per trial, through
+`audit`.  Sharing a basis is sound because callers only read it; its division
+cache, the one state that changes, stays valid since the basis never grows.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from operator import add, mul
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import (
     CACHE_SIZE,
@@ -111,7 +110,6 @@ from .core import (
 Term = tuple[int, Mono]
 Element = dict[Term, int]
 Packed = dict[int, int]
-T = TypeVar("T")
 
 MAX_DEGREE = (1 << 15) - 1  # largest exponent or degree a packed field holds
 FIELD = 16  # bits per variable field, guard bit on top: one struct "H" each
@@ -130,21 +128,6 @@ def _reader(nvars: int, lex: bool, off: int) -> Callable[[int], Mono]:
         return unpack(((s >> off) & mask).to_bytes(nbytes, order))
 
     return read
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _pot_layout(nvars: int, lex: bool):
-    """(weights, guard, fill, component shift, reader) of position over term."""
-    positions = [FIELD * (nvars - 1 - j if lex else j) for j in range(nvars)]
-    deg_at = FIELD * nvars
-    sign = 1 if lex else -1
-    return (
-        tuple((1 << deg_at) + sign * (1 << q) for q in positions),
-        sum(1 << (q + FIELD - 1) for q in positions),
-        0 if lex else sum(MAX_DEGREE << q for q in positions),
-        deg_at + FIELD,
-        _reader(nvars, lex, 0),
-    )
 
 
 class Codec(NamedTuple):
@@ -249,19 +232,23 @@ class Codec(NamedTuple):
 
 def _pot(nvars: int, lex: bool, row_twists: Sequence[int]) -> Codec:
     """`Codec.pot` for this many variables, lex or grevlex."""
-    weights, guard, fill, comp_at, read = _pot_layout(nvars, lex)
+    positions = [FIELD * (nvars - 1 - j if lex else j) for j in range(nvars)]
+    deg_at = FIELD * nvars
+    comp_at = deg_at + FIELD
+    sign = 1 if lex else -1
+    fill = 0 if lex else sum(MAX_DEGREE << q for q in positions)
     n = len(row_twists)
     return Codec(
-        weights=weights,
-        sign=1 if lex else -1,
-        guard=guard,
+        weights=tuple((1 << deg_at) + sign * (1 << q) for q in positions),
+        sign=sign,
+        guard=sum(1 << (q + FIELD - 1) for q in positions),
         bases=tuple(((n - 1 - c) << comp_at) + fill for c in range(n)),
         cshift=comp_at,
         cmask=-1,
         ib=0,
         off=0,
         limit=MAX_DEGREE + min(row_twists, default=0),
-        read=read,
+        read=_reader(nvars, lex, 0),
     )
 
 
@@ -565,14 +552,14 @@ def _tower_order(
     return [basis[a] for a in final], [leads[a] for a in final]
 
 
-# the open scope's bases by exact input, None outside every scope
+# the open scope's `groebner` runs by exact input, None outside every scope
 _MEMO: ContextVar[dict | None] = ContextVar("cmreg_groebner_memo", default=None)
 
 
 @contextmanager
 def memo_scope() -> Iterator[None]:
-    """Memoise `groebner` and `syzygies_of` until the outermost scope exits;
-    a nested scope joins the open one."""
+    """Memoise `groebner`'s runs until the outermost scope exits; a nested
+    scope joins the open one."""
     if _MEMO.get() is not None:
         yield
         return
@@ -581,24 +568,6 @@ def memo_scope() -> Iterator[None]:
         yield
     finally:
         _MEMO.reset(token)
-
-
-def _memoised(
-    kind: str,
-    ring: GradedRing,
-    row_twists: Sequence[int],
-    gens: Sequence[Element] | Sequence[Packed],
-    build: Callable[[], T],
-) -> T:
-    """build(), or inside a scope the result built earlier from the same input."""
-    memo = _MEMO.get()
-    if memo is None:
-        return build()
-    key = (kind, ring, tuple(row_twists), tuple(tuple(g.items()) for g in gens))
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = build()
-    return got
 
 
 def groebner(
@@ -613,25 +582,28 @@ def groebner(
     (see `buchberger`).  `schreyer_resolution` finishes it with `autoreduce`.
     `redundant` holds the gens that `buchberger` flagged, by index.
 
-    Neither the packing nor the limit checks see a uniform shift of the
-    twists, so the memo keys the twists less their minimum: a module and its
-    twist share one run, and each caller gets the basis with its own twists.
-    The memo is keyed by the input elements themselves, and they are packed
-    only when the run is built: a hit neither encodes nor re-checks the
-    limit, which is relative to the smallest twist and so the same."""
+    Inside a `memo_scope()` the run is kept, keyed by the ring, the input
+    elements as given and the twists less their minimum: neither the packing
+    nor the limit checks see a uniform shift of the twists, so a module and
+    its twist share one run, and each caller gets the basis with its own
+    twists.  The elements are packed only when the run is built: a hit
+    neither encodes nor re-checks the limit, which is relative to the
+    smallest twist and so the same."""
     row_twists = tuple(row_twists)
-    low = min(row_twists, default=0)
     codec = Codec.top(ring, row_twists)
-
-    def build() -> GroebnerBasis:
-        packed = [codec.encode(g, row_twists) for g in gens]
-        flagged: set[int] = set()
-        basis, lts = buchberger(packed, codec, row_twists, ring.field.p, flagged)
-        return GroebnerBasis(ring, row_twists, codec, basis, lts, frozenset(flagged))
-
-    gb = _memoised("groebner", ring, tuple(t - low for t in row_twists), gens, build)
-    if gb.row_twists != row_twists:
-        gb = replace(gb, row_twists=row_twists, codec=codec)
+    memo = _MEMO.get()
+    if memo is not None:
+        low = min(row_twists, default=0)
+        key = (ring, tuple(t - low for t in row_twists), tuple(tuple(g.items()) for g in gens))
+        gb = memo.get(key)
+        if gb is not None:
+            return gb if gb.row_twists == row_twists else replace(gb, row_twists=row_twists, codec=codec)
+    packed = [codec.encode(g, row_twists) for g in gens]
+    flagged: set[int] = set()
+    basis, lts = buchberger(packed, codec, row_twists, ring.field.p, flagged)
+    gb = GroebnerBasis(ring, row_twists, codec, basis, lts, frozenset(flagged))
+    if memo is not None:
+        memo[key] = gb
     return gb
 
 
@@ -858,22 +830,17 @@ def syzygies_of(
         gens.append(g)
     gens.extend(codec.encode(u, graph_twists) for u in tails)
     p = ring.field.p
-
-    def build() -> GroebnerBasis:
-        basis, lts = buchberger(gens, codec, graph_twists, p)
-        # a row-block lead term divides no e-block term: reduce the e-block alone
-        e_block = [i for i, t in enumerate(lts) if codec.component(t) >= n]
-        basis, lts = autoreduce([basis[i] for i in e_block], [lts[i] for i in e_block], codec, p)
-        return GroebnerBasis(
-            ring=ring,
-            row_twists=twists,
-            codec=Codec.pot(ring, twists),
-            basis=basis,
-            leads=lts,
-        )
-
-    # the heads' e-terms mark where the tails start, so the gens are the input
-    return _memoised("syzygies_of", ring, row_twists, gens, build)
+    basis, lts = buchberger(gens, codec, graph_twists, p)
+    # a row-block lead term divides no e-block term: reduce the e-block alone
+    e_block = [i for i, t in enumerate(lts) if codec.component(t) >= n]
+    basis, lts = autoreduce([basis[i] for i in e_block], [lts[i] for i in e_block], codec, p)
+    return GroebnerBasis(
+        ring=ring,
+        row_twists=twists,
+        codec=Codec.pot(ring, twists),
+        basis=basis,
+        leads=lts,
+    )
 
 
 # -- polynomial-level helpers ---------------------------------------------------
@@ -889,12 +856,16 @@ def element_poly(v: Element, ring: GradedRing) -> Polynomial:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def quotient_groebner(ring: GradedRing) -> GroebnerBasis:
-    """Reduced Groebner basis of the defining ideal of a quotient ring (empty
-    if none), in the ring's own order, position over term."""
+    """Groebner basis of the defining ideal of a quotient ring (empty if
+    none), in the ring's own order, position over term: `buchberger`'s basis
+    as it stands.  Its one reader is `reduce_poly`, and a full normal form
+    modulo any Groebner basis under that order is the same, so it needs no
+    tail reduction."""
     base = ring.base
     codec = Codec.pot(base, (0,))
     gens = [codec.encode(poly_element(q), (0,)) for q in ring.quotient_gens]
-    return reduced_groebner(gens, codec, base, (0,))
+    basis, leads = buchberger(gens, codec, (0,), base.field.p)
+    return GroebnerBasis(ring=base, row_twists=(0,), codec=codec, basis=basis, leads=leads)
 
 
 def reduce_poly(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

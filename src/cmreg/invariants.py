@@ -43,6 +43,7 @@ from .groebner import (
     FreeResolution,
     GroebnerBasis,
     groebner,
+    memo_scope,
     presentation_elements,
     quotient_groebner,
     reduce_poly,
@@ -211,6 +212,7 @@ def regularity_from_betti(table: dict[tuple[int, int], int]) -> int:
     return max(j - i for (i, j) in table)
 
 
+@memo_scope()
 def regularity(pres: GradedPresentation) -> int:
     """reg M from the lead terms of the Groebner basis of M's columns over S,
     by the filter-regular walk (see `_filter_regular_walk`); from the Betti
@@ -218,6 +220,8 @@ def regularity(pres: GradedPresentation) -> int:
     degree-first run (`groebner`, under `Codec.top`), which the scope shares
     with its Hilbert numerator, its saturation rounds and its resolution, and
     across modules whose columns agree and whose twists differ by a shift.
+    It runs in one memo scope, so the Betti fallback resolves the run the
+    walk read.
 
     Refuses with `DegreeOverflow` when reg + pd, the degree a minimal
     resolution may reach, is past the packed terms' limit.

@@ -62,6 +62,7 @@ from .groebner import (
     elements_to_matrix,
     elt_degree,
     groebner,
+    memo_scope,
     presentation_elements,
     reduced_groebner,
     syzygies_of,
@@ -226,6 +227,7 @@ class H0Profile:
     a_span: int
 
 
+@memo_scope()
 def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]:
     """Profile of the finite-length part of M plus a presentation of M' = M/H0,
     obtained by saturating U, the column module over S, with the irrelevant
@@ -240,7 +242,8 @@ def h0_profile(pres: GradedPresentation) -> tuple[H0Profile, GradedPresentation]
     finite length that is F, whose reduced basis is the unit vectors e_i.
     Either way the presentation of M' is built from the reduced basis of
     U^sat, position over term, or from U's own columns when U is saturated,
-    as the graph colon's rounds give it.
+    as the graph colon's rounds give it.  It runs in one memo scope, so its
+    own numerator and its first round read one run of U.
 
     H0's series is read and checked by `invariants.hilbert_from_numerator`.
     """
@@ -307,21 +310,18 @@ def _adapted_coordinates(l: Polynomial, v: int) -> Callable[[Element], Element] 
     return apply
 
 
-def _adapted_run(
-    pres: GradedPresentation, forms
-) -> tuple[list[frozenset], list[int], list[HilbertData]]:
+def _adapted_run(pres: GradedPresentation, forms) -> tuple[list[frozenset], list[int]]:
     """(L per component, the variables left uncut on each level
-    M_i = M/(l_1..l_i)M, the Hilbert data of K_i = (0 :_{M_i} l_{i+1})), off
-    one degree-first run.  `_adapted_coordinates` sends each form in turn to
-    the last variable not yet cut, modulo the cut ones, moving M's columns
-    over S (J's generators among them) and the later forms; a form in the span
-    of the earlier ones cuts nothing, and K_i = M_i.  Under `Codec.top`,
-    in(U' + (x_{k+1}..x_v)F) = L + (x_{k+1}..x_v)F for the moved columns U'
-    (Bayer-Stillman 1987), so N(M_i) = N(J_i), J_i the cut of L
-    (`invariants._cut`), and t N(K_i) = N(J_{i+1}) - (1 - t) N(J_i) with no
-    certificate.  The columns l e_j have degree a_j + 1, so the run refuses
-    with `DegreeOverflow` where their own run would.  With one form l = x_v it
-    is M's own run."""
+    M_i = M/(l_1..l_i)M), off one degree-first run.  `_adapted_coordinates`
+    sends each form in turn to the last variable not yet cut, modulo the cut
+    ones, moving M's columns over S (J's generators among them) and the later
+    forms; a form in the span of the earlier ones cuts nothing.  Under
+    `Codec.top`, in(U' + (x_{k+1}..x_v)F) = L + (x_{k+1}..x_v)F for the moved
+    columns U' (Bayer-Stillman 1987), so M_i has the numerator of the cut of
+    L at the variables left on level i (`invariants._cut`); `_cut_torsion`
+    reads the torsion of each form off two consecutive cuts.  The columns
+    l e_j have degree a_j + 1, so the run refuses with `DegreeOverflow` where
+    their own run would.  With one form l = x_v it is M's own run."""
     for l in forms:
         _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
@@ -337,17 +337,31 @@ def _adapted_run(
         left.append(left[-1] - (phi is not None))
     gb = groebner(cols, base, a)
     gb.codec.check(max(a, default=0) + 1)
-    ideals = lead_ideals(gb.lts, len(a))
-    nums = [_numerator_of_components(_cut(ideals, k, base.nvars), a) for k in left]
-    n_k = [tp_shift(tp_sub(cut, tp_sub(n, tp_shift(n, 1))), -1) for n, cut in zip(nums, nums[1:])]
-    return ideals, left, [hilbert_from_numerator(num, base.nvars) for num in n_k]
+    return lead_ideals(gb.lts, len(a)), left
+
+
+def _cut_torsion(
+    pres: GradedPresentation, ideals: list[frozenset], left: list[int]
+) -> list[HilbertData]:
+    """The Hilbert data of K_i = (0 :_{M_i} l_{i+1}) for each pair of
+    consecutive levels in `left`, off the cuts J_i of an adapted run's L
+    (`_adapted_run`): t N(K_i) = N(J_{i+1}) - (1 - t) N(J_i), from the exact
+    sequence 0 -> K_i(-1) -> M_i(-1) -> M_i -> M_{i+1} -> 0, with no
+    certificate.  A form that cuts nothing has K_i = M_i.  A caller that
+    reads one level passes its two entries of `left` alone."""
+    a, nvars = pres.row_twists, pres.ring.base.nvars
+    nums = [_numerator_of_components(_cut(ideals, k, nvars), a) for k in left]
+    return [
+        hilbert_from_numerator(tp_shift(tp_sub(cut, tp_sub(n, tp_shift(n, 1))), -1), nvars)
+        for n, cut in zip(nums, nums[1:])
+    ]
 
 
 def torsion_hilbert(pres: GradedPresentation, l: Polynomial) -> HilbertData:
     """Hilbert data of K = (0 :_M l), off the lead terms of M's run in
     coordinates where l = x_v (`_adapted_run`); K is not presented.  The
     library reads `_adapted_run` itself; this is its single-form reader."""
-    return _adapted_run(pres, [l])[2][0]
+    return _cut_torsion(pres, *_adapted_run(pres, [l]))[0]
 
 
 class _SectionColumns(NamedTuple):
@@ -376,7 +390,8 @@ def _section_columns(pres: GradedPresentation, l: Polynomial) -> _SectionColumns
     - reg(M/lM) is the walk on the cut below x_v
       (`invariants._filter_regular_walk`), M/lM being a module over S/(x_v),
       with no reg + pd refusal of its own."""
-    ideals, _, (torsion,) = _adapted_run(pres, [l])
+    ideals, left = _adapted_run(pres, [l])
+    (torsion,) = _cut_torsion(pres, ideals, left)
     if torsion.length is None:
         return _SectionColumns(torsion, None, None, None)
     a, nvars = pres.row_twists, pres.ring.base.nvars

@@ -55,6 +55,7 @@ from .invariants import (
 )
 from .modops import (
     _adapted_run,
+    _cut_torsion,
     _section_columns,
     fitting_ideal_0,
     h0_profile,
@@ -546,7 +547,8 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
         raise AlgebraError("tower floor assumes generators in nonnegative degrees")
 
     mi, floor = _generator_data(pres)
-    ideals, left, torsion = _adapted_run(pres, forms)
+    ideals, left = _adapted_run(pres, forms)
+    torsion = _cut_torsion(pres, ideals, left)
     base, a = pres.ring.base, pres.row_twists
     regs: list[int] = []
     for i, (k, hd) in enumerate(zip(left, torsion)):
@@ -585,12 +587,14 @@ def random_tower(
     M/(l_1..l_i)M: each draw is resampled until it has.  The torsion is read
     off the adapted run of M in which l_1..l_i and the draw are the last
     variables (`modops._adapted_run`), the run `tower_check` reads, so no
-    quotient is presented."""
+    quotient is presented; only the draw's own level is read, off its two
+    cuts (`modops._cut_torsion`)."""
     forms: list[Polynomial] = []
     for _ in range(levels):
         for _ in range(FORM_ATTEMPTS):
             l = random_linear_form(rng, pres.ring)
-            if _adapted_run(pres, [*forms, l])[2][-1].length is not None:
+            ideals, left = _adapted_run(pres, [*forms, l])
+            if _cut_torsion(pres, ideals, left[-2:])[0].length is not None:
                 forms.append(l)
                 break
         else:

@@ -51,8 +51,8 @@ def same_module(a, b):
 
 def reduced_basis(gens, ring, twists):
     """The reduced Groebner basis of the submodule the elements generate,
-    position over term in the ring's own order: the basis `syzygies_of` and
-    `quotient_groebner` return, built here from `buchberger` directly."""
+    position over term in the ring's own order: the basis `syzygies_of`
+    returns, built here from `buchberger` directly."""
     codec, p = Codec.pot(ring, twists), ring.field.p
     packed = [codec.encode(g, twists) for g in gens]
     basis, leads = autoreduce(*buchberger(packed, codec, twists, p), codec, p)

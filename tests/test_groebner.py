@@ -671,13 +671,21 @@ def _memo_inputs():
     )
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["groebner", "syzygies_of"])
-def test_memo_runs_buchberger_once_per_input_in_a_scope(which, buchberger_runs):
-    call = _memo_inputs()[which]
+def test_memo_runs_buchberger_once_per_input_in_a_scope(buchberger_runs):
+    call = _memo_inputs()[0]
     with memo_scope():
         first = call()
         assert call() is first
     assert len(buchberger_runs) == 1
+
+
+def test_syzygies_of_runs_buchberger_on_every_call_in_a_scope(buchberger_runs):
+    """The memo holds `groebner`'s runs only: the graph colon is built anew."""
+    call = _memo_inputs()[1]
+    with memo_scope():
+        first, second = call(), call()
+    assert first is not second and first.basis == second.basis
+    assert len(buchberger_runs) == 2
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["groebner", "syzygies_of"])
@@ -714,9 +722,10 @@ def test_nested_scope_reuses_the_outer_one(buchberger_runs):
             assert gb_call() is gb
             syz = syz_call()
         assert _MEMO.get() is outer  # the inner exit keeps the outer memo
-        assert syz_call() is syz
+        again = syz_call()
+        assert again is not syz and again.basis == syz.basis
     assert _MEMO.get() is None
-    assert len(buchberger_runs) == 2
+    assert len(buchberger_runs) == 3
 
 
 def test_saturation_round_and_regularity_share_one_degree_first_run(monkeypatch):
@@ -751,10 +760,26 @@ def test_saturation_round_and_regularity_share_one_degree_first_run(monkeypatch)
     assert len(runs) == 3
 
 
+def test_h0_profile_and_regularity_read_one_run_outside_a_scope(buchberger_runs):
+    """Each opens its own scope.  On S/(x^2, xy) h0_profile's numerator and
+    its first round read one run of U's columns, and its second round one of
+    U^sat = (x); the first round is position over term (see the test above).
+    S/(xy) in x, y, z has an uncertified walk (the step at y), so regularity
+    falls back to the Betti table, whose resolution reads the walk's run."""
+    assert _MEMO.get() is None
+    h0_profile(validate_presentation(R2, (0,), [[u * u, u * v]], (2, 2)))
+    assert len(buchberger_runs) == 3
+    buchberger_runs.clear()
+    assert regularity(validate_presentation(R3, (0,), [[x * y]])) == 1
+    assert buchberger_runs == [Codec.top(R3, (0,))]
+    assert _MEMO.get() is None
+
+
 def test_memoised_bases_equal_fresh_ones_after_section_check(monkeypatch):
-    """Every basis or lead-term set the memo hands out during section_check
-    still equals a fresh computation from the same input: no caller mutated a
-    shared result."""
+    """Every basis or lead-term set the memo hands out during section_check,
+    and every graph colon built beside it, still equals a fresh computation
+    from the same input: no caller mutated a shared result.  The memo holds
+    `groebner`'s runs only, keyed by (ring, twists, gens) with no kind."""
     calls = []
     for name in ("groebner", "syzygies_of"):
         original = getattr(groebner_module, name)
@@ -771,17 +796,17 @@ def test_memoised_bases_equal_fresh_ones_after_section_check(monkeypatch):
     modules = _criterion_4_modules()
     rng = random.Random(2025)
     memoised, keys = {}, set()
-    # S/(y I) keeps a graph colon, and so a `syzygies_of` basis, in the memo
+    # S/(y I) builds a graph colon, so `syzygies_of` is recorded too
     for pres in modules[:4] + modules[25:29] + _last_variable_multiples()[1:2]:
         with memo_scope():
             section_check(pres, random_section_form(pres, rng))
             memoised.update((id(gb), gb) for gb in _MEMO.get().values())
             keys.update(_MEMO.get())
     assert len(calls) > len(memoised) > 0  # the memo was hit
-    kinds = {key[0] for key in keys}
-    assert kinds == {"groebner", "syzygies_of"}
+    assert {original.__name__ for original, _, _ in calls} == {"groebner", "syzygies_of"}
+    assert all(len(key) == 3 and isinstance(key[0], GradedRing) for key in keys)
 
-    handed_out = {id(result) for _, _, result in calls}
+    handed_out = {id(result) for original, _, result in calls if original.__name__ == "groebner"}
     assert set(memoised) <= handed_out
     for original, (args, kwargs), result in calls:
         fresh = original(*args, **kwargs)

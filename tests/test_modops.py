@@ -29,6 +29,7 @@ from cmreg.invariants import (
     betti_numbers,
     hilbert_data,
     hilbert_numerator,
+    lead_torsion,
     numerator_of_cokernel,
     numerator_of_gb,
     regularity,
@@ -150,15 +151,13 @@ def test_h0_profile_free_module():
         assert mprime == pres
 
 
-def test_colon_hands_back_the_memoised_basis():
+def test_colon_in_a_scope_equals_a_fresh_one():
     pres = validate_presentation(R3, (0, 1), [[x * y, z * z], [y, x]])
     cols = presentation_elements(pres)
     for forms in ((z,), R3.gens()):
         fresh = colon(R3, pres.row_twists, cols, forms)
         with memo_scope():
             first = colon(R3, pres.row_twists, cols, forms)
-            again = colon(R3, pres.row_twists, cols, forms)
-        assert again is first
         assert first.row_twists == pres.row_twists
         assert first.elements == fresh.elements
 
@@ -792,19 +791,26 @@ def _section_columns_agree(pres, l, counts):
     """Each column `modops._section_columns` certifies equals its own route,
     computed in a scope of its own: the graph colon for K (`_graph_torsion`),
     `h0_profile` of M/lM and of M'/lM' (M' from `h0_profile`), and
-    `regularity(M/lM)`.  Counts certified columns and fallbacks by kind."""
+    `regularity(M/lM)`.  With K of finite length, H0(M) read off the adapted
+    run's L by saturating by x_v must equal `h0_profile`'s rounds in the
+    original coordinates, so a wrong L fails against a run it does not share.
+    Counts certified columns and fallbacks by kind."""
     with memo_scope():
         got = modops._section_columns(pres, l)
+        ideals, _ = modops._adapted_run(pres, [l])
     assert got.torsion == _graph_torsion(pres, l)
     with memo_scope():
         mbar = quotient_by_linear(pres, l)
-        _, mprime = h0_profile(pres)
+        profile, mprime = h0_profile(pres)
         want = {
             "h0_bar": h0_profile(mbar)[0].h0_by_degree,
             "h0_bar_prime": h0_profile(quotient_by_linear(mprime, l))[0].h0_by_degree,
             "reg_bar": regularity(mbar),
         }
     assert got.torsion.length is not None
+    nvars = pres.ring.base.nvars
+    h0 = lead_torsion(ideals, pres.row_twists, nvars - 1, nvars)[1].q_polynomial
+    assert h0 == profile.h0_by_degree
     for name, expected in want.items():
         value = getattr(got, name)
         if value is None:
