@@ -76,9 +76,11 @@ holding the run as it stands.  Nothing else is memoised: the graph colon
 `memo_scope()`: `verify.audit`, `section_check`, `random_tower`,
 `tower_check`, `modops.h0_profile` and `invariants.regularity` each open one
 (or join the one already open), and `random_section_form` runs in
-`random_tower`'s.  Outside a scope nothing is memoised, and a scope lives no
-longer than one instance: `cmreg random --audit` gets one per trial, through
-`audit`.  Sharing a basis is sound because callers only read it; its division
+`random_tower`'s.  Outside a scope `groebner` memoises nothing, and a scope
+lives no longer than one instance: `cmreg random --audit` gets one per
+trial, through `audit`.  Apart from this memo, only `modops._adapted_run`
+keeps a result: its latest one, in a one-entry slot keyed by its input's
+value.  Sharing a basis is sound because callers only read it; its division
 cache, the one state that changes, stays valid since the basis never grows.
 """
 

@@ -8,8 +8,9 @@ and Hilbert data all come from that S-side picture.
 `regularity` needs no resolution: it walks the last variables over the lead
 terms of the module's one Groebner basis, the degree-first `groebner` run (see
 `_filter_regular_walk`), and falls back to the Betti table only when a step is
-not certified.  `module_invariants` keeps the Schreyer resolution, so its
-`regularity` is the Betti-derived one, a second path from the same basis.
+not certified.  `ring_invariants` reads S/J the same way, off J's run.
+`module_invariants` keeps the Schreyer resolution, so its `regularity` is
+the Betti-derived one, a second path from the same basis.
 Every cut L + (x_{k+1}..x_v)F of lead terms L, the walk's and those of
 `modops._adapted_run`, is one `_cut`, so their numerators share one cache.
 
@@ -524,9 +525,23 @@ def minimal_relation_degrees(pres: GradedPresentation) -> dict[int, int]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def ring_invariants(ring: GradedRing) -> tuple[int, int, int, bool]:
-    """(dim R, deg R, reg R, is_cohen_macaulay), treating R = S/J as S-module."""
-    mi = module_invariants(free_presentation(ring, (0,)))
-    return int(mi.hilbert.dimension), mi.hilbert.multiplicity, mi.regularity, mi.is_cm
+    """(dim R, deg R, reg R, is_cohen_macaulay), treating R = S/J as S-module,
+    off J's degree-first run: dim and deg from its numerator, reg and depth
+    from the walk (`_filter_regular_walk`), refused as `regularity` refuses,
+    and R is Cohen-Macaulay when depth = dim.  Only where a step is not
+    certified is R resolved (`module_invariants`)."""
+    pres = free_presentation(ring, (0,))
+    base = ring.base
+    gb = groebner(presentation_elements(pres), base, (0,))
+    ideals = lead_ideals(gb.lts, 1)
+    walk = _filter_regular_walk(ideals, (0,), base.nvars, base.nvars)
+    if walk is None:
+        mi = module_invariants(pres)
+        return int(mi.hilbert.dimension), mi.hilbert.multiplicity, mi.regularity, mi.is_cm
+    reg, depth = walk
+    gb.codec.check(reg + base.nvars - depth)  # pd = v - depth
+    hd = hilbert_from_numerator(_numerator_of_components(ideals, (0,)), base.nvars)
+    return int(hd.dimension), hd.multiplicity, reg, depth == hd.dimension
 
 
 @dataclass

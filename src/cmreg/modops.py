@@ -15,8 +15,10 @@ t N(K) = N(L + x_v F) - (1 - t) N(L) for every l, with no certificate.
 they span the last variables: each level M/(l_1..l_i)M is a cut of L
 (`invariants._cut`).  `verify.random_tower` draws each form by its torsion on
 that cut, and `verify.tower_check` reads the torsion and the walk on it
-(`invariants._filter_regular_walk`).  A `DegreeOverflow` from the run is
-final, as it is in `regularity`.
+(`invariants._filter_regular_walk`).  The latest run is kept in a one-entry
+slot, so a check called right after its draw reads the draw's run.  A
+`DegreeOverflow` from the run is final, as it is in `regularity`, and is not
+kept.
 `colon_kernel` presents K by the graph colon and is kept as the independent
 route.
 
@@ -39,9 +41,10 @@ the regularity walk, and a step that is not certified falls back to
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     AlgebraError,
@@ -310,7 +313,13 @@ def _adapted_coordinates(l: Polynomial, v: int) -> Callable[[Element], Element] 
     return apply
 
 
-def _adapted_run(pres: GradedPresentation, forms) -> tuple[list[frozenset], list[int]]:
+# the latest adapted run as ((pres, forms), run); see `_adapted_run`
+_LAST_RUN: ContextVar[tuple | None] = ContextVar("cmreg_adapted_run", default=None)
+
+
+def _adapted_run(
+    pres: GradedPresentation, forms
+) -> tuple[tuple[frozenset, ...], tuple[int, ...]]:
     """(L per component, the variables left uncut on each level
     M_i = M/(l_1..l_i)M), off one degree-first run.  `_adapted_coordinates`
     sends each form in turn to the last variable not yet cut, modulo the cut
@@ -321,7 +330,17 @@ def _adapted_run(pres: GradedPresentation, forms) -> tuple[list[frozenset], list
     L at the variables left on level i (`invariants._cut`); `_cut_torsion`
     reads the torsion of each form off two consecutive cuts.  The columns
     l e_j have degree a_j + 1, so the run refuses with `DegreeOverflow` where
-    their own run would.  With one form l = x_v it is M's own run."""
+    their own run would.  With one form l = x_v it is M's own run.
+
+    The latest run is kept in a one-entry slot outside any memo scope, so a
+    check called right after its draw (`verify.random_tower`) reads the
+    draw's run.  The key is the presentation and the forms themselves and the
+    run is immutable tuples, so a hit is the answer a new run would give; a
+    refusal is not kept."""
+    key = (pres, tuple(forms))
+    last = _LAST_RUN.get()
+    if last is not None and last[0] == key:
+        return last[1]
     for l in forms:
         _check_linear(pres, l)
     base, a = pres.ring.base, pres.row_twists
@@ -337,11 +356,13 @@ def _adapted_run(pres: GradedPresentation, forms) -> tuple[list[frozenset], list
         left.append(left[-1] - (phi is not None))
     gb = groebner(cols, base, a)
     gb.codec.check(max(a, default=0) + 1)
-    return lead_ideals(gb.lts, len(a)), left
+    run = tuple(lead_ideals(gb.lts, len(a))), tuple(left)
+    _LAST_RUN.set((key, run))
+    return run
 
 
 def _cut_torsion(
-    pres: GradedPresentation, ideals: list[frozenset], left: list[int]
+    pres: GradedPresentation, ideals: Sequence[frozenset], left: Sequence[int]
 ) -> list[HilbertData]:
     """The Hilbert data of K_i = (0 :_{M_i} l_{i+1}) for each pair of
     consecutive levels in `left`, off the cuts J_i of an adapted run's L

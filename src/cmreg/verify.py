@@ -20,8 +20,12 @@ coordinates where the forms are the last variables (`modops._adapted_run`).
 the level it cuts has finite length; `random_section_form` is its first
 level.  `section_check` reads the H0 of the quotients and reg(M/lM) off the
 run of one form (`modops._section_columns`), and `tower_check` every level
-of a tower off the run of all its forms.  Only their fallbacks, for a step
-the walk does not certify, present a quotient (`quotient_by_linear`).
+of a tower off the run of all its forms.  The latest adapted run is kept in
+a one-entry slot, so a check called right after its draw reads the draw's
+run.  reg M is the walk on M's own run (`_generator_data`), so neither check
+resolves anything where the walks certify.  Only their fallbacks, for a step
+the walk does not certify, present a quotient (`quotient_by_linear`) or
+read a Betti table.
 """
 
 from dataclasses import dataclass, field
@@ -385,20 +389,22 @@ class SectionReport:
         )
 
 
-def _generator_data(pres: GradedPresentation):
-    """(invariants of M, floor = max(b0 + h - 2, max b1 - 2)): the degree
-    floor that the section and tower estimates start from, with b0 the top
-    generator degree of M, b1 its first-syzygy degrees over R and h the top
-    generator degree of J but at least 1.  M is resolved from its minimal
-    presentation, as `audit` resolves it, so its generators are minimal; b1
+def _generator_data(pres: GradedPresentation) -> tuple[int, int]:
+    """(reg M, floor = max(b0 + h - 2, max b1 - 2)): the degree floor that the
+    section and tower estimates start from, with b0 the top generator degree
+    of M, b1 its first-syzygy degrees over R and h the top generator degree
+    of J but at least 1.  All are read off M's minimal presentation, so its
+    generators are minimal: reg M is `regularity`'s walk on the module's one
+    degree-first run (the Betti table only where a step is not certified), b1
     and J's generator degrees are minimal relation degrees, flagged by the
     runs of M's columns and of J's generators."""
     minimal = minimal_presentation(pres)
-    mi = module_invariants(minimal)
-    b0 = max(j for (i, j) in mi.betti if i == 0)
+    if minimal.is_zero_module:
+        raise ZeroModule("module is zero")
     ideal = validate_presentation(pres.ring.base, (0,), [pres.ring.quotient_gens])
     h = max(minimal_relation_degrees(ideal), default=1)
-    return mi, max([b0 + h, *minimal_relation_degrees(minimal)]) - 2
+    floor = max([max(minimal.row_twists) + h, *minimal_relation_degrees(minimal)]) - 2
+    return regularity(minimal), floor
 
 
 @memo_scope()
@@ -423,12 +429,15 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     K's series, H0(Mbar), H0(Mbar') and reg(Mbar) are read off one
     degree-first run of M in coordinates where l = x_v
     (`modops._section_columns`): K from the exact sequence on the numerators
-    of M and Mbar, the run `random_section_form` draws l by, and the others
-    from the walk's lead-term steps.  K is never presented.  A column whose
-    step is not certified falls back on its own: H0(Mbar) and H0(Mbar') to
-    `h0_profile` of M/lM and M'/lM', reg(Mbar) to `regularity`.  H0(M), and
-    M' for that fallback, come from `h0_profile`'s saturation rounds of M in
-    the original coordinates.  So the per-degree identity compares two runs
+    of M and Mbar, the run `random_section_form` draws l by (kept in
+    `modops._adapted_run`'s slot, so a check right after the draw builds
+    no run of its own), and the others from the walk's lead-term steps.  K
+    is never presented, and reg M, in the tail bound, is the walk on M's own
+    run (`_generator_data`).  A column whose step is not certified falls
+    back on its own: H0(Mbar) and H0(Mbar') to `h0_profile` of M/lM and
+    M'/lM', reg(Mbar) to `regularity`.  H0(M), and M' for that fallback,
+    come from `h0_profile`'s saturation rounds of M in the original
+    coordinates.  So the per-degree identity compares two runs
     in two coordinate systems: those rounds against the adapted run.  The
     tier-1 tests check every column against a route of its own: K against
     the graph colon, the others against the rounds.
@@ -437,8 +446,8 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
         raise ZeroModule("section check needs a nonzero module")
     prof_m, mprime = h0_profile(pres)
     # ahead of the reader: an unflagged zero module is refused here, with
-    # `module_invariants`' message rather than the walk's
-    mi, floor = _generator_data(pres)
+    # `_generator_data`'s message rather than the walk's
+    reg, floor = _generator_data(pres)
     columns = _section_columns(pres, l)
     if columns.torsion.length is None:
         raise AlgebraError("the form has infinite torsion; pick a more generic one")
@@ -478,9 +487,7 @@ def section_check(pres: GradedPresentation, l: Polynomial) -> SectionReport:
     )
 
     mu_star = max(floor, reg_bar) + 1
-    tail = all(
-        mi.regularity <= mu - 1 + hm.get(mu, 0) for mu in (mu_star, mu_star + 1)
-    )
+    tail = all(reg <= mu - 1 + hm.get(mu, 0) for mu in (mu_star, mu_star + 1))
 
     return SectionReport(
         form=render_poly(l),
@@ -530,13 +537,14 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
     test, level by level, Q_i <= Q_{i+1}^2 with Q_i = 1 + max(reg M_i, len K_i,
     floor), where K_i is the torsion of the next form on M_i and the floor
     collects the generator and relation degrees of M.  The last level must
-    certify reg M <= Q_s^(2^s).  The floor is `_generator_data`'s, the one
-    `section_check`'s mu* starts from.  Each K_i, and each reg M_i past M's
-    own, is read off one adapted run (`modops._adapted_run`, the run
-    `random_tower` draws the forms by; reg M_i is the walk on its cut,
-    `invariants._filter_regular_walk`), refused past the packed terms'
-    limit as `regularity` refuses.  Each level whose walk is not certified
-    costs one run more: `regularity` of M_i, presented by
+    certify reg M <= Q_s^(2^s).  The floor and reg M, level 0 and the final
+    bound's target, are `_generator_data`'s, the ones `section_check`'s mu*
+    and tail bound read.  Each K_i, and each reg M_i past M's own, is read
+    off one adapted run (`modops._adapted_run`, the run `random_tower` draws
+    the forms by, which its slot hands a check right after the draw; reg M_i
+    is the walk on its cut, `invariants._filter_regular_walk`), refused past
+    the packed terms' limit as `regularity` refuses.  Each level whose walk
+    is not certified costs one run more: `regularity` of M_i, presented by
     `quotient_by_linear`.
     """
     if not forms:
@@ -546,14 +554,14 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
     if min(pres.row_twists) < 0:
         raise AlgebraError("tower floor assumes generators in nonnegative degrees")
 
-    mi, floor = _generator_data(pres)
+    reg, floor = _generator_data(pres)
     ideals, left = _adapted_run(pres, forms)
     torsion = _cut_torsion(pres, ideals, left)
     base, a = pres.ring.base, pres.row_twists
     regs: list[int] = []
     for i, (k, hd) in enumerate(zip(left, torsion)):
         if i == 0:
-            reg_i = mi.regularity
+            reg_i = reg
         elif (walk := _filter_regular_walk(ideals, a, k, base.nvars)) is None:
             reg_i = regularity(reduce(quotient_by_linear, forms[:i], pres))
         else:
@@ -575,7 +583,7 @@ def tower_check(pres: GradedPresentation, forms: list[Polynomial]) -> TowerRepor
         q_values=qs,
         chain_holds=chain,
         final_bound=final_bound,
-        final_holds=mi.regularity <= final_bound,
+        final_holds=reg <= final_bound,
     )
 
 
@@ -586,9 +594,11 @@ def random_tower(
     """Forms l_1..l_levels, l_{i+1} with finite torsion on M_i =
     M/(l_1..l_i)M: each draw is resampled until it has.  The torsion is read
     off the adapted run of M in which l_1..l_i and the draw are the last
-    variables (`modops._adapted_run`), the run `tower_check` reads, so no
-    quotient is presented; only the draw's own level is read, off its two
-    cuts (`modops._cut_torsion`)."""
+    variables (`modops._adapted_run`), so no quotient is presented; only the
+    draw's own level is read, off its two cuts (`modops._cut_torsion`).  The
+    last run is that of all the forms, the one `tower_check` reads, and
+    `modops._adapted_run` keeps it, so a check right after the draw reads
+    it without a run of its own."""
     forms: list[Polynomial] = []
     for _ in range(levels):
         for _ in range(FORM_ATTEMPTS):

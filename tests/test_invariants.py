@@ -258,6 +258,64 @@ def test_ring_invariants_non_cm():
     assert _ideal_gen_degrees(R) == [2, 2]
 
 
+def _seeded_quotient_rings():
+    """Rings S/J over F_2, F_3 and F_5, grevlex and lex, 30 of each: 1-3
+    variables and 1-4 random homogeneous generators of J in degrees 1-3."""
+    for p in (2, 3, 5):
+        for order in ("grevlex", "lex"):
+            rng = random.Random(6100 + p * 10 + len(order))
+            for _ in range(30):
+                base = GradedRing(PrimeField(p), ("x", "y", "z")[: rng.randint(1, 3)], order)
+                gens = [random_polynomial(rng, base, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+                yield GradedRing(base.field, base.variables, order, tuple(gens))
+
+
+def test_ring_invariants_equal_the_betti_route(monkeypatch):
+    """dim, deg, reg and depth read off J's degree-first run equal those of
+    R's Betti table, and a refusal is the Betti route's: on the quotient
+    box's 200 rings, seeded rings over small characteristics, S/(x^2, xy)
+    and S/(x^e), S/(x^e, y^2) at the packing limit.  R is resolved only
+    where the walk is not certified."""
+    own = invariants.module_invariants
+    resolved = []
+
+    def counted(pres):
+        resolved.append(pres)
+        return own(pres)
+
+    def outcome(route, ring):
+        try:
+            return route(ring)
+        except AlgebraError as error:
+            return type(error), str(error)
+
+    def betti_route(ring):
+        mi = own(free_presentation(ring, (0,)))
+        return int(mi.hilbert.dimension), mi.hilbert.multiplicity, mi.regularity, mi.is_cm
+
+    monkeypatch.setattr(invariants, "module_invariants", counted)
+    x, y = R2.gens()
+    a, b, c, d = GradedRing(F, ("a", "b", "c", "d")).gens()
+    rings = [_module_over_complete_intersection(trial).ring for trial in range(200)]
+    rings += [*_seeded_quotient_rings(), GradedRing(F, ("x", "y"), quotient_gens=(x * x, x * y))]
+    # a plane and a line, and two skew lines, in coordinates where the walk
+    # certifies: not equidimensional, so neither is Cohen-Macaulay
+    l1, l2, l3, l4 = (a + 2 * b + 3 * c + 5 * d, 4 * a + b + 7 * c + 11 * d,
+                      2 * a + 9 * b + c + 13 * d, 3 * a + 17 * b + 6 * c + d)
+    rings += [GradedRing(F, ("a", "b", "c", "d"), quotient_gens=gens)
+              for gens in ((l1 * l3, l2 * l3), (l1 * l3, l1 * l4, l2 * l3, l2 * l4))]
+    rings += [GradedRing(F, ("x", "y"), quotient_gens=(x**e, *extra))
+              for e in (32766, 32767) for extra in ((), (y * y,))]
+    counts = {"not CM": 0, "refused": 0}
+    for ring in rings:
+        got = outcome(ring_invariants.__wrapped__, ring)
+        assert got == outcome(betti_route, ring), ring
+        counts["refused"] += isinstance(got[0], type)
+        counts["not CM"] += got[-1] is False
+    assert counts == {"not CM": 5, "refused": 2}, counts
+    assert len(resolved) == 20  # uncertified walks, of 392 rings
+
+
 def test_columns_over_quotient_ring():
     R = GradedRing(F, ("x", "y"), quotient_gens=(u * u,))
     xb, yb = u, v  # entries stay in the ambient ring

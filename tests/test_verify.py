@@ -308,6 +308,28 @@ def test_section_check_on_non_minimal_presentation():
     assert report == reference
 
 
+def test_generator_data_reads_reg_and_b0_as_the_betti_table_gives_them():
+    """reg M, the walk on M's run, and b0, the top twist of M's minimal
+    presentation, equal the values of M's Betti table on criterion 4's
+    modules, the quotient box and the small-characteristic modules, and on
+    each of them with a cancelled generator in a higher degree."""
+    modules = [*_criterion_4_modules(), *(pres for pres, _ in _small_characteristic_modules())]
+    modules += [pres for pres in map(_module_over_complete_intersection, range(200)) if not pres.is_zero_module]
+    b0_sets_the_floor = 0
+    for pres in modules:
+        mi = invariants.module_invariants(minimal_presentation(pres))
+        b0 = max(j for (i, j) in mi.betti if i == 0)
+        ideal = validate_presentation(pres.ring.base, (0,), [pres.ring.quotient_gens])
+        h = max(invariants.minimal_relation_degrees(ideal), default=1)
+        b1 = invariants.minimal_relation_degrees(minimal_presentation(pres))
+        expected = (mi.regularity, max([b0 + h, *b1]) - 2)
+        assert verify._generator_data(pres) == expected
+        padded = with_cancelled_generator(pres, pres.ring.base.gens()[0] ** 3)
+        assert verify._generator_data(padded) == expected
+        b0_sets_the_floor += b0 + h > max(b1, default=b0 + h)
+    assert (len(modules), b0_sets_the_floor) == (430, 135)
+
+
 def test_section_and_tower_checks_read_b1_off_the_minimal_presentation():
     """Over S/J, b1 is a count of the relations of the presentation it is
     read from, so a cancelled unit relation must not reach it: the padded
@@ -336,11 +358,12 @@ def test_section_and_tower_checks_read_b1_off_the_minimal_presentation():
 
 
 def test_section_check_over_a_quotient_reads_b1_and_h_off_the_runs_it_makes(monkeypatch):
-    """b1 and J's generator degrees are the flags of degree-first runs: on a
-    ring that no earlier call has seen, `section_check` over S/J resolves M
-    alone, never S/J, and no Buchberger run holds a column x_t * phi_j of the
-    Nakayama quotient (im phi + JG) / (m im phi + JG).  Every column of this
-    check is certified, so no fallback resolves anything else."""
+    """b1 and J's generator degrees are the flags of degree-first runs and
+    reg M is the walk on M's run: on a ring that no earlier call has seen,
+    `section_check` over S/J resolves neither M nor S/J, and no Buchberger
+    run holds a column x_t * phi_j of the Nakayama quotient
+    (im phi + JG) / (m im phi + JG).  Every column of this check is
+    certified, so no fallback resolves anything else."""
     field = PrimeField(7919)
     s, t = GradedRing(field, ("x", "y")).gens()
     ring = GradedRing(field, ("x", "y"), quotient_gens=(s**3,))
@@ -369,7 +392,7 @@ def test_section_check_over_a_quotient_reads_b1_and_h_off_the_runs_it_makes(monk
     monkeypatch.setattr(groebner, "buchberger", recording_run)
     report = section_check(pres, t)
     assert report.all_hold and report.mu_star == 3
-    assert resolved == [minimal]
+    assert resolved == []
     assert inputs and not m_phi & set(inputs)
 
 
@@ -620,7 +643,8 @@ def test_tower_levels_agree_with_a_quotient_per_level():
 
 def test_tower_falls_back_on_the_quotient_where_a_walk_is_not_certified(monkeypatch):
     # no walk certifies: every level past the first presents its quotient,
-    # and the levels still agree
+    # and the levels still agree; `_generator_data`'s reg M, one call per
+    # tower on M itself, is not a quotient fallback
     fallbacks = []
     own = verify.regularity
 
@@ -633,14 +657,17 @@ def test_tower_falls_back_on_the_quotient_where_a_walk_is_not_certified(monkeypa
     cases = [*_criterion_5_towers(3), (cyclic(R2, [u * u, u * v, v * v]), [u + v, u - v, u])]
     for pres, forms in cases:
         assert _tower_agrees(pres, forms)
-    assert len(fallbacks) == sum(len(forms) - 1 for _, forms in cases)
+    modules = {pres for pres, _ in cases}
+    quotients = [pres for pres in fallbacks if pres not in modules]
+    assert len(quotients) == sum(len(forms) - 1 for _, forms in cases)
+    assert len(fallbacks) == len(quotients) + len(cases)
 
 
 def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
     # picking forms and walking a tower need only len K, read off the adapted
     # run: one degree-first run per drawn form and none for M (a memo hit
-    # would not count), one for a whole tower, no graph colon and no
-    # presentation of K
+    # would not count), none for a whole tower, which reads its draw's run,
+    # no graph colon and no presentation of K
     modules = _criterion_4_modules()
     counts = {"forms": 0, "runs": 0, "colons": 0}
     inside = []
@@ -683,7 +710,7 @@ def test_finite_torsion_is_found_without_presenting_the_torsion(monkeypatch):
         forms = random_tower(pres, rng, levels=2)
         counts["runs"] = 0
         tower_check(pres, forms)
-        assert counts["runs"] == 1  # one adapted run per tower
+        assert counts["runs"] == 0  # the draw's adapted run
     assert counts["colons"] == 0
 
 
@@ -737,7 +764,7 @@ def test_tower_final_bound_stays_within_the_digit_budget():
         tower_check(pres, [y] * 20)
 
 
-def test_section_and_tower_checks_resolve_each_module_once(monkeypatch):
+def test_section_and_tower_checks_resolve_nothing_where_the_walks_certify(monkeypatch):
     modules = _criterion_4_modules()
     resolved = []
     schreyer = invariants.schreyer_resolution
@@ -753,13 +780,80 @@ def test_section_and_tower_checks_resolve_each_module_once(monkeypatch):
     l = random_section_form(pres, rng)
     resolved.clear()
     section_check(pres, l)
-    # M only: reg M/lM comes from `regularity`, which needs no resolution here
-    assert resolved == [pres]
+    # reg M and reg M/lM are walks on certified steps: no resolution
+    assert resolved == []
     pres = modules[25]
     forms = random_tower(pres, rng, levels=2)
     resolved.clear()
     tower_check(pres, forms)
-    assert resolved == [pres]
+    assert resolved == []
+
+
+# -- the adapted-run slot ------------------------------------------------------------
+
+
+def _run_after(prime, check):
+    """check's result when it runs right after prime, and whether it built an
+    adapted run of its own: a built run replaces the slot's entry, a hit
+    leaves it."""
+    prime()
+    before = modops._LAST_RUN.get()
+    result = check()
+    return result, modops._LAST_RUN.get() is not before
+
+
+def _cold(check):
+    modops._LAST_RUN.set(None)
+    return check()
+
+
+def test_a_check_after_a_draw_on_another_input_builds_its_run_again():
+    # another form on the same module, the same form on a twist of the
+    # module and a tower after a run of its first level alone each build
+    # their own run, and report what they report cold; the same input again
+    # is a hit
+    pres = _criterion_4_modules()[25]
+    rng = random.Random(2025)
+    forms = random_tower(pres, rng, levels=2)
+    other = random_section_form(pres, rng)
+    assert other not in forms
+    cases = [
+        (lambda: random_section_form(pres, random.Random(2025)), lambda: section_check(pres, other), True),
+        (lambda: modops._adapted_run(pres, [other]), lambda: section_check(twisted(pres, 1), other), True),
+        (lambda: modops._adapted_run(pres, forms[:1]), lambda: tower_check(pres, forms), True),
+        (lambda: modops._adapted_run(pres, forms), lambda: tower_check(pres, forms), False),
+    ]
+    for prime, check, built in cases:
+        assert _run_after(prime, check) == (_cold(check), built)
+
+
+def test_checks_report_the_same_with_the_slot_warm_and_reset():
+    # criterion 4's 50 section checks and criterion 5's 50 towers, each
+    # right after its draw (a slot hit) and with the slot reset before it
+    forms = random.Random(2025)  # criterion 4's forms, in its order
+    hits = 0
+    for pres in _criterion_4_modules():
+        l = random_section_form(pres, forms)
+        warm, built = _run_after(lambda: None, lambda: section_check(pres, l))
+        assert warm == _cold(lambda: section_check(pres, l)), warm.form
+        hits += not built
+    for pres, tower in _criterion_5_towers(25):
+        warm, built = _run_after(lambda: None, lambda: tower_check(pres, tower))
+        assert warm == _cold(lambda: tower_check(pres, tower)), warm.forms
+        hits += not built
+    assert hits == 100
+
+
+def test_the_slot_holds_immutable_tuples():
+    pres = _criterion_4_modules()[0]
+    l = random_section_form(pres, random.Random(2025))
+    key, run = modops._LAST_RUN.get()
+    assert key == (pres, (l,))
+    ideals, left = run
+    assert type(ideals) is tuple and all(type(monos) is frozenset for monos in ideals)
+    assert type(left) is tuple and all(type(k) is int for k in left)
+    assert modops._adapted_run(pres, [l]) is run
+    assert isinstance(hash(run), int)  # hashable, so immutable all through
 
 
 # -- worst-case family ---------------------------------------------------------------
