@@ -16,9 +16,9 @@ from typing import Iterator, Mapping, Sequence
 NEG_INF = float("-inf")
 
 # Size of every process-wide cache.  One seed-0 pass of a perfbench workload
-# misses none of them more than 244 times (the Hilbert numerators of
-# `audit_sweep`; `quotient_audit` misses `ring_invariants` 195 times and
-# `quotient_groebner` 158), so a pass never evicts an entry it reuses.
+# misses none of them more than 258 times (the numerators of `audit_sweep`;
+# `quotient_audit` misses `ring_invariants` 195 times, `quotient_groebner` 158
+# and the numerators 143), so a pass never evicts an entry it reuses.
 CACHE_SIZE = 1024
 
 Mono = tuple[int, ...]

@@ -369,11 +369,12 @@ def _minimalize_monos(monos) -> frozenset:
 def _numerator_of_lead_terms(monos: frozenset) -> tuple[tuple[int, int], ...]:
     """Numerator of Hilb(S/L) * (1-t)^v for the monomial ideal L, given by its
     minimal generators, by splitting on a power of the most frequent variable:
-    N(L) = N(L + x^k) + t^k N(L : x^k), k the least positive exponent of x
-    among the mixed generators (Bigatti, "Computation of Hilbert-Poincare
-    series", 1997), so the recursion depth does not grow with the exponents.
-    L + x^k needs no minimalization: no kept generator is a multiple of x^k,
-    and a power x^j, j < k, would divide the mixed generator that sets k."""
+    N(L) = N(L + x^k) + t^k N(L : x^k), k the lower median of the positive
+    exponents of x among the mixed generators (Bigatti, "Computation of
+    Hilbert-Poincare series", 1997): each branch keeps about half of them, so
+    the depth is about log2 D on S/(x, y)^D.  L + x^k needs no minimalization:
+    no kept generator is a multiple of x^k, and a power x^j, j < k, would
+    divide the mixed generator that sets k."""
     if not monos:
         return ((0, 1),)
     if any(not any(m) for m in monos):
@@ -391,7 +392,8 @@ def _numerator_of_lead_terms(monos: frozenset) -> tuple[tuple[int, int], ...]:
     # so both branches strictly shrink
     counts = [sum(1 for m in mixed if m[v]) for v in range(nvars)]
     pivot = max(range(nvars), key=lambda v: counts[v])
-    k = min(m[pivot] for m in mixed if m[pivot])
+    exponents = sorted(m[pivot] for m in mixed if m[pivot])
+    k = exponents[(len(exponents) - 1) // 2]
     power = tuple(k if v == pivot else 0 for v in range(nvars))
     plus = frozenset([*(m for m in monos if m[pivot] < k), power])
     colon = _minimalize_monos(m[:pivot] + (max(m[pivot] - k, 0),) + m[pivot + 1 :] for m in monos)

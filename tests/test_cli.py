@@ -529,6 +529,7 @@ CLI_FILES = {
     "18-digit-char": "char 1000000000000000003\nvars x y\ngens 0\nrels\nx^2\nend\n",
     "not-cm": "char 101\nvars x y\nquotient\nx^2\nx*y\nend\ngens 0\nrels\ny^2\nend\n",
     "30-quadrics": _generic_quadrics(30),
+    "staircase-600": "char 101\nvars x y\ngens 0\nrels\n" + "".join(f"x^{i}*y^{600 - i}\n" for i in range(601)) + "end\n",
     "16-vars": f"char 101\nvars {' '.join(f'x{i}' for i in range(1, 17))}\ngens 0\nrels\nx1^2\nend\n",
     "12-vars": f"char 101\nvars {' '.join(f'x{i}' for i in range(1, 13))}\ngens 0\nrels\n"
     + "".join(f"x{i}\n" for i in range(1, 13)) + "end\n",
@@ -599,6 +600,8 @@ CLI_CHECKS = [
     ("30-quadrics", "timeout 10 audit", 0, "all bounds hold"),
     ("30-quadrics", "timeout 10 complex", 1,
      "error: complex position 5 has rank 142,506, past the 100,000 twists a term lists"),
+    # S/(x, y)^600: 600 S-pairs, not 180,300, and a numerator split about log2 601 deep
+    ("staircase-600", "timeout 10 hilbert", 0, "length = 180300"),
     # a bound past Python's 4,300 printed digits prints; one past the budget is refused
     ("16-vars", "timeout 10 audit", 0, f"{'main':24} {_printed(6 ** 8192)}  pass (actual 1)"),
     ("12-vars", "timeout 10 bounds", 1,

@@ -37,6 +37,7 @@ from cmreg.groebner import (
     elt_add_scaled,
     elt_degree,
     groebner,
+    minimal_pairs,
     normal_form,
     poly_element,
     presentation_elements,
@@ -372,6 +373,48 @@ def test_schreyer_syzygies_equal_shifts(monkeypatch):
     ]
     assert [codec.decode(t) for t in leads] == [(0, (0, 0, 1)), (1, (0, 1, 0))]
     assert lead_degrees(gb, codec, leads) == [3, 3]
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.sampled_from(["grevlex", "lex"]),
+        st.tuples(*[st.integers(0, 4)] * n),
+        st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=8),
+    )
+))
+def test_minimal_pairs_generate_the_colon(data):
+    # the shifts lcm(m, m_j)/m kept are the minimal generators of (m_j ...) : m,
+    # each from its first j, by ascending (degree, position)
+    order, m, others = data
+    ring = GradedRing(F, tuple(f"x{i}" for i in range(len(m))), order)
+    codec = Codec.pot(ring, (0,))
+    lead = max(codec.encode({(0, m): 1}, (0,)))
+    pairs = minimal_pairs(codec, lead, m, enumerate(others))
+    shifts = [mono_div(mono_lcm(m, mj), m) for mj in others]
+    minimal = {s for s in shifts if not any(mono_divides(t, s) and t != s for t in shifts)}
+    assert [j for _, _, j in pairs] == sorted(
+        {shifts.index(s) for s in minimal}, key=lambda j: (mono_deg(shifts[j]), j)
+    )
+    for ds, tau, j in pairs:
+        assert ds == mono_deg(shifts[j])
+        assert codec.decode(tau) == (0, mono_lcm(m, others[j]))
+
+
+def test_buchberger_queues_only_minimal_pairs(monkeypatch):
+    # (x, y)^100: x^i y^(100-i) has one minimal pair, with x^(i+1) y^(99-i), so
+    # 100 S-pairs are queued, not all C(101, 2) = 5,050
+    queued = []
+
+    def counting(*args):
+        pairs = minimal_pairs(*args)
+        queued.extend(pairs)
+        return pairs
+
+    monkeypatch.setattr(groebner_module, "minimal_pairs", counting)
+    gb = ideal_gb(R2, [u**i * v ** (100 - i) for i in range(101)])
+    assert len(gb.basis) == 101 and not gb.redundant
+    assert len(queued) == 100
 
 
 # -- packed terms -----------------------------------------------------------------

@@ -189,6 +189,10 @@ def test_high_exponent_lead_terms_need_no_deep_recursion():
     pres = cyclic(R2, [u**990 * v, v * v])
     assert hilbert_numerator(pres) == {0: 1, 2: -1, 991: -1, 992: 1}
     assert regularity(pres) == 990 == regularity_from_betti(betti_numbers(pres))
+    # (x, y)^1000 at the default recursion limit: split at the median exponent,
+    # the numerator recurses about log2 1001 deep, not once per generator
+    staircase = frozenset((i, 1000 - i) for i in range(1001))
+    assert dict(invariants._numerator_of_lead_terms(staircase)) == {0: 1, 1000: -1001, 1001: 1000}
 
 
 def test_hilbert_data_finite_length():
