@@ -11,6 +11,9 @@ terms of the module's one Groebner basis, the degree-first `groebner` run (see
 not certified.  `ring_invariants` reads S/J the same way, off J's run.
 `module_invariants` keeps the Schreyer resolution, so its `regularity` is
 the Betti-derived one, a second path from the same basis.
+The walk splits over the components L_c of the lead terms, and each L_c's
+walk (`_ideal_walk`) is kept process-wide, so a lead ideal that recurs
+across modules, forms and tower levels is walked once.
 Every cut L + (x_{k+1}..x_v)F of lead terms L, the walk's and those of
 `modops._adapted_run`, is one `_cut`, so their numerators share one cache.
 
@@ -243,10 +246,9 @@ def _filter_regular_walk(
     """(reg, depth) of the cut N_0 = F / (U + (x_{k+1}..x_v)F) from in(U),
     given per component of F by its minimal generators in the nvars
     variables (`buchberger`'s lead terms are minimal); None when a step is not
-    certified: some (0 :_{N_i} x^oo) has infinite length.  Each step reads a
-    cut of in(U) (`_cut`).  k = v is F/U itself (`regularity`);
-    `modops._section_columns` and `verify.tower_check` walk the cuts of an
-    adapted run (`modops._adapted_run`), whose numerators they share.
+    certified: some (0 :_{N_i} x^oo) has infinite length.  k = v is F/U
+    itself (`regularity`); `modops._section_columns` and `verify.tower_check`
+    walk the cuts of an adapted run (`modops._adapted_run`).
 
     Under `Codec.top` the last variables behave as Bayer and Stillman need ("A
     criterion for detecting m-regularity", 1987): with N_i = N_0 / (x_k, ...,
@@ -260,26 +262,50 @@ def _filter_regular_walk(
     the way (Bermejo-Gimenez, "Saturation and Castelnuovo-Mumford
     regularity", 2006).  Before the first nonzero H^0 every x is regular, so
     depth N_0 is the index of that first one.
+
+    F/in(U) is (+)_c S(-a_c)/L_c, and every cut, saturation and numerator
+    splits over the components, so the walk is one `_ideal_walk` per L_c:
+    reg = max(reg_c + a_c) and depth = min(depth_c), None when any
+    component's walk is.  The split is exact: infinite length in one summand
+    is infinite length in the sum; a summand of finite length keeps it in
+    every later cut, where its top degree never rises, so the steps past its
+    own end add nothing; and the first nonzero H^0 of the sum is the earliest
+    over the summands.
     """
-    unit = (0,) * nvars
-    if all(unit in monos for monos in ideals):
+    walks = [_ideal_walk(monos, k, nvars) for monos in ideals]
+    if None in walks:
+        return None
+    depths = [depth for _, depth in walks if depth is not None]
+    if not depths:  # every component is the unit ideal
         raise ZeroModule("regularity of the zero module")
+    return int(max(reg + a for (reg, _), a in zip(walks, twists))), min(depths)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _ideal_walk(monos: frozenset, k: int, nvars: int) -> tuple[int | float, int | None] | None:
+    """`_filter_regular_walk` on the one component S/(L + (x_{k+1}..x_v)) at
+    twist 0, L given by its minimal generators: (reg, depth), (-inf, None)
+    for the unit ideal, None when a step is not certified.  Each step reads
+    a cut of L (`_cut`).  Process-wide, since a walk reads nothing but L:
+    the same few lead ideals recur across modules, forms and levels."""
+    unit = (0,) * nvars
+    if unit in monos:
+        return NEG_INF, None
     reg: int | float = NEG_INF
     depth = None
     for i in range(k + 1):  # N_k has finite length, so this returns
         x = k - 1 - i
-        cut = _cut(ideals, k - i, nvars)
+        cut = _cut([monos], k - i, nvars)
         # no lead term involves x: J_i : x^oo = J_i and H^0_m(N_i) = 0
-        if x < 0 or any(m[x] for monos in cut for m in monos):
-            saturated, hd = lead_torsion(cut, twists, x, nvars)
+        if x < 0 or any(m[x] for m in cut[0]):
+            (saturated,), hd = lead_torsion(cut, (0,), x, nvars)
             if hd.length is None:
                 return None
-            finite = all(unit in monos for monos in saturated)  # N_i = H^0_m(N_i)
             h0 = hd.q_polynomial
             if h0:
                 reg = max(reg, max(h0))
                 depth = i if depth is None else depth
-            if finite:
+            if unit in saturated:  # N_i = H^0_m(N_i)
                 return int(reg), depth
 
 

@@ -1,8 +1,8 @@
 """Small builders shared by the test modules."""
 
-from cmreg.core import validate_presentation
+from cmreg.core import NEG_INF, ZeroModule, validate_presentation
 from cmreg.groebner import Codec, GroebnerBasis, autoreduce, buchberger
-from cmreg.invariants import numerator_of_gb
+from cmreg.invariants import _cut, lead_torsion, numerator_of_gb
 
 
 def cyclic(ring, polys):
@@ -57,3 +57,28 @@ def reduced_basis(gens, ring, twists):
     packed = [codec.encode(g, twists) for g in gens]
     basis, leads = autoreduce(*buchberger(packed, codec, twists, p), codec, p)
     return GroebnerBasis(ring=ring, row_twists=tuple(twists), codec=codec, basis=basis, leads=leads)
+
+
+def whole_module_walk(ideals, twists, k, nvars):
+    """The filter-regular walk run on the whole module at once, one cut of
+    every component per step, as `invariants._filter_regular_walk` ran before
+    it split over the components: the oracle for that split."""
+    unit = (0,) * nvars
+    if all(unit in monos for monos in ideals):
+        raise ZeroModule("regularity of the zero module")
+    reg = NEG_INF
+    depth = None
+    for i in range(k + 1):
+        x = k - 1 - i
+        cut = _cut(ideals, k - i, nvars)
+        if x < 0 or any(m[x] for monos in cut for m in monos):
+            saturated, hd = lead_torsion(cut, twists, x, nvars)
+            if hd.length is None:
+                return None
+            finite = all(unit in monos for monos in saturated)
+            h0 = hd.q_polynomial
+            if h0:
+                reg = max(reg, max(h0))
+                depth = i if depth is None else depth
+            if finite:
+                return int(reg), depth

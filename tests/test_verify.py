@@ -42,7 +42,7 @@ from cmreg.verify import (
     section_check,
     tower_check,
 )
-from helpers import cyclic, reduced_basis, twisted
+from helpers import cyclic, reduced_basis, twisted, whole_module_walk
 from test_acceptance import _modules_of_dimension
 from test_invariants import _acceptance_box_module, _module_over_complete_intersection
 from test_modops import _criterion_4_modules, _graph_torsion, _section_columns_agree
@@ -946,6 +946,69 @@ def test_small_characteristics():
             assert report.h0_bar_prime == h0_profile(quotient_by_linear(mprime, l))[0].h0_by_degree
     print(f"small characteristics: {counts}; section columns: {columns}")
     assert counts["certified walk"] >= 100 and counts["form"] >= 100, counts
+
+
+def _walk_or_zero(walk, ideals, twists, k, nvars):
+    try:
+        return walk(ideals, twists, k, nvars)
+    except ZeroModule:
+        return "zero module"
+
+
+def test_split_walk_equals_the_whole_module_walk(monkeypatch):
+    """The walk split over the components equals the walk on the whole
+    module (`helpers.whole_module_walk`), None included, on every walk of the
+    audits of the box, the quotient box and the small-characteristic modules,
+    of the latter's section checks, of criterion 5's towers, and on
+    hand-built components that end at different steps."""
+    seen = []
+    split = invariants._filter_regular_walk
+
+    def recorded(ideals, twists, k, nvars):
+        seen.append((tuple(ideals), tuple(twists), k, nvars))
+        return split(ideals, twists, k, nvars)
+
+    for module in (invariants, modops, verify):
+        monkeypatch.setattr(module, "_filter_regular_walk", recorded)
+    for trial in range(200):
+        audit(_acceptance_box_module(trial))
+        pres = _module_over_complete_intersection(trial)
+        if not pres.is_zero_module:
+            audit(pres)
+    for pres, forms in _small_characteristic_modules():
+        audit(pres)
+        try:
+            section_check(pres, random_section_form(pres, forms))
+        except AlgebraError:
+            continue
+    for pres, forms in _criterion_5_towers(25):
+        tower_check(pres, forms)
+
+    # over k[x, y]: (x^2) ends at step 1, (x^2, y^3) at step 0, the free
+    # component at step 2; (xy) is not certified at step 0
+    x2, x2y3, unit, free, xy = (
+        frozenset(monos) for monos in ([(2, 0)], [(2, 0), (0, 3)], [(0, 0)], [], [(1, 1)])
+    )
+    hand_built = [
+        ((x2, x2y3, unit, free), (0, 1, 5, 2), 2, 2),
+        ((x2, unit), (3, 0), 2, 2),
+        ((x2y3, free, x2), (0, 0, 0), 1, 2),
+        ((x2, xy), (0, 0), 2, 2),
+        ((xy, x2y3), (0, 0), 2, 2),
+        ((unit, unit), (0, 1), 2, 2),
+    ]
+    assert split(*hand_built[0]) == (4, 0)
+    assert split(*hand_built[3]) is None
+
+    walks = set(seen) | set(hand_built)
+    uncertified = 0
+    for args in walks:
+        invariants._ideal_walk.cache_clear()
+        got = _walk_or_zero(split, *args)
+        assert got == _walk_or_zero(whole_module_walk, *args), args
+        uncertified += got is None
+    assert len(walks) >= 700 and uncertified >= 50, (len(walks), uncertified)
+    assert sum(k < nvars for _, _, k, nvars in walks) >= 100
 
 # -- degenerate inputs ---------------------------------------------------------------
 
