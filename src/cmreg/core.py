@@ -18,7 +18,7 @@ NEG_INF = float("-inf")
 # Size of every process-wide cache.  One seed-0 pass of a perfbench workload,
 # every cache empty at its start, misses none of them more than 253 times (the
 # numerators of `audit_sweep`; `quotient_audit` misses `ring_invariants` 195
-# times, `quotient_groebner` 158 and the numerators 139; the component walks
+# times, `quotient_groebner` 195 and the numerators 139; the component walks
 # miss 118, 56 and 73 times on `audit_sweep`, `sections` and
 # `quotient_audit`; the layouts at most 128), so a pass never evicts an entry
 # it reuses.

@@ -10,9 +10,9 @@ division using a heap", 2011).
 
 Level 0, position over term.  From the most significant end the fields are
 n-1-c, the total degree, then one field of FIELD bits per variable whose top
-bit is a guard bit, always clear.  For grevlex the variable fields hold
-MAX_DEGREE - e_j with x_v most significant; for lex (degree-lex) they hold e_j
-with x_1 most significant.  A Schreyer level over the packed lead terms
+bit is a guard bit, always clear.  The variable fields hold MAX_DEGREE - e_j
+with x_v most significant: grevlex, whatever the ring's order, which reaches
+only how polynomials print.  A Schreyer level over the packed lead terms
 lt_0..lt_{N-1} of the level below stores (i, m) as
 ((lt_i + shift(m)) << IB) | (N-1-i), IB = N.bit_length(): images compare
 first and the lower index wins ties, which is the induced order.  No field may
@@ -39,13 +39,13 @@ the Hilbert numerator, `invariants.regularity`'s walk,
 `schreyer_resolution`, which alone finishes it (`autoreduce`: tail reduction
 and the tower order) before resolving it.  `modops.torsion_hilbert` and
 `verify.tower_check` read the run of M in coordinates where the forms are the
-last variables.  Position over term in the ring's own order stays where the
-order is part of the answer: `quotient_groebner` builds J's basis that way,
-as `buchberger` leaves it, so that a normal form mod J, and every entry a
-presentation prints, is the one the ring's order gives, lex rings included
-(a full normal form is the same modulo any Groebner basis); the graph colon
-(`syzygies_of`) needs its row block ahead of the e-block; and a saturation
-round that the degree-first run certifies hands back the graph colon's basis.
+last variables.  J, the defining ideal of a quotient ring, has one basis too:
+`quotient_groebner` keeps J's degree-first run per ring, and it gives every
+normal form mod J (so every entry a presentation prints), the ring's
+invariants and J's minimal generator degrees.  Position over term stays
+where the layout is part of the method: the graph colon (`syzygies_of`)
+needs its row block ahead of the e-block, and a saturation round that the
+degree-first run certifies hands back the graph colon's basis.
 
 Basis elements are kept monic, input is homogeneous throughout, and pair
 selection is by ascending module degree, so the engine works degree by degree
@@ -93,7 +93,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -119,15 +119,15 @@ _INPUT = sys.maxsize  # a queued input's first pair index, past every basis inde
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _reader(nvars: int, lex: bool, off: int) -> Callable[[int], Mono]:
-    """Exponent tuple from the variable fields starting at bit `off`."""
-    unpack = struct.Struct((">" if lex else "<") + "H" * nvars).unpack
+def _reader(nvars: int, off: int) -> Callable[[int], Mono]:
+    """Exponent tuple from the variable fields starting at bit `off`, x_1's
+    field lowest."""
+    unpack = struct.Struct("<" + "H" * nvars).unpack
     mask = (1 << (FIELD * nvars)) - 1
     nbytes = FIELD // 8 * nvars
-    order = "big" if lex else "little"
 
     def read(s: int) -> Mono:
-        return unpack(((s >> off) & mask).to_bytes(nbytes, order))
+        return unpack(((s >> off) & mask).to_bytes(nbytes, "little"))
 
     return read
 
@@ -135,18 +135,16 @@ def _reader(nvars: int, lex: bool, off: int) -> Callable[[int], Mono]:
 class Codec(NamedTuple):
     """Layout of the packed terms of one free module (see the module docstring).
 
-    x^s moves a term by `shift(s)` = sum_j s_j * weights[j].  sign is +1 when
-    the variable fields count exponents up (lex) and -1 when they count down
-    (grevlex); off is the bit offset of the lowest variable field, guard the
-    mask of their guard bits, and read turns sign * shift into the exponent
-    tuple.  bases[c] is the term e_c.  The component field is
+    x^s moves a term by `shift(s)` = sum_j s_j * weights[j].  The variable
+    fields count exponents down, so read turns -shift into the exponent tuple;
+    off is the bit offset of the lowest variable field and guard the mask of
+    their guard bits.  bases[c] is the term e_c.  The component field is
     (t >> cshift) & cmask and holds len(bases)-1-c; ib is the width of a
     Schreyer level's index field (0 from `pot`; `top` is a Schreyer level).
     limit is the largest module degree an element may have.
     """
 
     weights: tuple[int, ...]
-    sign: int
     guard: int
     bases: tuple[int, ...]
     cshift: int
@@ -158,8 +156,9 @@ class Codec(NamedTuple):
 
     @classmethod
     def pot(cls, ring: GradedRing, row_twists: Sequence[int]) -> "Codec":
-        """Position over term on a free module with the given twists."""
-        return _pot(ring.nvars, ring.order == "lex", row_twists)
+        """Position over term on a free module with the given twists, grevlex
+        whatever the ring's order."""
+        return _pot(ring.nvars, row_twists)
 
     @classmethod
     def top(cls, ring: GradedRing, row_twists: Sequence[int]) -> "Codec":
@@ -176,7 +175,6 @@ class Codec(NamedTuple):
         ib = n.bit_length()
         return Codec(
             weights=tuple(w << ib for w in self.weights),
-            sign=self.sign,
             guard=self.guard << ib,
             bases=tuple((lt << ib) | (n - 1 - i) for i, lt in enumerate(leads)),
             cshift=0,
@@ -184,7 +182,7 @@ class Codec(NamedTuple):
             ib=ib,
             off=self.off + ib,
             limit=self.limit,
-            read=_reader(len(self.weights), self.sign > 0, self.off + ib),
+            read=_reader(len(self.weights), self.off + ib),
         )
 
     def shift(self, mono: Mono) -> int:
@@ -195,15 +193,15 @@ class Codec(NamedTuple):
 
     def mono(self, shift: int) -> Mono:
         """The monomial whose shift is `shift`."""
-        return self.read(self.sign * shift)
+        return self.read(-shift)
 
     def divides(self, a: int, b: int) -> bool:
         """Whether term a divides term b, both in one component."""
-        return not (self.sign * (b - a)) & self.guard
+        return not (a - b) & self.guard
 
     def decode(self, t: int) -> Term:
         c = len(self.bases) - 1 - ((t >> self.cshift) & self.cmask)
-        return c, self.read(self.sign * (t - self.bases[c]))
+        return c, self.read(self.bases[c] - t)
 
     def check(self, deg: int) -> None:
         """Refuse an element of module degree deg whose terms might not fit."""
@@ -223,26 +221,24 @@ class Codec(NamedTuple):
         return out
 
     def decode_element(self, v: Packed) -> Element:
-        bases, cs, cm, sign, read = self.bases, self.cshift, self.cmask, self.sign, self.read
+        bases, cs, cm, read = self.bases, self.cshift, self.cmask, self.read
         last = len(bases) - 1
         out: Element = {}
         for t, val in v.items():
             c = last - ((t >> cs) & cm)
-            out[c, read(sign * (t - bases[c]))] = val
+            out[c, read(bases[c] - t)] = val
         return out
 
 
-def _pot(nvars: int, lex: bool, row_twists: Sequence[int]) -> Codec:
-    """`Codec.pot` for this many variables, lex or grevlex."""
-    positions = [FIELD * (nvars - 1 - j if lex else j) for j in range(nvars)]
+def _pot(nvars: int, row_twists: Sequence[int]) -> Codec:
+    """`Codec.pot` for this many variables."""
+    positions = [FIELD * j for j in range(nvars)]
     deg_at = FIELD * nvars
     comp_at = deg_at + FIELD
-    sign = 1 if lex else -1
-    fill = 0 if lex else sum(MAX_DEGREE << q for q in positions)
+    fill = sum(MAX_DEGREE << q for q in positions)
     n = len(row_twists)
     return Codec(
-        weights=tuple((1 << deg_at) + sign * (1 << q) for q in positions),
-        sign=sign,
+        weights=tuple((1 << deg_at) - (1 << q) for q in positions),
         guard=sum(1 << (q + FIELD - 1) for q in positions),
         bases=tuple(((n - 1 - c) << comp_at) + fill for c in range(n)),
         cshift=comp_at,
@@ -250,7 +246,7 @@ def _pot(nvars: int, lex: bool, row_twists: Sequence[int]) -> Codec:
         ib=0,
         off=0,
         limit=MAX_DEGREE + min(row_twists, default=0),
-        read=_reader(nvars, lex, 0),
+        read=_reader(nvars, 0),
     )
 
 
@@ -261,21 +257,9 @@ def _top_layout(nvars: int, row_twists: tuple[int, ...]) -> Codec:
     its Schreyer level.  A `Codec` is an immutable NamedTuple, so the cache
     hands the same layout to every caller."""
     low = min(row_twists, default=0)
-    line = _pot(nvars, False, (low,))
+    line = _pot(nvars, (low,))
     deg_at = FIELD * nvars
     return line.schreyer([line.bases[0] + ((t - low) << deg_at) for t in row_twists])
-
-
-def elt_add_scaled(target: Element, src: Element, mono: Mono, coeff: int, p: int) -> None:
-    """target += coeff * x^mono * src, in place, coefficients mod p."""
-    get = target.get
-    for (c, m), val in src.items():
-        t = (c, tuple(map(add, m, mono)))
-        nv = (get(t, 0) + coeff * val) % p
-        if nv:
-            target[t] = nv
-        elif t in target:
-            del target[t]
 
 
 def _add_scaled(target: Packed, src: Packed, shift: int, coeff: int, p: int) -> None:
@@ -333,7 +317,7 @@ def normal_form(
     quots: dict[int, dict[int, int]] | None = {} if track else None
     if div_cache is None:
         div_cache = {}
-    sign, guard, cs, cm = codec.sign, codec.guard, codec.cshift, codec.cmask
+    guard, cs, cm = codec.guard, codec.cshift, codec.cmask
 
     while work:
         t = max(work)
@@ -342,7 +326,7 @@ def normal_form(
         if red is None:
             red = -1
             for idx in by_comp.get((t >> cs) & cm, ()):
-                if not (sign * (t - lts[idx])) & guard:  # codec.divides, inlined
+                if not (lts[idx] - t) & guard:  # codec.divides, inlined
                     red = idx
                     break
             div_cache[t] = red
@@ -855,16 +839,13 @@ def element_poly(v: Element, ring: GradedRing) -> Polynomial:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def quotient_groebner(ring: GradedRing) -> GroebnerBasis:
-    """Groebner basis of the defining ideal of a quotient ring (empty if
-    none), in the ring's own order, position over term: `buchberger`'s basis
-    as it stands.  Its one reader is `reduce_poly`, and a full normal form
-    modulo any Groebner basis under that order is the same, so it needs no
-    tail reduction."""
-    base = ring.base
-    codec = Codec.pot(base, (0,))
-    gens = [codec.encode(poly_element(q), (0,)) for q in ring.quotient_gens]
-    basis, leads = buchberger(gens, codec, (0,), base.field.p)
-    return GroebnerBasis(ring=base, row_twists=(0,), codec=codec, basis=basis, leads=leads)
+    """J's one basis: the degree-first `groebner` run of the defining ideal's
+    generators (empty if none), whatever the ring's order, kept per ring.  It
+    serves `reduce_poly`, which needs no tail reduction (a full normal form is
+    the same modulo any Groebner basis under one order), the ring's
+    invariants, read off its lead terms, and J's minimal generator degrees,
+    the generators it leaves unflagged (`redundant`)."""
+    return groebner([poly_element(q) for q in ring.quotient_gens], ring.base, (0,))
 
 
 def reduce_poly(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

@@ -8,7 +8,8 @@ and Hilbert data all come from that S-side picture.
 `regularity` needs no resolution: it walks the last variables over the lead
 terms of the module's one Groebner basis, the degree-first `groebner` run (see
 `_filter_regular_walk`), and falls back to the Betti table only when a step is
-not certified.  `ring_invariants` reads S/J the same way, off J's run.
+not certified.  `ring_invariants` reads S/J the same way, off J's one run
+(`groebner.quotient_groebner`).
 `module_invariants` keeps the Schreyer resolution, so its `regularity` is
 the Betti-derived one, a second path from the same basis.
 The walk splits over the components L_c of the lead terms, and each L_c's
@@ -538,8 +539,8 @@ def minimal_relation_degrees(pres: GradedPresentation) -> dict[int, int]:
     of its columns over S leaves unflagged (`groebner.buchberger`).  J's
     columns run first, so over S/J the images of the unflagged ones are a
     basis of (im phi + JG) / (m im phi + JG).  With minimal generators these
-    are the degrees of b_1; J's generator degrees are those of S/J presented
-    over S by J's generators."""
+    are the degrees of b_1.  J's own minimal generator degrees are those of
+    the generators its one basis leaves unflagged (`quotient_groebner`)."""
     if not pres.m:
         return {}
     cols = presentation_elements(pres)
@@ -554,17 +555,17 @@ def minimal_relation_degrees(pres: GradedPresentation) -> dict[int, int]:
 @lru_cache(maxsize=CACHE_SIZE)
 def ring_invariants(ring: GradedRing) -> tuple[int, int, int, bool]:
     """(dim R, deg R, reg R, is_cohen_macaulay), treating R = S/J as S-module,
-    off J's degree-first run: dim and deg from its numerator, reg and depth
-    from the walk (`_filter_regular_walk`), refused as `regularity` refuses,
-    and R is Cohen-Macaulay when depth = dim.  Only where a step is not
-    certified is R resolved (`module_invariants`)."""
-    pres = free_presentation(ring, (0,))
+    off the lead terms of J's one basis (`quotient_groebner`, its degree-first
+    run): dim and deg from its numerator, reg and depth from the walk
+    (`_filter_regular_walk`), refused as `regularity` refuses, and R is
+    Cohen-Macaulay when depth = dim.  Only where a step is not certified is
+    R resolved (`module_invariants`)."""
     base = ring.base
-    gb = groebner(presentation_elements(pres), base, (0,))
+    gb = quotient_groebner(ring)
     ideals = lead_ideals(gb.lts, 1)
     walk = _filter_regular_walk(ideals, (0,), base.nvars, base.nvars)
     if walk is None:
-        mi = module_invariants(pres)
+        mi = module_invariants(free_presentation(ring, (0,)))
         return int(mi.hilbert.dimension), mi.hilbert.multiplicity, mi.regularity, mi.is_cm
     reg, depth = walk
     gb.codec.check(reg + base.nvars - depth)  # pd = v - depth

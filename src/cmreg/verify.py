@@ -46,7 +46,7 @@ from .core import (
     render_poly,
     validate_presentation,
 )
-from .groebner import Codec, memo_scope
+from .groebner import Codec, memo_scope, quotient_groebner
 from .invariants import (
     _filter_regular_walk,
     hilbert_data,
@@ -396,13 +396,14 @@ def _generator_data(pres: GradedPresentation) -> tuple[int, int]:
     of J but at least 1.  All are read off M's minimal presentation, so its
     generators are minimal: reg M is `regularity`'s walk on the module's one
     degree-first run (the Betti table only where a step is not certified), b1
-    and J's generator degrees are minimal relation degrees, flagged by the
-    runs of M's columns and of J's generators."""
+    the minimal relation degrees that run flags, and J's minimal generators
+    the ones that J's one basis (`quotient_groebner`) leaves unflagged."""
     minimal = minimal_presentation(pres)
     if minimal.is_zero_module:
         raise ZeroModule("module is zero")
-    ideal = validate_presentation(pres.ring.base, (0,), [pres.ring.quotient_gens])
-    h = max(minimal_relation_degrees(ideal), default=1)
+    gens = pres.ring.quotient_gens
+    flagged = quotient_groebner(pres.ring).redundant if gens else frozenset()
+    h = max((q.degree() for j, q in enumerate(gens) if j not in flagged), default=1)
     floor = max([max(minimal.row_twists) + h, *minimal_relation_degrees(minimal)]) - 2
     return regularity(minimal), floor
 

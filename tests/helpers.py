@@ -1,8 +1,23 @@
 """Small builders shared by the test modules."""
 
+from operator import add
+
 from cmreg.core import NEG_INF, ZeroModule, validate_presentation
 from cmreg.groebner import Codec, GroebnerBasis, autoreduce, buchberger
 from cmreg.invariants import _cut, lead_torsion, numerator_of_gb
+
+
+def elt_add_scaled(target, src, mono, coeff, p):
+    """target += coeff * x^mono * src, in place, coefficients mod p, on
+    `Element`s: the oracle of the engine's packed `groebner._add_scaled`."""
+    get = target.get
+    for (c, m), val in src.items():
+        t = (c, tuple(map(add, m, mono)))
+        nv = (get(t, 0) + coeff * val) % p
+        if nv:
+            target[t] = nv
+        elif t in target:
+            del target[t]
 
 
 def cyclic(ring, polys):
@@ -51,7 +66,7 @@ def same_module(a, b):
 
 def reduced_basis(gens, ring, twists):
     """The reduced Groebner basis of the submodule the elements generate,
-    position over term in the ring's own order: the basis `syzygies_of`
+    position over term (grevlex, as every run): the basis `syzygies_of`
     returns, built here from `buchberger` directly."""
     codec, p = Codec.pot(ring, twists), ring.field.p
     packed = [codec.encode(g, twists) for g in gens]

@@ -533,6 +533,10 @@ CLI_FILES = {
     "16-vars": f"char 101\nvars {' '.join(f'x{i}' for i in range(1, 17))}\ngens 0\nrels\nx1^2\nend\n",
     "12-vars": f"char 101\nvars {' '.join(f'x{i}' for i in range(1, 13))}\ngens 0\nrels\n"
     + "".join(f"x{i}\n" for i in range(1, 13)) + "end\n",
+    "lex-quotient": "char 101\nvars x y z\norder lex\nquotient\nx*z - y^2\nend\ngens 0 2\nrels\n"
+    "x*y*z, y\nx^2*y, z\nend\n",
+    "grevlex-quotient": "char 101\nvars x y z\nquotient\nx*z - y^2\nend\ngens 0 2\nrels\n"
+    "x*y*z, y\nx^2*y, z\nend\n",
 }
 
 
@@ -606,6 +610,13 @@ CLI_CHECKS = [
     ("16-vars", "timeout 10 audit", 0, f"{'main':24} {_printed(6 ** 8192)}  pass (actual 1)"),
     ("12-vars", "timeout 10 bounds", 1,
      "error: bayer_mumford would have about 12,016,154 digits, past the budget of 100,000"),
+    # the engine reduces mod J in grevlex whatever the ring's order, so a lex
+    # quotient ring and its grevlex twin print one Fitting generator
+    *[(f, cmd, 0, expect) for f in ("lex-quotient", "grevlex-quotient") for cmd, expect in (
+        ("reg", "reg = 3"),
+        ("fitt", "reg(R/Fitt) = 4"),
+        ("fitt --json", lambda d: d["generators"] == ["100*x^2*y^2 + x*y*z^2"]),
+    )],
 ]
 
 

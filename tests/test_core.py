@@ -24,7 +24,7 @@ from cmreg.core import (
     render_poly,
     validate_presentation,
 )
-from cmreg.groebner import elt_add_scaled
+from helpers import elt_add_scaled
 
 F101 = PrimeField(101)
 R = GradedRing(F101, ("x", "y", "z"))

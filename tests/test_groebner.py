@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 import time
 from itertools import combinations
 
@@ -15,6 +16,9 @@ from cmreg.core import (
     GradedRing,
     Polynomial,
     PrimeField,
+    dense_rank,
+    free_presentation,
+    grevlex_key,
     mono_deg,
     mono_div,
     mono_divides,
@@ -34,7 +38,6 @@ from cmreg.groebner import (
     buchberger,
     column_element,
     elements_to_matrix,
-    elt_add_scaled,
     elt_degree,
     groebner,
     minimal_pairs,
@@ -52,13 +55,18 @@ from cmreg.groebner import (
 from cmreg.invariants import (
     betti_numbers,
     hilbert_numerator,
+    minimal_relation_degrees,
     numerator_from_resolution,
     regularity,
 )
-from cmreg.modops import h0_profile, sym_power
-from cmreg.verify import random_section_form, section_check
-from helpers import compose
-from test_invariants import _acceptance_box_module, _module_over_complete_intersection
+from cmreg.modops import h0_profile, span_vectors, sym_power
+from cmreg.verify import audit, random_polynomial, random_section_form, section_check
+from helpers import compose, elt_add_scaled
+from test_invariants import (
+    _acceptance_box_module,
+    _module_over_complete_intersection,
+    _seeded_quotient_rings,
+)
 from test_modops import _criterion_4_modules, _last_variable_multiples
 
 F = PrimeField(101)
@@ -218,12 +226,78 @@ def test_random_syzygies_vanish(seed):
         assert apply_syzygy(s, gens, R2) == {}
 
 
-def test_quotient_groebner_cached_and_reducing():
+def _over(ring, order):
+    """The ring with the same field, variables and J, in the given order."""
+    gens = tuple(Polynomial(GradedRing(ring.field, ring.variables, order), q.terms) for q in ring.quotient_gens)
+    return GradedRing(ring.field, ring.variables, order, gens)
+
+
+def test_quotient_groebner_cached_and_reducing(monkeypatch):
+    """J's one basis is its degree-first run, kept per ring.  (a) The inputs
+    it leaves unflagged have J's minimal generator degrees: those of S/J
+    presented over S by J's generators, and the b_1 of R's Betti table.  (b)
+    On a lex quotient ring and its grevlex twin, `reduce_poly` gives one
+    polynomial: f - NF(f) lies in J's degree-d span by the dense oracle, and
+    no term of NF(f) lies in in(J).  (c) `audit` over a fresh quotient ring
+    runs J once, and a `section_check` over it afterwards not at all."""
     Rq = GradedRing(F, ("x", "y"), quotient_gens=(u * u,))
     gb = quotient_groebner(Rq)
     assert reduce_poly(u * u * v, gb).is_zero()
     assert reduce_poly(u + v, gb) == u + v
     assert quotient_groebner(Rq) is gb
+    assert gb.codec == Codec.top(Rq, (0,))
+
+    # (a)
+    rings = [_module_over_complete_intersection(trial).ring for trial in range(200)]
+    rings += _seeded_quotient_rings()
+    for ring in rings:
+        gens = ring.quotient_gens
+        flagged = quotient_groebner(ring).redundant
+        flags = Counter(q.degree() for j, q in enumerate(gens) if j not in flagged)
+        assert flags == minimal_relation_degrees(validate_presentation(ring.base, (0,), [gens]))
+        betti = betti_numbers(free_presentation(ring, (0,)))
+        assert flags == {j: b for (i, j), b in betti.items() if i == 1}
+
+    # (b)
+    lex_base = GradedRing(F, ("x", "y", "z"), "lex")
+    a, b, c = lex_base.gens()
+    lex_rings = [GradedRing(F, lex_base.variables, "lex", (a * c - b * b,))]
+    lex_rings += [ring for ring in _seeded_quotient_rings() if ring.order == "lex"]
+    rng = random.Random(58)
+    for lex in lex_rings:
+        twin = _over(lex, "grevlex")
+        base, p = twin.base, twin.field.p
+        lead = [m for _, m in quotient_groebner(twin).lts]
+        J = [poly_element(q) for q in twin.quotient_gens]
+        for d in range(5):
+            f = random_polynomial(rng, base, d)
+            nf = reduce_poly(f, quotient_groebner(twin))
+            lex_nf = reduce_poly(Polynomial(lex.base, f.terms), quotient_groebner(lex))
+            assert lex_nf.terms == nf.terms
+            assert not any(mono_divides(m, t) for m in lead for t in nf.terms)
+            span = span_vectors(base, (0,), J, d)
+            diff = span_vectors(base, (0,), [poly_element(f - nf)], d)
+            assert dense_rank(span + diff, p) == dense_rank(span, p)
+
+    # (c)
+    pres = _module_over_complete_intersection(0)
+    form = random_section_form(pres, random.Random(1))
+    J = [poly_element(q) for q in pres.ring.quotient_gens]
+    runs = []
+    original = groebner_module.buchberger
+
+    def recording(gens, codec, *args):
+        runs.append([codec.decode_element(g) for g in gens])
+        return original(gens, codec, *args)
+
+    monkeypatch.setattr(groebner_module, "buchberger", recording)
+    quotient_groebner.cache_clear()
+    invariants_module.ring_invariants.cache_clear()
+    assert audit(pres).all_hold
+    assert runs.count(J) == 1
+    runs.clear()
+    section_check(pres, form)
+    assert runs and J not in runs
 
 
 def test_elements_matrix_roundtrip():
@@ -420,9 +494,10 @@ def test_buchberger_queues_only_minimal_pairs(monkeypatch):
 # -- packed terms -----------------------------------------------------------------
 
 
-def pot_order(ring):
-    """The module order the level-0 packed terms must reproduce, as a sort key."""
-    return lambda term: (-term[0], ring.key(term[1]))
+def pot_order(term):
+    """The module order the level-0 packed terms must reproduce, as a sort
+    key: position over term, grevlex whatever the ring's order."""
+    return (-term[0], grevlex_key(term[1]))
 
 
 def schreyer_order(parent_key, parent_lts):
@@ -453,7 +528,7 @@ def packed_levels(draw):
         lambda m: tuple(scale * e for e in m)
     )
     n = draw(st.integers(1, 6))
-    codec, key = Codec.pot(ring, (0,) * n), pot_order(ring)
+    codec, key = Codec.pot(ring, (0,) * n), pot_order
     for _ in range(draw(st.integers(0, 2))):
         lts = draw(st.lists(st.tuples(st.integers(0, n - 1), mono), min_size=1, max_size=6))
         leads = [max(codec.encode({t: 1}, (0,) * n)) for t in lts]
@@ -602,10 +677,10 @@ def _over_order(pres, order):
 
 
 def test_lex_resolutions_have_the_grevlex_betti_tables():
-    # Betti numbers do not depend on the monomial order.  Resolutions run
-    # degree first whatever the ring's order; the graph colon keeps the ring's
-    # order, so the lex layout of the packed terms is exercised there
-    differ = 0
+    # Betti numbers do not depend on the monomial order.  The engine packs
+    # grevlex whatever the ring's order, so the graph colon of a lex ring and
+    # of its grevlex twin is one computation: the same layout and the same
+    # reduced basis
     for trial in range(40):
         pres = _acceptance_box_module(trial)
         lex = _over_order(pres, "lex")
@@ -614,9 +689,9 @@ def test_lex_resolutions_have_the_grevlex_betti_tables():
         cols, lex_cols = presentation_elements(pres), presentation_elements(lex)
         syz = syzygies_of(cols, pres.ring, pres.row_twists)
         lex_syz = syzygies_of(lex_cols, lex.ring, lex.row_twists)
-        assert lex_syz.codec.sign == 1 and syz.codec.sign == -1
-        differ += lex_syz.elements != syz.elements
-    assert differ  # the two orders do give different reduced bases
+        assert lex_syz.codec == syz.codec
+        assert Codec.pot(lex.ring, lex.row_twists) == Codec.pot(pres.ring, pres.row_twists)
+        assert lex_syz.elements == syz.elements
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])

@@ -114,8 +114,8 @@ def test_hilbert_numerator_two_paths_agree():
 
 def test_hilbert_numerator_against_a_position_over_term_run():
     # every reader takes M's numerator from the degree-first basis; a second
-    # Buchberger run under position over term in the ring's own order (any
-    # order's lead terms give the series) and the resolution's alternating
+    # Buchberger run under position over term (any order's lead terms give
+    # the series) and the resolution's alternating
     # twist sum check it on criterion 1's box, the quotient box and the
     # sections box
     from test_modops import _criterion_4_modules
